@@ -123,7 +123,9 @@ let run ~passes =
               ?snapshot_every:c.Crash.snapshot_every c
           in
           let bytes = D_wal.contents writer in
-          let read = D_wal.read_string bytes in
+          let read, t_read =
+            Util.time_ms (fun () -> D_wal.read_string bytes)
+          in
           let full, t_full =
             Util.time_ms (fun () -> D_rec.recover ~policy read)
           in
@@ -149,12 +151,12 @@ let run ~passes =
           emit
             (Printf.sprintf
                "{\"experiment\":\"e23\",\"part\":\"recovery\",\"policy\":\"%s\",\
-                \"records\":%d,\"bytes\":%d,\"commits\":%d,\"full_ms\":%.3f,\
-                \"tail_from_lsn\":%d,\"tail_ms\":%.3f}"
+                \"records\":%d,\"bytes\":%d,\"commits\":%d,\"read_ms\":%.3f,\
+                \"full_ms\":%.3f,\"tail_from_lsn\":%d,\"tail_ms\":%.3f}"
                (E.policy_name policy)
                (List.length read.D_wal.records)
-               (String.length bytes) live.E.stats.E.commits t_full tail_from
-               t_tail))
+               (String.length bytes) live.E.stats.E.commits t_read t_full
+               tail_from t_tail))
         all_policies)
     (if passes <= 3 then [ 12; 36 ] else [ 12; 36; 96 ]);
   Util.row "recovery matched the live run everywhere: %b@." !recovered_ok;

@@ -37,7 +37,6 @@ type t = {
       (* txn -> installs of its current attempt, newest first *)
   writer_of_wts : (int, int) Hashtbl.t;
   tail : Buffer.t; (* bytes past the last consumed line *)
-  mutable initial_rev : (string * int) list;
   mutable ingested : int;
   mutable records : int;
   mutable commits : int;
@@ -58,7 +57,6 @@ let create ~policy ?(obs = Sink.noop) () =
     pending = Hashtbl.create 16;
     writer_of_wts = Hashtbl.create 16;
     tail = Buffer.create 256;
-    initial_rev = [];
     ingested = 0;
     records = 0;
     commits = 0;
@@ -104,11 +102,10 @@ let apply t (r : Wal.record) =
   t.records <- t.records + 1;
   match r with
   | State { entity; value } ->
+      (* the same first-touch interning and last-wins overwrite as
+         [Store.create] over the analysis's initial list *)
       if t.ts > 0 || t.commits > 0 then t.degraded <- true
-      else begin
-        t.initial_rev <- (entity, value) :: t.initial_rev;
-        t.store <- Store.create ~initial:(List.rev t.initial_rev)
-      end
+      else Store.set_initial t.store entity value
   | Begin { txn; _ } | Abort { txn; _ } -> Hashtbl.replace t.pending txn []
   | Op _ | Checkpoint _ -> ()
   | Install { txn; entity; value; wts } ->
@@ -129,41 +126,48 @@ let apply t (r : Wal.record) =
         ~attrs:(fun () ->
           [ ("txn", J.Int txn); ("snapshot_ts", J.Int t.ts) ])
 
-let line t line ~terminated =
-  if String.trim line <> "" then
-    match Wal.decode line with
-    | Some (_lsn, r) -> apply t r
-    | None ->
-        if terminated then begin
-          t.skipped <- t.skipped + 1;
-          (* a lost record mid-stream can hide a Commit: incremental
-             redo is no longer sound, cascades may be pending *)
-          t.degraded <- true
-        end
+(* Decode and apply [s.[pos] .. s.[pos + len - 1]]; whether it was a
+   record. *)
+let line t s ~pos ~len ~terminated =
+  match Wal.decode_sub s ~pos ~len with
+  | Some (_lsn, r) ->
+      apply t r;
+      true
+  | None ->
+      if terminated && String.trim (String.sub s pos len) <> "" then begin
+        t.skipped <- t.skipped + 1;
+        (* a lost record mid-stream can hide a Commit: incremental
+           redo is no longer sound, cascades may be pending *)
+        t.degraded <- true
+      end;
+      false
 
 let feed t chunk =
   let before = t.records in
   t.cur_span <- Sink.span_start t.obs "follower.ingest";
   t.ingested <- t.ingested + String.length chunk;
-  Buffer.add_string t.tail chunk;
-  let s = Buffer.contents t.tail in
-  Buffer.clear t.tail;
+  (* a chunk that starts a line is scanned in place, not copied *)
+  let s =
+    if Buffer.length t.tail = 0 then chunk
+    else begin
+      Buffer.add_string t.tail chunk;
+      let s = Buffer.contents t.tail in
+      Buffer.clear t.tail;
+      s
+    end
+  in
   let n = String.length s in
   let i = ref 0 in
   let scanning = ref true in
   while !scanning do
     match String.index_from_opt s !i '\n' with
     | Some j ->
-        line t (String.sub s !i (j - !i)) ~terminated:true;
+        ignore (line t s ~pos:!i ~len:(j - !i) ~terminated:true);
         i := j + 1
     | None -> scanning := false
   done;
-  if !i < n then begin
-    let rest = String.sub s !i (n - !i) in
-    if String.trim rest <> "" && Wal.decode rest <> None then
-      line t rest ~terminated:false
-    else Buffer.add_string t.tail rest
-  end;
+  if !i < n && not (line t s ~pos:!i ~len:(n - !i) ~terminated:false) then
+    Buffer.add_substring t.tail s !i (n - !i);
   if t.degraded && t.records > before then refresh t;
   let applied = t.records - before in
   Sink.incr t.obs "follower.chunks";

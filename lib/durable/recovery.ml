@@ -185,10 +185,13 @@ let assemble ~policy ?snapshot ~stats a =
     | Some _ -> None (* the tail cannot carry the full history *)
     | None ->
         let append_missing order =
-          order
-          @ List.filter
-              (fun i -> not (List.mem i order))
-              (List.init n Fun.id)
+          let seen = Array.make n false in
+          (* ids outside [0, n) only come from hand-made logs; they
+             can never be missing from [List.init n] *)
+          List.iter
+            (fun i -> if i >= 0 && i < n then seen.(i) <- true)
+            order;
+          order @ List.filter (fun i -> not seen.(i)) (List.init n Fun.id)
         in
         let ts_order =
           List.filter (Hashtbl.mem valid) commit_seq

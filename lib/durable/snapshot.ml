@@ -40,13 +40,25 @@ let encode t =
     t.dump;
   Buffer.contents buf
 
+(* Inverse of [Wal.frame]: parse, then recompute the CRC over the
+   re-encoded fields without the crc one. *)
+let unframe line =
+  match Json.parse_obj line with
+  | None -> None
+  | Some parsed -> (
+      match List.rev parsed with
+      | ("crc", Json.Int crc) :: body_rev ->
+          let body = List.rev body_rev in
+          if Wal.crc32 (Json.obj body) = crc then Some body else None
+      | _ -> None)
+
 let decode s =
   let lines = String.split_on_char '\n' s |> List.filter (fun l -> l <> "") in
   let ( let* ) = Option.bind in
   match lines with
   | [] -> None
   | header :: rest -> (
-      match Wal.unframe header with
+      match unframe header with
       | Some
           [
             ("snapshot", Json.Int 1);
@@ -60,7 +72,7 @@ let decode s =
               List.fold_left
                 (fun acc line ->
                   let* acc = acc in
-                  match Wal.unframe line with
+                  match unframe line with
                   | Some
                       [
                         ("entity", Json.Str entity);

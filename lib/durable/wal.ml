@@ -2,10 +2,11 @@
 
    Framing: a record encodes to a flat Json object whose first field is
    the LSN and whose last field is a CRC-32 over the object as it would
-   be WITHOUT the crc field. Json.obj and Json.parse_obj are exact
-   inverses on this fragment, so the decoder can re-encode the parsed
-   prefix fields and recompute the checksum byte-for-byte — no second
-   framing layer needed, and the log stays plain JSONL. *)
+   be WITHOUT the crc field — i.e. over the line's own bytes before
+   [,"crc":], closed by '}'. The writer emits one canonical rendering of
+   each record and the decoder accepts only that rendering, so it can
+   checksum the raw bytes it was given — no second framing layer
+   needed, and the log stays plain JSONL. *)
 
 module Json = Mvcc_obs.Json
 module Sink = Mvcc_obs.Sink
@@ -54,14 +55,14 @@ let crc_tables =
      done;
      ts)
 
-let crc32_bytes s ~len =
+let crc32_bytes s ~pos ~len =
   let ts = Lazy.force crc_tables in
   let t0 = ts.(0) and t1 = ts.(1) and t2 = ts.(2) and t3 = ts.(3) in
   let t4 = ts.(4) and t5 = ts.(5) and t6 = ts.(6) and t7 = ts.(7) in
   let byte i = Char.code (Bytes.unsafe_get s i) in
   let c = ref 0xffffffff in
-  let i = ref 0 in
-  while !i + 8 <= len do
+  let i = ref pos and stop = pos + len in
+  while !i + 8 <= stop do
     let j = !i in
     let lo =
       !c
@@ -81,11 +82,20 @@ let crc32_bytes s ~len =
       lxor Array.unsafe_get t0 (byte (j + 7));
     i := j + 8
   done;
-  while !i < len do
+  while !i < stop do
     c := Array.unsafe_get t0 ((!c lxor byte !i) land 0xff) lxor (!c lsr 8);
     incr i
   done;
   !c
+
+(* The CRC a framed line carries: of its body bytes closed by '}' — the
+   object as it would be without the crc field, which the framed line
+   puts in place of that brace. *)
+let body_crc s ~pos ~len =
+  let c = crc32_bytes s ~pos ~len in
+  let t = Lazy.force crc_table in
+  Array.unsafe_get t ((c lxor Char.code '}') land 0xff)
+  lxor (c lsr 8) lxor 0xffffffff
 
 let fields = function
   | State { entity; value } ->
@@ -119,80 +129,7 @@ let frame fs =
     (String.sub body 0 (String.length body - 1))
     (crc32 body)
 
-let unframe line =
-  match Json.parse_obj line with
-  | None -> None
-  | Some parsed -> (
-      match List.rev parsed with
-      | ("crc", Json.Int crc) :: body_rev ->
-          let body_fields = List.rev body_rev in
-          if crc32 (Json.obj body_fields) = crc then Some body_fields
-          else None
-      | _ -> None)
-
 let encode ~lsn r = frame (("lsn", Json.Int lsn) :: fields r)
-
-let of_fields fields =
-  let int k =
-    match List.assoc_opt k fields with Some (Json.Int i) -> Some i | _ -> None
-  in
-  let str k =
-    match List.assoc_opt k fields with Some (Json.Str s) -> Some s | _ -> None
-  in
-  let bool k =
-    match List.assoc_opt k fields with
-    | Some (Json.Bool b) -> Some b
-    | _ -> None
-  in
-  let ( let* ) = Option.bind in
-  let* rec_ = str "rec" in
-  match rec_ with
-  | "state" ->
-      let* entity = str "entity" in
-      let* value = int "value" in
-      Some (State { entity; value })
-  | "begin" ->
-      let* txn = int "txn" in
-      let* ts = int "ts" in
-      Some (Begin { txn; ts })
-  | "op" ->
-      let* txn = int "txn" in
-      let* entity = str "entity" in
-      let* write = bool "write" in
-      let src =
-        match List.assoc_opt "src" fields with
-        | Some (Json.Str "init") -> Some Init
-        | Some (Json.Str "self") -> Some Self
-        | Some (Json.Int w) -> Some (Txn w)
-        | _ -> None
-      in
-      if write && src <> None then None
-      else if (not write) && src = None then None
-      else Some (Op { txn; entity; write; src })
-  | "install" ->
-      let* txn = int "txn" in
-      let* entity = str "entity" in
-      let* value = int "value" in
-      let* wts = int "wts" in
-      Some (Install { txn; entity; value; wts })
-  | "commit" ->
-      let* txn = int "txn" in
-      Some (Commit { txn })
-  | "abort" ->
-      let* txn = int "txn" in
-      let* reason = str "reason" in
-      Some (Abort { txn; reason })
-  | "checkpoint" ->
-      let* snapshot = str "snapshot" in
-      let* commits = int "commits" in
-      Some (Checkpoint { snapshot; commits })
-  | _ -> None
-
-let decode line =
-  match unframe line with
-  | Some (("lsn", Json.Int lsn) :: rest) ->
-      Option.map (fun r -> (lsn, r)) (of_fields rest)
-  | _ -> None
 
 (* Fast framing: each append renders the record's line into a reusable
    per-writer scratch with unsafe byte stores, checksums the body in one
@@ -309,15 +246,182 @@ let emit_line ~scratch buf ~lsn r =
       str snapshot;
       raw ",\"commits\":";
       int commits);
-  (* the CRC covers the body as closed by '}'; the framed line replaces
-     that brace with the crc field *)
-  let c = ref (crc32_bytes s ~len:!pos) in
-  let t = Lazy.force crc_table in
-  c := Array.unsafe_get t ((!c lxor Char.code '}') land 0xff) lxor (!c lsr 8);
+  let crc = body_crc s ~pos:0 ~len:!pos in
   raw ",\"crc\":";
-  int (!c lxor 0xffffffff);
+  int crc;
   byte '}';
   Buffer.add_subbytes buf s 0 !pos
+
+(* Canonical decoding: one pass over exactly the grammar [emit_line]
+   writes — each record kind's keys in their fixed order, no whitespace,
+   integers as [string_of_int] renders them, strings escaped as
+   [put_str] escapes them — with the CRC taken over the line's own
+   bytes. Anything else is rejected, so a line decodes iff it is
+   byte-for-byte [encode ~lsn r] of the record it decodes to. *)
+exception Reject
+
+let reject () = raise_notrace Reject
+
+(* the line is [s.[pos] .. s.[stop - 1]] *)
+type cursor = { s : string; stop : int; mutable pos : int }
+
+(* past the end reads as NUL, which no grammar position accepts *)
+let at c k = if k < c.stop then String.unsafe_get c.s k else '\000'
+
+let skip c x =
+  let l = String.length x in
+  let k = ref 0 in
+  while !k < l && at c (c.pos + !k) = String.unsafe_get x !k do
+    incr k
+  done;
+  !k = l && (c.pos <- c.pos + l; true)
+
+let lit c x = if not (skip c x) then reject ()
+
+let key c k =
+  lit c ",\"";
+  lit c k;
+  lit c "\":"
+
+let digit c =
+  match at c c.pos with '0' .. '9' as ch -> Char.code ch - 48 | _ -> -1
+
+let min_int_10 = min_int / 10
+
+(* no '+', no leading zero, no "-0"; 19 digits reach min_int and max_int,
+   so accumulate on the negative side and reject the digit that would
+   step past the end of the range *)
+let int c =
+  let neg = skip c "-" in
+  let last = if neg then 4 (* of min_int *) else 3 (* of max_int *) in
+  let acc = ref (-digit c) in
+  if !acc > 0 || (neg && !acc = 0) then reject ();
+  c.pos <- c.pos + 1;
+  if !acc < 0 then
+    while digit c >= 0 do
+      let d = digit c in
+      if !acc < min_int_10 || (!acc = min_int_10 && d > last) then reject ();
+      acc := (!acc * 10) - d;
+      c.pos <- c.pos + 1
+    done;
+  if neg then !acc else - !acc
+
+let rec plain c =
+  match at c c.pos with
+  | '"' | '\\' -> ()
+  | ch when ch < ' ' -> reject ()
+  | _ ->
+      c.pos <- c.pos + 1;
+      plain c
+
+let hex = function
+  | '0' .. '9' as ch -> Char.code ch - 48
+  | 'a' .. 'f' as ch -> Char.code ch - 87
+  | _ -> reject ()
+
+let escape c =
+  let e = at c c.pos in
+  c.pos <- c.pos + 1;
+  match e with
+  | '"' | '\\' -> e
+  | 'n' -> '\n'
+  | 'r' -> '\r'
+  | 't' -> '\t'
+  | 'u' ->
+      (* lowercase hex, only for control bytes without a short form *)
+      lit c "00";
+      let code = (hex (at c c.pos) * 16) + hex (at c (c.pos + 1)) in
+      c.pos <- c.pos + 2;
+      if code >= 0x20 || code = 0x09 || code = 0x0a || code = 0x0d then
+        reject ();
+      Char.chr code
+  | _ -> reject ()
+
+let str c =
+  lit c "\"";
+  let start = c.pos in
+  plain c;
+  if skip c "\"" then String.sub c.s start (c.pos - 1 - start)
+  else begin
+    let b = Buffer.create 32 in
+    Buffer.add_substring b c.s start (c.pos - start);
+    while skip c "\\" do
+      Buffer.add_char b (escape c);
+      let from = c.pos in
+      plain c;
+      Buffer.add_substring b c.s from (c.pos - from)
+    done;
+    lit c "\"";
+    Buffer.contents b
+  end
+
+let int_key c k =
+  key c k;
+  int c
+
+let str_key c k =
+  key c k;
+  str c
+
+let record c =
+  match str_key c "rec" with
+  | "state" ->
+      let entity = str_key c "entity" in
+      State { entity; value = int_key c "value" }
+  | "begin" ->
+      let txn = int_key c "txn" in
+      Begin { txn; ts = int_key c "ts" }
+  | "op" ->
+      let txn = int_key c "txn" in
+      let entity = str_key c "entity" in
+      key c "write";
+      if skip c "true" then Op { txn; entity; write = true; src = None }
+      else begin
+        lit c "false";
+        key c "src";
+        let src =
+          if at c c.pos <> '"' then Txn (int c)
+          else
+            match str c with
+            | "init" -> Init
+            | "self" -> Self
+            | _ -> reject ()
+        in
+        Op { txn; entity; write = false; src = Some src }
+      end
+  | "install" ->
+      let txn = int_key c "txn" in
+      let entity = str_key c "entity" in
+      let value = int_key c "value" in
+      Install { txn; entity; value; wts = int_key c "wts" }
+  | "commit" -> Commit { txn = int_key c "txn" }
+  | "abort" ->
+      let txn = int_key c "txn" in
+      Abort { txn; reason = str_key c "reason" }
+  | "checkpoint" ->
+      let snapshot = str_key c "snapshot" in
+      Checkpoint { snapshot; commits = int_key c "commits" }
+  | _ -> reject ()
+
+let decode_sub s ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > String.length s then
+    invalid_arg "Wal.decode_sub";
+  let c = { s; stop = pos + len; pos } in
+  try
+    lit c "{\"lsn\":";
+    let lsn = int c in
+    let r = record c in
+    let body = c.pos in
+    let crc = int_key c "crc" in
+    lit c "}";
+    if
+      c.pos = c.stop
+      && crc = body_crc (Bytes.unsafe_of_string s) ~pos ~len:(body - pos)
+    then Some (lsn, r)
+    else None
+  with Reject -> None
+
+let decode line = decode_sub line ~pos:0 ~len:(String.length line)
 
 type window = { max_records : int option; max_commits : int option }
 

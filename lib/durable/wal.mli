@@ -39,17 +39,22 @@ val frame : (string * Mvcc_obs.Json.value) list -> string
     in order, then a ["crc"] field holding {!crc32} of the object
     without it. The framing {!Snapshot} shares with the log itself. *)
 
-val unframe : string -> (string * Mvcc_obs.Json.value) list option
-(** Inverse of {!frame}: parse, verify the CRC, return the fields
-    without it. [None] on malformed input or a CRC mismatch. *)
-
 val encode : lsn:int -> record -> string
 (** One log line (without the newline): the record's fields prefixed
     with the LSN and suffixed with the CRC of everything before it. *)
 
 val decode : string -> (int * record) option
-(** Inverse of {!encode}. [None] if the line does not parse, is not a
-    known record shape, or fails its CRC. *)
+(** Inverse of {!encode}, and only of it: a single pass over exactly the
+    canonical grammar {!encode} writes (fixed key order per record kind,
+    no whitespace, [string_of_int] integers over the full int range,
+    {!encode}'s string escapes), checking the CRC over the line's own
+    bytes. [None] for anything else — malformed or truncated input, an
+    unknown record shape, a CRC mismatch, or a line that is valid JSON
+    but not byte-for-byte canonical. *)
+
+val decode_sub : string -> pos:int -> len:int -> (int * record) option
+(** [decode_sub s ~pos ~len] is [decode (String.sub s pos len)] without
+    the copy. *)
 
 (** {1 Appending}
 

@@ -58,13 +58,12 @@ let chain_of_id t id =
 
 let chain t e = chain_of_id t (intern t e)
 
+let set_initial t e v =
+  chain t e := [ { value = v; wts = 0; max_rts = 0; filled = true } ]
+
 let create_sharded ~shards ~initial =
   let t = make ~shards in
-  List.iter
-    (fun (e, v) ->
-      let c = chain t e in
-      c := [ { value = v; wts = 0; max_rts = 0; filled = true } ])
-    initial;
+  List.iter (fun (e, v) -> set_initial t e v) initial;
   t
 
 let create ~initial = create_sharded ~shards:1 ~initial

@@ -37,6 +37,13 @@ val create_sharded : shards:int -> initial:(string * int) list -> t
 (** {!create} with the chains partitioned into [shards] buckets — what
     the engine builds when [cores > 1]. *)
 
+val set_initial : t -> string -> int -> unit
+(** [set_initial t e v] makes [v] the entity's initial (wts 0) value,
+    interning [e] on first touch and replacing its whole chain —
+    {!create_sharded} is one call per [initial] pair, so a repeated
+    entity's last value wins. O(1): a replica bootstraps its initial
+    state one record at a time with it. *)
+
 val intern : t -> string -> int
 (** The entity's dense interned id (assigned on first touch, in
     first-touch order). *)

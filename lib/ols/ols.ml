@@ -3,11 +3,29 @@ module Mvsr = Mvcc_classes.Mvsr
 
 type failure = { prefix : Schedule.t; members : Schedule.t list }
 
+(* Depth-first over [p]'s reads in position order, sources in
+   [Version_fn.choices] order: the first hit is the one a plain sweep of
+   [Version_fn.enumerate p] would find. A partial assignment no member
+   can extend is cut, since pinning more reads only adds constraints. *)
 let compatible_prefix_fn members p =
-  let candidates = Version_fn.enumerate p in
-  Seq.find
-    (fun v -> List.for_all (fun m -> Mvsr.test_pinned m ~pinned:v) members)
-    candidates
+  let extendable v =
+    List.for_all (fun m -> Mvsr.test_pinned m ~pinned:v) members
+  in
+  let reads =
+    List.filter
+      (fun pos -> Step.is_read (Schedule.step p pos))
+      (List.init (Schedule.length p) Fun.id)
+  in
+  let rec go v = function
+    | [] -> Some v
+    | pos :: rest ->
+        List.find_map
+          (fun src ->
+            let v = Version_fn.add pos src v in
+            if extendable v then go v rest else None)
+          (Version_fn.choices p pos)
+  in
+  if extendable Version_fn.empty then go Version_fn.empty reads else None
 
 (* Prefixes sharing the same member set only need their longest
    representative checked: a version function working for a longer prefix

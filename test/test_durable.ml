@@ -18,49 +18,65 @@ let all_policies = [ E.S2pl; E.To; E.Mvto; E.Si; E.Sgt ]
 
 (* -- WAL codec -- *)
 
+(* Values span the whole int range: [Mix]-loaded workloads log 19-digit
+   negatives, and the decoder must take [min_int]/[max_int] exactly. *)
+let gen_int =
+  QCheck2.Gen.(
+    oneof [ oneofl [ min_int; max_int; 0; -1 ]; int_range (-50) 50; int ])
+
 let gen_record =
   QCheck2.Gen.(
     let name =
-      oneofl [ "x"; "acct0"; "nasty \"quoted\\name\""; "tab\tand\nnewline" ]
+      oneofl
+        [ "x"; "acct0"; "nasty \"quoted\\name\""; "tab\tand\nnewline";
+          "\001"; "ctl\031\127\255" ]
     in
     let src = oneofl [ Wal.Init; Wal.Self; Wal.Txn 3; Wal.Txn 17 ] in
     oneof
       [
-        (let* entity = name and* value = int_range (-50) 50 in
+        (let* entity = name and* value = gen_int in
          return (Wal.State { entity; value }));
-        (let* txn = int_range 0 40 and* ts = int_range 1 1000 in
+        (let* txn = int_range 0 40 and* ts = gen_int in
          return (Wal.Begin { txn; ts }));
         (let* txn = int_range 0 40
          and* entity = name
          and* write = bool
-         and* s = src in
+         and* s = oneof [ src; map (fun w -> Wal.Txn w) gen_int ] in
          return
            (Wal.Op { txn; entity; write; src = (if write then None else Some s) }));
-        (let* txn = int_range 0 40
+        (let* txn = gen_int
          and* entity = name
-         and* value = int_range (-50) 50
-         and* wts = int_range 1 1000 in
+         and* value = gen_int
+         and* wts = gen_int in
          return (Wal.Install { txn; entity; value; wts }));
-        (let* txn = int_range 0 40 in
+        (let* txn = gen_int in
          return (Wal.Commit { txn }));
-        (let* txn = int_range 0 40 in
-         return (Wal.Abort { txn; reason = "deadlock" }));
-        (let* snapshot = name and* commits = int_range 0 100 in
+        (let* txn = int_range 0 40 and* reason = name in
+         return (Wal.Abort { txn; reason }));
+        (let* snapshot = name and* commits = gen_int in
          return (Wal.Checkpoint { snapshot; commits }));
       ])
 
+let gen_line =
+  QCheck2.Gen.(
+    let* lsn = oneof [ int_range 0 10_000; gen_int ] and* r = gen_record in
+    return (lsn, r))
+
 let prop_codec_roundtrip =
   QCheck2.Test.make ~name:"wal codec: decode inverts encode" ~count:300
-    QCheck2.Gen.(
-      let* lsn = int_range 0 10_000 and* r = gen_record in
-      return (lsn, r))
-    (fun (lsn, r) -> Wal.decode (Wal.encode ~lsn r) = Some (lsn, r))
+    gen_line
+    (fun (lsn, r) ->
+      let line = Wal.encode ~lsn r in
+      Wal.decode line = Some (lsn, r)
+      && Wal.decode_sub ("x\n" ^ line ^ "\ny") ~pos:2
+           ~len:(String.length line)
+         = Some (lsn, r))
 
 let prop_codec_rejects_tamper =
   QCheck2.Test.make ~name:"wal codec: any flipped byte fails the CRC"
     ~count:200
     QCheck2.Gen.(
-      let* lsn = int_range 0 10_000 and* r = gen_record in
+      let* lsn, r = gen_line in
       let line = Wal.encode ~lsn r in
       let* pos = int_range 0 (String.length line - 1) in
       return (line, pos))
@@ -69,6 +85,64 @@ let prop_codec_rejects_tamper =
       Bytes.set tampered pos
         (Char.chr (Char.code (Bytes.get tampered pos) lxor 1));
       Wal.decode (Bytes.to_string tampered) = None)
+
+(* what makes a parseable unterminated tail safe to consume early *)
+let prop_codec_rejects_prefixes =
+  QCheck2.Test.make ~name:"wal codec: no strict prefix of a line decodes"
+    ~count:200 gen_line
+    (fun (lsn, r) ->
+      let line = Wal.encode ~lsn r in
+      List.for_all
+        (fun k -> Wal.decode (String.sub line 0 k) = None)
+        (List.init (String.length line) Fun.id))
+
+(* Every single-byte substitution of every line of a real log — plus
+   lines at the ends of the int range and with escaped names — must be
+   rejected: by the grammar, or by the CRC over the line's own bytes. *)
+let test_wal_every_byte_change_rejected () =
+  let w = Wal.writer () in
+  let hook = Hook.create w in
+  let cfg = { Crash.default with policy = E.Mvto; seed = 5 } in
+  let initial =
+    List.init cfg.Crash.entities (fun i -> (Printf.sprintf "e%d" i, 100))
+  in
+  ignore
+    (E.run ~policy:E.Mvto ~initial ~programs:(Crash.workload cfg)
+       ~wal:(Hook.listener hook) ?snapshot_every:cfg.Crash.snapshot_every
+       ~seed:cfg.Crash.seed ());
+  let extremes =
+    [
+      Wal.encode ~lsn:max_int
+        (Wal.Install { txn = 1; entity = "\001"; value = min_int; wts = 9 });
+      Wal.encode ~lsn:3
+        (Wal.State { entity = "a\"b\\c\td"; value = max_int });
+      Wal.encode ~lsn:4
+        (Wal.Op
+           { txn = 0; entity = "e"; write = false; src = Some (Wal.Txn min_int) });
+    ]
+  in
+  let lines =
+    List.filter (( <> ) "") (String.split_on_char '\n' (Wal.contents w))
+    @ extremes
+  in
+  check "the log has records" true (List.length lines > 50);
+  List.iter
+    (fun line ->
+      check "the line itself decodes" true (Wal.decode line <> None);
+      let b = Bytes.of_string line in
+      String.iteri
+        (fun i orig ->
+          for c = 0 to 255 do
+            if Char.chr c <> orig then begin
+              Bytes.set b i (Char.chr c);
+              if Wal.decode (Bytes.to_string b) <> None then
+                Alcotest.failf "byte %d of %S set to %d still decodes" i line
+                  c
+            end
+          done;
+          Bytes.set b i orig)
+        line)
+    lines
 
 let test_wal_writer () =
   let w = Wal.writer () in
@@ -518,6 +592,56 @@ let prop_follower_equiv_recovery =
       compare_at n;
       !ok)
 
+(* State bootstrap is one [Store.set_initial] per record: fed one record
+   per chunk, a 1024-entity log — initial state in a non-sorted order,
+   then a second State for entities already seen, then commits — must
+   leave the same interning order, the same chains and the same reads as
+   one-shot recovery, which builds its store from the whole initial list
+   at once (last value wins). *)
+let test_follower_bootstrap_equiv_recovery () =
+  let n = 1024 in
+  let name i = Printf.sprintf "e%d" ((i * 389) mod n) in
+  let w = Wal.writer () in
+  let app r = ignore (Wal.append w r) in
+  for i = 0 to n - 1 do
+    app (Wal.State { entity = name i; value = i })
+  done;
+  List.iter
+    (fun i -> app (Wal.State { entity = name i; value = -i - 1 }))
+    [ 0; 5; n - 1; 5 ];
+  List.iteri
+    (fun txn i ->
+      app (Wal.Begin { txn; ts = txn + 1 });
+      app (Wal.Op { txn; entity = name i; write = true; src = None });
+      app
+        (Wal.Install
+           { txn; entity = name i; value = 1000 + txn; wts = txn + 1 });
+      app (Wal.Commit { txn }))
+    [ 5; 7; 5 ];
+  let bytes = Wal.contents w in
+  let f = Follower.create ~policy:E.Mvto () in
+  List.iter
+    (fun line -> if line <> "" then ignore (Follower.feed f (line ^ "\n")))
+    (String.split_on_char '\n' bytes);
+  let one = Recovery.recover ~policy:E.Mvto (Wal.read_string bytes) in
+  let module S = Mvcc_engine.Store in
+  let live = Follower.store f in
+  check_int "every record applied" (Wal.next_lsn w)
+    (Follower.records_applied f);
+  check "same entities" true
+    (S.entities live = S.entities one.Recovery.store);
+  check_int "all entities known" n (List.length (S.entities live));
+  check "same interning order" true
+    (List.for_all
+       (fun e -> S.intern live e = S.intern one.store e)
+       (S.entities one.store));
+  check "same chains" true (S.dump live = S.dump one.store);
+  check "same reads" true (Follower.read_view f = one.state);
+  check "a repeated State's last value wins" true
+    (Follower.read f (name 0) = Some (-1)
+    && Follower.read f (name (n - 1)) = Some (-n)
+    && Follower.read f (name 5) = Some 1002)
+
 (* Ship the follower only forced bytes and it can never observe an
    unacknowledged commit; catching up twice applies nothing the second
    time; close forces the open batch and the replica converges. *)
@@ -630,6 +754,8 @@ let () =
             test_wal_torn_tail_every_offset;
           Alcotest.test_case "mid-file corruption is a skip" `Quick
             test_wal_midfile_corruption_is_skip;
+          Alcotest.test_case "every single-byte change is rejected" `Quick
+            test_wal_every_byte_change_rejected;
           Alcotest.test_case "window=1 is byte-identical to flush-per-record"
             `Quick test_group_window1_byte_identical;
           Alcotest.test_case "close mid-batch forces exactly once" `Quick
@@ -658,6 +784,8 @@ let () =
         [
           Alcotest.test_case "never observes an unforced commit" `Quick
             test_follower_never_observes_unforced;
+          Alcotest.test_case "State bootstrap = one-shot recovery" `Quick
+            test_follower_bootstrap_equiv_recovery;
           Alcotest.test_case "lagging certified reads, all policies" `Quick
             test_follower_lagging_reads_all_policies;
         ] );
@@ -666,6 +794,7 @@ let () =
           [
             prop_codec_roundtrip;
             prop_codec_rejects_tamper;
+            prop_codec_rejects_prefixes;
             prop_writer_bytes_match_reference;
             prop_obs_writer_byte_invariance;
             prop_wal_off_invariance;
