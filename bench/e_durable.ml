@@ -20,7 +20,6 @@ module D_hook = Mvcc_durable.Hook
 module D_rec = Mvcc_durable.Recovery
 module Crash = Mvcc_durable.Crash
 
-let all_policies = [ E.S2pl; E.To; E.Mvto; E.Si; E.Sgt ]
 
 let median xs =
   match List.sort compare xs with
@@ -107,7 +106,7 @@ let run ~passes =
             \"overhead_file_pct\":%.1f}"
            (E.policy_name policy) records bytes t_blind t_mem t_file
            (pct t_mem) (pct t_file)))
-    all_policies;
+    E.all_policies;
   Util.row "logging never changed a decision: %b@." !identical;
 
   Util.subsection "part 2: recovery time vs log length";
@@ -157,7 +156,7 @@ let run ~passes =
                (List.length read.D_wal.records)
                (String.length bytes) live.E.stats.E.commits t_read t_full
                tail_from t_tail))
-        all_policies)
+        E.all_policies)
     (if passes <= 3 then [ 12; 36 ] else [ 12; 36; 96 ]);
   Util.row "recovery matched the live run everywhere: %b@." !recovered_ok;
 

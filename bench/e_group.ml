@@ -28,7 +28,6 @@ module D_rec = Mvcc_durable.Recovery
 module Follower = Mvcc_durable.Follower
 module Crash = Mvcc_durable.Crash
 
-let all_policies = [ E.S2pl; E.To; E.Mvto; E.Si; E.Sgt ]
 
 (* Timing noise on a shared machine is one-sided (preemption only adds
    time), so the minimum over paired passes is the stable estimator of
@@ -145,7 +144,7 @@ let run ~passes =
             \"overhead_group_pct\":%.1f}"
            (E.policy_name policy) records bytes forces_per_rec forces_group
            t_blind t_per_rec t_group (pct t_per_rec) (pct t_group)))
-    all_policies;
+    E.all_policies;
   let agg = 100. *. (!sum_group -. !sum_blind) /. !sum_blind in
   let under_gate = agg < 50. in
   emit
@@ -205,7 +204,7 @@ let run ~passes =
            (String.length bytes) live.E.stats.E.commits n_bounds !t_total
            (!t_total /. float_of_int (max 1 n_bounds))
            !max_lag))
-    all_policies;
+    E.all_policies;
   Util.row
     "follower certified at every boundary and converged to the live state: \
      %b@."

@@ -85,7 +85,7 @@ let run ~seeds =
             Util.row "%-5s %12.3f %12.3f  %s@." (E.policy_name policy)
               t_blind t_obs (Metrics.to_json metrics))
         seeds)
-    [ E.S2pl; E.To; E.Mvto; E.Si; E.Sgt ];
+    E.all_policies;
   (* scheduler layer: instrumented Driver runs decide identically *)
   let rng = Util.rng 1900 in
   let s =

@@ -28,7 +28,6 @@ module D_hook = Mvcc_durable.Hook
 module Sink = Mvcc_obs.Sink
 module Metrics = Mvcc_obs.Metrics
 
-let all_policies = [ E.S2pl; E.To; E.Mvto; E.Si; E.Sgt ]
 let minimum xs = List.fold_left min infinity xs
 
 let batch_name = function
@@ -103,7 +102,7 @@ let run ~passes =
                 [ None; Some E.Auto ])
             [ 1; 4 ])
         [ 1; 2; 4 ])
-    all_policies;
+    E.all_policies;
   Util.row "identical at every {cores x queues x batch} point: %b@." !identical;
 
   Util.subsection "part 2: 90%-read Zipfian throughput — off-loop vs in-loop";
@@ -182,7 +181,7 @@ let run ~passes =
            (Metrics.gauge m "engine.stage.batch-target")
            (Metrics.counter m "engine.ro.offloop")
            (Metrics.counter m "engine.ro.deferred")))
-    all_policies;
+    E.all_policies;
   Util.row "cores=4 >= cores=2 on the new path somewhere: %b@."
     !closed_inversion;
   Util.row "new path at cores=4 doubles the fixed-batch engine somewhere: %b@."

@@ -182,7 +182,7 @@ let run ~samples =
       Util.row "%-5s %12.3f %12.3f %8.2fx@." (E.policy_name policy) t_blind
         t_cert
         (if t_blind > 0. then t_cert /. t_blind else 0.))
-    [ E.S2pl; E.To; E.Mvto; E.Si; E.Sgt ];
+    E.all_policies;
   Util.row "@.provenance: %s@."
     (if !ok then "all verdicts agree and every witness is checker-confirmed"
      else "FAILED");

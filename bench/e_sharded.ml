@@ -26,7 +26,6 @@ module D_hook = Mvcc_durable.Hook
 module Sink = Mvcc_obs.Sink
 module Metrics = Mvcc_obs.Metrics
 
-let all_policies = [ E.S2pl; E.To; E.Mvto; E.Si; E.Sgt ]
 let minimum xs = List.fold_left min infinity xs
 let cores_list = [ 1; 2; 4 ]
 let n_entities = 16
@@ -109,7 +108,7 @@ let run ~passes =
                (E.policy_name policy) cores rc.E.stats.E.commits
                (String.length wc) same))
         (List.filter (fun c -> c > 1) cores_list))
-    all_policies;
+    E.all_policies;
   Util.row "identical decisions/certificates/log bytes at every cores: %b@."
     !identical;
 
@@ -170,7 +169,7 @@ let run ~passes =
                  (fun (c, t) -> Printf.sprintf "\"tput_c%d\":%.0f" c t)
                  tput))
            (t4 /. t1) waves))
-    all_policies;
+    E.all_policies;
   Util.row "committed-txn throughput rises cores 1 -> 4 somewhere: %b@."
     !speedup;
 

@@ -32,7 +32,6 @@ module Metrics = Mvcc_obs.Metrics
 module Span = Mvcc_obs.Span
 module Latency = Mvcc_obs.Latency
 
-let all_policies = [ E.S2pl; E.To; E.Mvto; E.Si; E.Sgt ]
 let minimum xs = List.fold_left min infinity xs
 
 let cfg ~policy ~txns =
@@ -131,7 +130,7 @@ let run ~passes =
             \"instrumented_ms\":%.3f,\"overhead_pct\":%.1f}"
            (E.policy_name policy) spans_n bytes t_blind t_inst
            (100. *. (t_inst -. t_blind) /. t_blind)))
-    all_policies;
+    E.all_policies;
   Util.row "spans never changed a decision or a log byte: %b@." !invariant;
 
   Util.subsection "part 2: pipeline latency breakdown per transaction";
@@ -174,7 +173,7 @@ let run ~passes =
            (s "txn.commit-latency_s")
            (s "txn.durability-lag_s")
            (s "txn.replication-lag_s")))
-    all_policies;
+    E.all_policies;
   Util.row "every span closed and structurally well-formed: %b@."
     !wellformed;
   Util.row "per-txn points ordered submit<=commit<=durable<=replicated: %b@."

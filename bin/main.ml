@@ -17,9 +17,9 @@ let seed_arg =
 
 let policy_conv =
   Arg.enum
-    [ ("s2pl", Mvcc_engine.Engine.S2pl); ("to", Mvcc_engine.Engine.To);
-      ("mvto", Mvcc_engine.Engine.Mvto); ("si", Mvcc_engine.Engine.Si);
-      ("sgt", Mvcc_engine.Engine.Sgt) ]
+    (List.map
+       (fun p -> (Mvcc_engine.Engine.policy_name p, p))
+       Mvcc_engine.Engine.all_policies)
 
 let policy_arg ~doc =
   Arg.(value & opt policy_conv Mvcc_engine.Engine.Mvto & info [ "policy" ] ~doc)

@@ -225,13 +225,15 @@ let certify t =
       (fun i e ->
         let v = Store.read_at t.store e t.ts in
         let src =
-          if v.Store.wts = 0 then Wal.Init
-          else Wal.Txn (Hashtbl.find t.writer_of_wts v.Store.wts)
+          if v.Store.wts = 0 then Wal.From_init
+          else Wal.From_txn (Hashtbl.find t.writer_of_wts v.Store.wts)
         in
         (base + i, src))
       entities
   in
-  let vf = Recovery.version_fn h' (r.Recovery.read_srcs @ obs_srcs) in
+  let vf =
+    Mvcc_engine.Event.version_fn h' (r.Recovery.read_srcs @ obs_srcs)
+  in
   let w = { W.claim = W.Read_consistent; evidence = Accept_version_fn ([], vf) } in
   (h', w, Mvcc_provenance.Checker.verify h' w)
 

@@ -8,18 +8,13 @@ type t = {
 
 let create ?snapshot_path writer = { writer; snapshot_path; snapshots = [] }
 
-let src_of = function
-  | Engine.From_init -> Wal.Init
-  | Engine.From_self -> Wal.Self
-  | Engine.From_txn w -> Wal.Txn w
-
 let listener t (ev : Engine.wal_event) =
   let record =
     match ev with
     | Wal_state { entity; value } -> Wal.State { entity; value }
     | Wal_begin { txn; ts } -> Wal.Begin { txn; ts }
     | Wal_op { txn; entity; write; src } ->
-        Wal.Op { txn; entity; write; src = Option.map src_of src }
+        Wal.Op { txn; entity; write; src }
     | Wal_install { txn; entity; value; wts } ->
         Wal.Install { txn; entity; value; wts }
     | Wal_commit { txn } -> Wal.Commit { txn }

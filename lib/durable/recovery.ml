@@ -72,39 +72,6 @@ let observe a (r : Wal.record) =
       a.commit_seq_rev <- txn :: a.commit_seq_rev
   | Abort _ | Checkpoint _ -> ()
 
-(* The version function a committed history's logged read sources
-   induce: an entry per read position carrying a source. Shared by the
-   recovery witnesses (Mvto/Si) and the follower's certified reads. *)
-let version_fn history read_srcs =
-  let hsteps = Schedule.steps history in
-  let v = ref Mvcc_core.Version_fn.empty in
-  List.iter
-    (fun (pos, src) ->
-      match (src : Wal.src) with
-      | Wal.Init -> v := Mvcc_core.Version_fn.(add pos Initial !v)
-      | Wal.Self ->
-          let st = hsteps.(pos) in
-          let q = ref (-1) in
-          for k = 0 to pos - 1 do
-            let s2 = hsteps.(k) in
-            if
-              s2.Mvcc_core.Step.txn = st.Mvcc_core.Step.txn
-              && s2.entity = st.entity
-              && Mvcc_core.Step.is_write s2
-            then q := k
-          done;
-          v := Mvcc_core.Version_fn.(add pos (From !q) !v)
-      | Wal.Txn j -> (
-          let st = hsteps.(pos) in
-          match
-            Mvcc_core.Read_from.last_write_of history ~txn:j
-              ~entity:st.Mvcc_core.Step.entity
-          with
-          | Some q -> v := Mvcc_core.Version_fn.(add pos (From q) !v)
-          | None -> ()))
-    read_srcs;
-  !v
-
 let assemble ~policy ?snapshot ~stats a =
   let n = a.an_txns in
   let ops = List.rev a.ops_rev in
@@ -127,7 +94,7 @@ let assemble ~policy ?snapshot ~stats a =
       (fun (txn, att, write, _entity, src) ->
         if (not write) && is_final_of_valid txn att then
           match src with
-          | Some (Wal.Txn w)
+          | Some (Wal.From_txn w)
             when Hashtbl.mem a.begun w && not (Hashtbl.mem valid w) ->
               Hashtbl.remove valid txn;
               changed := true
@@ -184,15 +151,7 @@ let assemble ~policy ?snapshot ~stats a =
     match snapshot with
     | Some _ -> None (* the tail cannot carry the full history *)
     | None ->
-        let append_missing order =
-          let seen = Array.make n false in
-          (* ids outside [0, n) only come from hand-made logs; they
-             can never be missing from [List.init n] *)
-          List.iter
-            (fun i -> if i >= 0 && i < n then seen.(i) <- true)
-            order;
-          order @ List.filter (fun i -> not seen.(i)) (List.init n Fun.id)
-        in
+        let append_missing = Mvcc_engine.Event.append_missing n in
         let ts_order =
           List.filter (Hashtbl.mem valid) commit_seq
           |> List.sort (fun x y ->
@@ -224,13 +183,15 @@ let assemble ~policy ?snapshot ~stats a =
               {
                 W.claim = Member Mvsr;
                 evidence =
-                  Accept_version_fn (ts_order, version_fn history read_srcs);
+                  Accept_version_fn
+                    (ts_order, Mvcc_engine.Event.version_fn history read_srcs);
               }
           | Si ->
               {
                 W.claim = Read_consistent;
                 evidence =
-                  Accept_version_fn ([], version_fn history read_srcs);
+                  Accept_version_fn
+                    ([], Mvcc_engine.Event.version_fn history read_srcs);
               })
   in
   {

@@ -50,7 +50,7 @@ type t = {
           snapshot recovery) *)
   read_srcs : (int * Wal.src) list;
       (** logged read source per read position of [history] — the raw
-          material of {!version_fn} *)
+          material of {!Mvcc_engine.Event.version_fn} *)
   writers : (int * int) list;
       (** [(wts, txn)] for every redone install, log order: which
           transaction wrote each recovered version *)
@@ -89,14 +89,6 @@ val assemble :
 (** The cascade fixpoint, redo, history and witness over the analysis
     so far. Pure in [analysis]: calling it never perturbs later
     [observe]/[assemble] rounds. *)
-
-val version_fn :
-  Mvcc_core.Schedule.t -> (int * Wal.src) list -> Mvcc_core.Version_fn.t
-(** The version function induced by logged read sources: one entry per
-    [(position, src)] pair ([Init] → initial version, [Self] → the
-    reader's own latest earlier write, [Txn j] → [j]'s last write of
-    the entity). Shared by the Mvto/Si recovery witnesses and the
-    follower's certified reads. *)
 
 val dump_string : Mvcc_engine.Store.t -> string
 (** Canonical printable rendering of {!Mvcc_engine.Store.dump} — one

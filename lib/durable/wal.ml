@@ -11,7 +11,10 @@
 module Json = Mvcc_obs.Json
 module Sink = Mvcc_obs.Sink
 
-type src = Init | Self | Txn of int
+type src = Mvcc_engine.Event.read_src =
+  | From_init
+  | From_self
+  | From_txn of int
 
 type record =
   | State of { entity : string; value : int }
@@ -108,9 +111,9 @@ let fields = function
         ("entity", Json.Str entity); ("write", Json.Bool write) ]
       @ (match src with
         | None -> []
-        | Some Init -> [ ("src", Json.Str "init") ]
-        | Some Self -> [ ("src", Json.Str "self") ]
-        | Some (Txn w) -> [ ("src", Json.Int w) ])
+        | Some From_init -> [ ("src", Json.Str "init") ]
+        | Some From_self -> [ ("src", Json.Str "self") ]
+        | Some (From_txn w) -> [ ("src", Json.Int w) ])
   | Install { txn; entity; value; wts } ->
       [ ("rec", Json.Str "install"); ("txn", Json.Int txn);
         ("entity", Json.Str entity); ("value", Json.Int value);
@@ -219,9 +222,9 @@ let emit_line ~scratch buf ~lsn r =
       raw (if write then ",\"write\":true" else ",\"write\":false");
       match src with
       | None -> ()
-      | Some Init -> raw ",\"src\":\"init\""
-      | Some Self -> raw ",\"src\":\"self\""
-      | Some (Txn w) ->
+      | Some From_init -> raw ",\"src\":\"init\""
+      | Some From_self -> raw ",\"src\":\"self\""
+      | Some (From_txn w) ->
           raw ",\"src\":";
           int w)
   | Install { txn; entity; value; wts } ->
@@ -380,11 +383,11 @@ let record c =
         lit c "false";
         key c "src";
         let src =
-          if at c c.pos <> '"' then Txn (int c)
+          if at c c.pos <> '"' then From_txn (int c)
           else
             match str c with
-            | "init" -> Init
-            | "self" -> Self
+            | "init" -> From_init
+            | "self" -> From_self
             | _ -> reject ()
         in
         Op { txn; entity; write = false; src = Some src }

@@ -15,10 +15,11 @@
     holds uncommitted data and "undo" is simply not redoing — see
     {!Recovery}. *)
 
-type src =
-  | Init  (** the entity's initial version *)
-  | Self  (** the transaction's own earlier write *)
-  | Txn of int  (** the writing transaction *)
+type src = Mvcc_engine.Event.read_src =
+  | From_init  (** the entity's initial version *)
+  | From_self  (** the transaction's own earlier write *)
+  | From_txn of int  (** the writing transaction *)
+(** A read's source: the engine's own type, so a hook logs it as is. *)
 
 type record =
   | State of { entity : string; value : int }

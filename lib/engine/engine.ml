@@ -1,20 +1,20 @@
 module Sink = Mvcc_obs.Sink
 module Tr = Mvcc_obs.Trace
 module J = Mvcc_obs.Json
-module Ig = Mvcc_online.Incr_digraph
 module W = Mvcc_provenance.Witness
 open Intake
 
-type policy = S2pl | To | Mvto | Si | Sgt
+type policy = Policy.policy = S2pl | To | Mvto | Si | Sgt
 
-let policy_name = function
-  | S2pl -> "s2pl"
-  | To -> "to"
-  | Mvto -> "mvto"
-  | Si -> "si"
-  | Sgt -> "sgt"
+let names =
+  [ (S2pl, "s2pl"); (To, "to"); (Mvto, "mvto"); (Si, "si"); (Sgt, "sgt") ]
+let all_policies = List.map fst names
+let policy_name p = List.assoc p names
 
-type deadlock_policy = Detect | Wait_die | Wound_wait
+let policy_of_name s =
+  List.find_map (fun (p, n) -> if n = s then Some p else None) names
+
+type deadlock_policy = Policy.deadlock = Detect | Wait_die | Wound_wait
 
 let deadlock_policy_name = function
   | Detect -> "detect"
@@ -46,23 +46,11 @@ type result = {
   final_state : (string * int) list;
   provenance : (Mvcc_core.Schedule.t * W.t) option;
   durable_commits : int option;
-      (* with [?wal_durable], how many of [stats.commits] the log had
-         acknowledged as durable when the run ended — commits past the
-         last group-commit force are still pending. [None] otherwise. *)
   ro_reads : (int * int * (string * int) list) list;
-      (* with [?ro_snapshot]: per off-loop read-only transaction, in
-         launch order — (client id, snapshot timestamp, served (entity,
-         version wts) per read in program order). Empty otherwise. *)
 }
 
-(* Durability hooks. The engine stays ignorant of log encodings and
-   files: with [?wal] it streams these events to whoever is listening
-   (lib/durable turns them into CRC'd log records), and with
-   [?snapshot_every] it additionally offers the live store for
-   checkpointing every N commits. Like [?obs], the hooks are pure
-   accounting — they never change a decision, and cost nothing when
-   absent. The event type itself lives in {!Event} so the pipeline
-   stages can buffer it; re-exported here for source compatibility. *)
+(* the durability events live in {!Event} so the pipeline stages can
+   buffer them; re-exported here for source compatibility *)
 
 type read_src = Event.read_src = From_init | From_self | From_txn of int
 
@@ -80,26 +68,21 @@ type wal_event = Event.t =
   | Wal_abort of { txn : int; reason : Tr.reason }
   | Wal_checkpoint of { store : Store.t; commits : int }
 
-(* Lock table for S2PL. *)
-type lock = { mutable readers : int list; mutable writer : int option }
+(* newest binding per entity wins; the buffer is newest-first *)
+let final_bindings buffer =
+  List.fold_left
+    (fun acc (e, v) -> if List.mem_assoc e acc then acc else (e, v) :: acc)
+    [] buffer
 
-(* The engine is a three-stage pipeline in the BOHM mold (Faleiro &
-   Abadi): intake admits the batch and assigns begin timestamps
-   ({!Intake}); the concurrency-control stage below runs the tick loop,
-   making every policy decision and placing version records; and with
-   [cores > 1] the execution stage ({!Exec_stage}) replays committed
-   plans on worker domains, filling the placed values in dependency
-   waves. The split is sound because decisions read only metadata —
-   locks, rts/wts tables, chain shape, certification arcs, dirty-list
-   membership — never a tuple value, so deferring the arithmetic cannot
-   change a verdict. The tick loop itself stays serial (one RNG, one
-   clock): committed histories, decisions, witnesses, and WAL bytes are
-   identical at every [cores] setting, with [cores = 1] running the
-   original inline-evaluation path as the reference. *)
+(* The driver of the BOHM-style pipeline (Faleiro & Abadi): intake, the
+   serial tick loop asking the policy for every decision, the execution
+   stage ([cores > 1]) and the WAL. Decisions read metadata only, never
+   a tuple value, so deferring the arithmetic cannot change a verdict. *)
 let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
-    ?(crash_probability = 0.) ?(deadlock = Detect) ?(obs = Sink.noop) ?prov
-    ?wal ?wal_durable ?snapshot_every ?(cores = 1) ?(client_queues = 1)
-    ?batch ?(ro_snapshot = false) ~seed () =
+    ?(crash_probability = 0.) ?deadlock ?(obs = Sink.noop) ?prov ?wal
+    ?wal_durable ?snapshot_every ?(cores = 1) ?(client_queues = 1) ?batch
+    ?(ro_snapshot = false) ~seed () =
+  let (module P) = Policy.of_engine ?deadlock policy in
   let cores = max 1 cores in
   let rng = Random.State.make [| seed |] in
   let store = Store.create_sharded ~shards:cores ~initial in
@@ -114,6 +97,7 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
            ~writer_of:(fun w -> Hashtbl.find_opt writer_of_wts w)
            ?wal ~obs ?batch ())
   in
+  let inline = Option.is_none ex in
   (* the event is only built when a log hook is attached, so durability
      is free when off — the same thunking discipline as Sink.emit. In
      pipeline mode metadata events are evaluated eagerly (their fields
@@ -124,12 +108,6 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
     | None, _ -> ()
     | Some f, None -> f (ev ())
     | Some _, Some x -> Exec_stage.buffer x (ev ())
-  in
-  (* checkpoints bypass the buffer: the listener dumps the live store at
-     emission time, so the stage is flushed first and the event emitted
-     directly — a buffered checkpoint would see future versions *)
-  let wal_emit_direct ev =
-    match wal with None -> () | Some f -> f (ev ())
   in
   let next_ts = ref 0 in
   let fresh_ts () =
@@ -145,16 +123,11 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
       ~wal_begin:(fun ~txn ~ts -> wal_emit (fun () -> Wal_begin { txn; ts }))
       ()
   in
-  (* Off-loop read-only transactions ([ro_snapshot]): all-read programs
-     never enter the tick loop or the certification graph. Each launches
-     atomically at a commit boundary, reads the newest committed version
-     at a snapshot timestamp, and commits on the spot. [is_ro] marks
-     them; [rw_before.(i)] counts read/write clients submitted before
-     client [i] — the causal-arrival rule below launches a read-only
-     transaction once that many read/write commits have landed, so its
-     snapshot reflects the state its position in the submission stream
-     would plausibly observe (and the qcheck oracle gets non-trivial
-     committed prefixes to compare against). *)
+  (* Off-loop read-only transactions ([ro_snapshot]) are marked by
+     [is_ro]; [rw_before.(i)] counts read/write clients submitted before
+     client [i] — a read-only transaction launches once that many
+     read/write commits have landed, so its snapshot reflects the state
+     its position in the submission stream would plausibly observe. *)
   let is_ro =
     Array.map (fun c -> ro_snapshot && Program.read_only c.program) clients
   in
@@ -164,70 +137,38 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
       clients
   in
   let rw_before = Array.make (Array.length clients) 0 in
-  let () =
-    let acc = ref 0 in
-    Array.iteri
-      (fun i _ ->
-        rw_before.(i) <- !acc;
-        if not is_ro.(i) then incr acc)
-      clients
-  in
-  (* Provenance bookkeeping (all pure accounting — decisions are
-     untouched): the operation log of every attempt, each client's
-     attempt counter, and the commit order. The committed final
-     attempts, replayed in operation order, are the history the
-     end-of-run witness is issued for. *)
+  for i = 1 to Array.length clients - 1 do
+    rw_before.(i) <- rw_before.(i - 1) + Bool.to_int (not is_ro.(i - 1))
+  done;
+  (* Provenance bookkeeping (pure accounting): every attempt's
+     (client, attempt, step, read source), newest first, and each
+     client's attempt counter. *)
   let prov_ops = ref [] in
-  (* (client, attempt, step, read source), newest first *)
   let attempts = Array.make (Array.length clients) 0 in
-  (* The source the last read was served from, stashed by [read_value]
-     so [record_op]'s provenance and WAL paths can reuse the store walk
-     the read already paid for instead of repeating it. Read sites call
-     [read_value] before [record_op]. kind 0 = own buffer, 1 = committed
-     version with wts [last_src_arg], 2 = dirty write of transaction
-     [last_src_arg]. Plain int stores: blind runs pay nothing. *)
+  (* The source of the last read, stashed by [read_value] for
+     [record_op]: kind 0 = own buffer, 1 = committed version with wts
+     [last_src_arg], 2 = dirty write of transaction [last_src_arg].
+     Plain int stores: blind runs pay nothing. *)
   let last_src_kind = ref 1 in
   let last_src_arg = ref 0 in
+  let last_src () =
+    match !last_src_kind with
+    | 0 -> From_self
+    | 2 -> From_txn !last_src_arg
+    | _ ->
+        if !last_src_arg = 0 then From_init
+        else From_txn (Hashtbl.find writer_of_wts !last_src_arg)
+  in
   let commit_seq = ref [] in
-  let locks : (string, lock) Hashtbl.t = Hashtbl.create 16 in
-  let lock_of e =
-    match Hashtbl.find_opt locks e with
-    | Some l -> l
-    | None ->
-        let l = { readers = []; writer = None } in
-        Hashtbl.replace locks e l;
-        l
-  in
-  (* single-version timestamp bookkeeping for TO *)
-  let rts : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let wts : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let get tbl e = Option.value (Hashtbl.find_opt tbl e) ~default:0 in
-  (* uncommitted write reservations per entity (writer timestamps); a
-     TO read older than a reservation is consistent, one younger must wait
-     for the writer to commit or abort, or it would see a stale value *)
-  let pending : (string, int list ref) Hashtbl.t = Hashtbl.create 16 in
-  let pending_of e =
-    match Hashtbl.find_opt pending e with
-    | Some l -> l
-    | None ->
-        let l = ref [] in
-        Hashtbl.replace pending e l;
-        l
-  in
-  let clear_pending c =
-    Hashtbl.iter (fun _ l -> l := List.filter (( <> ) c.ts) !l) pending
-  in
   let commits = ref 0
   and aborts = ref 0
   and ticks = ref 0
   and blocked_ticks = ref 0
   and reads = ref 0
   and writes = ref 0 in
-  (* Deferred commit acknowledgement: with group commit the log forces
-     batches, not records, so a commit is durable only once [wal_durable]
-     (e.g. [Wal.acked_commits]) has counted past it. The engine polls the
-     callback each tick and matches acks to commits in commit order —
-     pure accounting, like [?wal] itself. *)
+  (* Deferred commit acknowledgement: under group commit a commit is
+     durable once [wal_durable] has counted past it; acks are matched to
+     commits in commit order. *)
   let commit_ticks : (int * int) Queue.t = Queue.create () in
   let acked = ref 0 in
   let poll_acks () =
@@ -239,46 +180,50 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
           let txn, at = Queue.pop commit_ticks in
           incr acked;
           Sink.incr obs "engine.acks";
-          Sink.observe obs "engine.ack-lag-ticks" (float_of_int (!ticks - at));
+          Sink.observe obs "engine.ack-lag-ticks"
+            (float_of_int (!ticks - at));
           Sink.span_event obs ~parent:clients.(txn).sp_txn "durable"
             ~attrs:(fun () ->
               [ ("txn", J.Int txn); ("lag_ticks", J.Int (!ticks - at)) ])
         done
   in
-  let release c =
-    List.iter
-      (fun e ->
-        let l = lock_of e in
-        l.readers <- List.filter (( <> ) c.id) l.readers)
-      c.held_read;
-    List.iter
-      (fun e ->
-        let l = lock_of e in
-        if l.writer = Some c.id then l.writer <- None)
-      c.held_write;
-    c.held_read <- [];
-    c.held_write <- []
+  (* the policy's metadata arrays are indexed by interned entity id;
+     every id comes from [initial] or a program operation *)
+  let capacity =
+    List.fold_left
+      (fun acc p -> acc + List.length p.Program.ops)
+      (List.length initial) programs
+  in
+  (* policies abort other clients (wound-wait, SGT cascades) through
+     the driver's [abort], defined below with the policy's state *)
+  let abort_ref = ref (fun ~reason:_ _ -> ()) in
+  let st =
+    P.create
+      {
+        Policy.store;
+        clients;
+        capacity;
+        fresh_ts;
+        clock = (fun () -> !next_ts);
+        obs;
+        abort = (fun ~reason c -> !abort_ref ~reason c);
+      }
   in
   let gc_pruned = ref 0 in
-  (* GC sweeps the store's partitions: serially at [cores = 1], as
-     per-shard tasks on the execution stage's workers otherwise. Pruning
-     is per-entity independent and reads only chain metadata, so both
-     give the shard-order-summed result the sequential engine got
-     walking entities. It stays at per-commit timing in both modes —
-     dropped versions shrink [max_rts] visibility, which later
+  (* GC sweeps the store's partitions, serially or as per-shard tasks
+     on the execution stage's workers, at every commit in both modes:
+     dropped versions shrink the [max_rts] visibility later
      [would_invalidate] decisions depend on. *)
-  let collect_garbage clients =
+  let collect_garbage () =
     if gc then begin
       let watermark =
         Array.fold_left
           (fun acc c ->
             (* unlaunched read-only clients don't pin the watermark:
-               they will read at a snapshot drawn at launch, >= the
-               clock now, and pruning keeps the newest version at or
-               below the watermark as the snapshot base — so any
-               version a future launch can serve survives the sweep *)
+               their snapshot, drawn at launch, is >= the clock now,
+               and pruning keeps the snapshot base *)
             if c.status = Committed || is_ro.(c.id) then acc
-            else min acc (match policy with Si -> c.snapshot | _ -> c.ts))
+            else min acc (P.gc_ts c))
           max_int clients
       in
       let watermark = if watermark = max_int then !next_ts else watermark in
@@ -294,59 +239,6 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
               !total)
     end
   in
-  (* SGT certification state: the incremental conflict graph over client
-     ids, plus per-entity chains of uncommitted ("dirty") writes, newest
-     first. Reads see the newest write — dirty head if any, else the
-     latest committed version — so operation arrival order is data-flow
-     order and the streamed conflict graph certifies the real history. *)
-  let cert = Mvcc_online.Incr_conflict.create () in
-  (* Feed one operation to the certifier, accounting its cost when a
-     sink is attached: feed latency, arcs inserted, Pearce–Kelly
-     reorder moves, and — on rejection — the arcs rolled back. The
-     digraph keeps cumulative counters, so the per-feed cost is the
-     delta around the call; the verdict is bit-for-bit the same with
-     or without a sink. *)
-  let cert_feed c st =
-    if Sink.enabled obs then begin
-      let g = Mvcc_online.Incr_conflict.graph cert in
-      let arcs0 = Ig.n_edges g
-      and moves0 = Ig.reorder_moves g
-      and rolled0 = Ig.rolled_back_arcs g in
-      let ok =
-        Sink.time obs "engine.cert.feed_s" (fun () ->
-            Mvcc_online.Incr_conflict.feed cert st)
-      in
-      let arcs = Ig.n_edges g - arcs0
-      and moves = Ig.reorder_moves g - moves0
-      and rolled = Ig.rolled_back_arcs g - rolled0 in
-      Sink.incr ~by:moves obs "engine.cert.reorder-moves";
-      if ok then begin
-        Sink.incr ~by:arcs obs "engine.cert.arcs";
-        Sink.emit obs (fun () -> Tr.Cert_arcs { txn = c.id; arcs; moves })
-      end
-      else begin
-        Sink.incr obs "engine.cert.rollbacks";
-        Sink.incr ~by:rolled obs "engine.cert.rollback-arcs";
-        Sink.emit obs (fun () ->
-            Tr.Cert_rollback { txn = c.id; arcs = rolled })
-      end;
-      ok
-    end
-    else Mvcc_online.Incr_conflict.feed cert st
-  in
-  let dirty : (string, (int * int) list ref) Hashtbl.t = Hashtbl.create 16 in
-  let dirty_of e =
-    match Hashtbl.find_opt dirty e with
-    | Some l -> l
-    | None ->
-        let l = ref [] in
-        Hashtbl.replace dirty e l;
-        l
-  in
-  let drop_dirty c =
-    Hashtbl.iter (fun _ l -> l := List.filter (fun (w, _) -> w <> c.id) !l)
-      dirty
-  in
   (* A transition into Waiting is a delay; retries of the same blocked
      operation are accounted as blocked ticks, not fresh delays. *)
   let delay c e =
@@ -361,19 +253,11 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
     (match prov with
     | None -> ()
     | Some _ ->
-        (* the source of a multiversion read, from the stash the read's
-           own store walk left in [last_src_*] — no second walk. Off-loop
-           snapshot reads ([ro]) record their source under every policy:
-           their observed version function is what the qcheck oracle
-           compares against the committed prefix. *)
+        (* off-loop snapshot reads ([ro]) record their source under
+           every policy: the qcheck oracle compares their version
+           function against the committed prefix *)
         let src =
-          if write then None
-          else if
-            match policy with Mvto | Si -> true | S2pl | To | Sgt -> ro
-          then
-            if !last_src_kind = 0 then Some `Self
-            else if !last_src_arg = 0 then Some `Init
-            else Some (`Writer (Hashtbl.find writer_of_wts !last_src_arg))
+          if (not write) && (P.records_src || ro) then Some (last_src ())
           else None
         in
         let st =
@@ -381,28 +265,22 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
           else Mvcc_core.Step.read c.id e
         in
         prov_ops := (c.id, attempts.(c.id), st, src) :: !prov_ops);
-    (* the read's source under every policy — recovery re-derives the
+    (* the read's source under every policy: recovery re-derives the
        read-from edges (and so cascading aborts across a crash) from
-       these. The serving version was stashed by [read_value], so
-       logging adds a hash lookup, not a second version-chain walk. *)
+       these *)
     wal_emit (fun () ->
-        let src =
-          if write then None
-          else
-            match !last_src_kind with
-            | 0 -> Some From_self
-            | 2 -> Some (From_txn !last_src_arg)
-            | _ ->
-                if !last_src_arg = 0 then Some From_init
-                else Some (From_txn (Hashtbl.find writer_of_wts !last_src_arg))
-        in
+        let src = if write then None else Some (last_src ()) in
         Wal_op { txn = c.id; entity = e; write; src });
     Sink.emit obs (fun () ->
         Tr.Step_scheduled { txn = c.id; entity = e; write });
     Sink.span_event obs ~parent:c.sp_attempt "op" ~attrs:(fun () ->
         [ ("txn", J.Int c.id); ("entity", J.Str e); ("write", J.Bool write) ])
   in
+  (* Abort the attempt and restart it: the policy drops its footprint
+     first, and afterwards aborts whoever depended on it (SGT's
+     cascade). *)
   let abort ~reason c =
+    P.finish st c ~committed:false;
     incr aborts;
     attempts.(c.id) <- attempts.(c.id) + 1;
     Sink.incr obs "engine.aborts";
@@ -414,8 +292,6 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
           ("outcome", J.Str "abort");
           ("reason", J.Str (Tr.reason_name reason));
         ]);
-    release c;
-    clear_pending c;
     c.pc <- 0;
     c.regs <- [];
     c.buffer <- [];
@@ -429,158 +305,43 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
     (* randomized restart backoff: immediate retry livelocks symmetric
        conflicts (every victim re-collides with the transaction that beat
        it); a short random sit-out breaks the symmetry *)
-    c.status <- Backoff (1 + Random.State.int rng 8)
+    c.status <- Backoff (1 + Random.State.int rng 8);
+    P.cascade st c
   in
-  (* SGT abort: expunge the transaction's footprint from the certification
-     state and cascade to every active transaction that consumed its dirty
-     data. Terminates because each round clears a victim's [deps]. *)
-  let rec abort_cascading ~reason c =
-    let victim = c.id in
-    drop_dirty c;
-    Mvcc_online.Incr_conflict.forget_txn cert victim;
-    c.deps <- [];
-    abort ~reason c;
-    Array.iter
-      (fun d ->
-        if d.id <> victim && d.status <> Committed
-           && List.mem victim d.deps
-        then abort_cascading ~reason:Tr.Cascade d)
-      clients
+  abort_ref := abort;
+  (* In pipeline mode a read records its placement in the attempt's
+     plan; registers then only relay write tokens, which [From_self]
+     placements resolve. *)
+  let plan_read c e place =
+    match ex with Some _ -> Plan.read c.plan e place | None -> ()
   in
-  let abort_txn ~reason c =
-    if policy = Sgt then abort_cascading ~reason c else abort ~reason c
-  in
-  (* Who currently blocks client c from accessing e with the given mode? *)
-  let blockers c e ~write =
-    let l = lock_of e in
-    let from_writer =
-      match l.writer with Some w when w <> c.id -> [ w ] | _ -> []
-    in
-    if write then
-      from_writer @ List.filter (fun r -> r <> c.id) l.readers
-    else from_writer
-  in
-  (* Deadlock test: does some blocker (transitively) wait on c? *)
-  let rec waits_on seen who target =
-    who = target
-    || (not (List.mem who seen))
-       &&
-       let c' = clients.(who) in
-       (match c'.status with
-       | Waiting e ->
-           let write =
-             c'.pc < Array.length c'.ops
-             &&
-             match c'.ops.(c'.pc) with
-             | Program.Write _ -> true
-             | _ -> false
-           in
-           List.exists
-             (fun b -> waits_on (who :: seen) b target)
-             (blockers c' e ~write)
-       | _ -> false)
-  in
-  (* S2PL lock-conflict resolution, by deadlock policy. Returns true when
-     the caller should retry the operation immediately (a holder was
-     wounded or the requester aborted). *)
-  let resolve_conflict c e blockers_now =
-    match deadlock with
-    | Detect ->
-        if List.exists (fun b -> waits_on [ c.id ] b c.id) blockers_now then
-          abort ~reason:Tr.Deadlock c
-        else delay c e
-    | Wait_die ->
-        (* classic wait-die: the requester may wait only for younger
-           holders; if some holder is older, the requester dies *)
-        if List.exists (fun b -> clients.(b).ts < c.ts) blockers_now then
-          abort ~reason:Tr.Wait_die c
-        else delay c e
-    | Wound_wait ->
-        (* wound younger holders; wait for older ones *)
-        let wounded = ref false in
-        List.iter
-          (fun b ->
-            if clients.(b).ts > c.ts && clients.(b).status <> Committed
-            then begin
-              abort ~reason:Tr.Wound clients.(b);
-              wounded := true
-            end)
-          blockers_now;
-        if not !wounded then delay c e
-  in
-  (* Serve a read: find the version (or dirty write) that answers it —
-     pure metadata work — and either return its value (inline mode) or
-     record the placement in the attempt's plan and return a hole
-     (pipeline mode; registers then only relay write tokens, which
-     [From_self] placements resolve). The [max_rts] bump and the
-     [last_src_*] stash happen identically in both modes: they feed
-     decisions and logs, not values. *)
-  let read_value c e =
+  (* Serve a read: the policy finds the version (or dirty write) that
+     answers it, and the value is returned (inline mode) or left as a
+     hole for the execution stage (pipeline mode). *)
+  let read_value c id e =
     match List.assoc_opt e c.buffer with
     | Some v ->
         last_src_kind := 0;
-        (match ex with
-        | Some _ -> Plan.read c.plan e (Plan.From_self v)
-        | None -> ());
+        plan_read c e (Plan.From_self v);
         v
     | None -> (
-        match policy with
-        | Mvto ->
-            let v = Store.read_at store e c.ts in
-            v.Store.max_rts <- max v.Store.max_rts c.ts;
+        match P.serve st c id e with
+        | Version v ->
             last_src_kind := 1;
             last_src_arg := v.Store.wts;
-            (match ex with
-            | Some _ ->
-                Plan.read c.plan e (Plan.From_version v);
-                0
-            | None -> v.Store.value)
-        | Si ->
-            let v = Store.read_at store e c.snapshot in
-            last_src_kind := 1;
-            last_src_arg := v.Store.wts;
-            (match ex with
-            | Some _ ->
-                Plan.read c.plan e (Plan.From_version v);
-                0
-            | None -> v.Store.value)
-        | Sgt -> (
-            (* newest write wins: dirty head if an uncommitted write is
-               outstanding, else the latest committed version *)
-            match !(dirty_of e) with
-            | (w, v) :: _ ->
-                last_src_kind := 2;
-                last_src_arg := w;
-                (match ex with
-                | Some _ ->
-                    (* commit-waits order the writer's execution before
-                       ours, so its token is resolvable by then *)
-                    Plan.read c.plan e (Plan.From_writer (w, v));
-                    0
-                | None -> v)
-            | [] ->
-                let v = Store.latest store e in
-                last_src_kind := 1;
-                last_src_arg := v.Store.wts;
-                (match ex with
-                | Some _ ->
-                    Plan.read c.plan e (Plan.From_version v);
-                    0
-                | None -> v.Store.value))
-        | S2pl | To ->
-            let v = Store.latest store e in
-            last_src_kind := 1;
-            last_src_arg := v.Store.wts;
-            (match ex with
-            | Some _ ->
-                Plan.read c.plan e (Plan.From_version v);
-                0
-            | None -> v.Store.value))
+            plan_read c e (Plan.From_version v);
+            if inline then v.Store.value else 0
+        | Dirty { writer; value } ->
+            last_src_kind := 2;
+            last_src_arg := writer;
+            (* commit-waits order the writer's execution before ours, so
+               its token is resolvable by then *)
+            plan_read c e (Plan.From_writer (writer, value));
+            if inline then value else 0)
   in
-  (* Evaluate a write inline, or defer it: the plan hands back a token
-     that flows through the write buffer (and SGT dirty lists) exactly
-     as the computed value would — decisions only ever test membership
-     and bindings, never the integer itself. *)
+  (* Evaluate a write inline, or defer it: the plan's token flows
+     through the write buffer (and SGT dirty lists) exactly as the value
+     would — decisions never test the integer itself. *)
   let eval_write c e expr =
     match ex with
     | None -> Program.eval (fun r -> List.assoc r c.regs) expr
@@ -631,60 +392,15 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
   let ro_views = ref [] in
   let pending_ro =
     ref
-      (Array.to_list is_ro
-      |> List.mapi (fun i ro -> (i, ro))
-      |> List.filter_map (fun (i, ro) -> if ro then Some i else None))
-  in
-  (* Launch safety. The multiversion-witnessed policies are always safe:
-     an MVTO snapshot read at a fresh timestamp [s] bumps [max_rts] to
-     [s], exactly as an in-loop MVTO read would, so any straggling
-     writer with a smaller timestamp fails [would_invalidate] at commit
-     and restarts with a fresh, larger one — the timestamp order stays a
-     valid serialization. SI claims read consistency only, and a
-     snapshot read is read-consistent by construction.
-
-     The single-version-witnessed policies (commit order, timestamp
-     order, conflict-graph topo) additionally need position safety: an
-     active transaction that has already *executed* a write of an entity
-     the snapshot read would serve has that write earlier in the
-     history, so under single-version conflict semantics the read would
-     have to follow it in any witness order — yet it serves the older
-     committed version. Launching is therefore deferred until no active
-     transaction holds an executed write on the read set: a write lock
-     (S2PL), a pending write reservation (TO — also exactly TO's own
-     older-pending-writer read rule, since the snapshot timestamp is
-     fresher than every reservation), or a dirty write (SGT — whose own
-     read rule would serve the dirty value, not the snapshot). Deferral
-     re-checks at each commit boundary; the loop only ends once every
-     read/write transaction resolved, so a deferred launch always lands
-     — at the final boundary or in the drain, where no executed write
-     of a committed attempt can still precede it. *)
-  let ro_safe id =
-    match policy with
-    | Mvto | Si -> true
-    | S2pl ->
-        List.for_all (fun e -> (lock_of e).writer = None) ro_entities.(id)
-    | To -> List.for_all (fun e -> !(pending_of e) = []) ro_entities.(id)
-    | Sgt -> List.for_all (fun e -> !(dirty_of e) = []) ro_entities.(id)
+      (List.filter (fun i -> is_ro.(i))
+         (List.init (Array.length clients) Fun.id))
   in
   let launch_ro c =
-    (* TO/MVTO serialize the reader at its snapshot: re-begin at a fresh
-       timestamp so the logged ts order (and recovery's) places it where
-       it read. SI takes its snapshot exactly as an in-loop SI attempt
-       would; S2PL and SGT witness by commit order / graph topo and need
-       no timestamp at all — the clock's current edge is the snapshot. *)
-    (match policy with
-    | To | Mvto ->
-        c.ts <- fresh_ts ();
-        wal_emit (fun () -> Wal_begin { txn = c.id; ts = c.ts })
-    | Si -> c.snapshot <- !next_ts
-    | S2pl | Sgt -> ());
-    let snap =
-      match policy with
-      | To | Mvto -> c.ts
-      | Si -> c.snapshot
-      | S2pl | Sgt -> !next_ts
-    in
+    (* a re-begun reader (TO/MVTO) is logged like any attempt begin *)
+    let ts0 = c.ts in
+    let snap = P.ro_stamp st c in
+    if c.ts <> ts0 then
+      wal_emit (fun () -> Wal_begin { txn = c.id; ts = c.ts });
     Sink.incr obs "engine.ro.offloop";
     let views = ref [] in
     Array.iter
@@ -692,15 +408,10 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
         match op with
         | Program.Read e ->
             let v = Store.read_at store e snap in
-            (match policy with
-            | Mvto -> v.Store.max_rts <- max v.Store.max_rts snap
-            | To -> Hashtbl.replace rts e (max snap (get rts e))
-            | S2pl | Si | Sgt -> ());
+            P.ro_read st c (Store.intern store e) v;
             last_src_kind := 1;
             last_src_arg := v.Store.wts;
-            (match ex with
-            | Some _ -> Plan.read c.plan e (Plan.From_version v)
-            | None -> ());
+            plan_read c e (Plan.From_version v);
             views := (e, v.Store.wts) :: !views;
             record_op ~ro:true c e ~write:false
         | Program.Write _ -> assert false (* is_ro guarantees reads only *))
@@ -710,18 +421,18 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
     record_commit c
   in
   (* Scan the launch queue at a commit boundary (and once before the
-     first tick, for read-only clients submitted ahead of any writer):
-     each still-pending read-only client launches when enough read/write
-     commits have landed and the position-safety test passes. [~force]
-     is the end-of-run drain — by then every operation in the committed
-     history has executed, so position safety holds vacuously. *)
+     first tick): a pending read-only client launches when enough
+     read/write commits have landed and the policy's position-safety
+     test passes. [~force] is the end-of-run drain — every committed
+     operation has executed by then, so position safety holds
+     vacuously. *)
   let launch_ready_ro ~force () =
     if ro_snapshot then
       pending_ro :=
         List.filter
           (fun id ->
             let arrived = !rw_commits >= rw_before.(id) in
-            if force || (arrived && ro_safe id) then begin
+            if force || (arrived && P.ro_safe st ro_entities.(id)) then begin
               launch_ro clients.(id);
               false
             end
@@ -732,220 +443,62 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
           !pending_ro
   in
   let commit c =
-    (* install buffered writes oldest-binding-last so the final value of a
-       twice-written entity is the newest binding *)
-    (match policy with
-    | Mvto ->
-        let invalid =
-          List.exists
-            (fun (e, _) -> Store.would_invalidate store e ~wts:c.ts)
-            c.buffer
-        in
-        if invalid then abort ~reason:Tr.Write_invalidated c
-        else begin
-          let final_bindings =
-            (* newest binding per entity wins; buffer is newest-first *)
-            List.fold_left
-              (fun acc (e, v) ->
-                if List.mem_assoc e acc then acc else (e, v) :: acc)
-              [] c.buffer
-          in
-          List.iter
-            (fun (e, v) -> install_for c e ~value:v ~wts:c.ts)
-            final_bindings;
-          c.status <- Committed;
-          record_commit c
-        end
-    | Si ->
-        (* first-committer-wins: a version of a written entity committed
-           after our snapshot means a concurrent writer beat us *)
-        let beaten =
-          List.exists
-            (fun (e, _) ->
-              Store.read_at store e max_int |> fun v ->
-              v.Store.wts > c.snapshot)
-            c.buffer
-        in
-        if beaten then abort ~reason:Tr.First_committer c
-        else begin
-          let final_bindings =
-            List.fold_left
-              (fun acc (e, v) ->
-                if List.mem_assoc e acc then acc else (e, v) :: acc)
-              [] c.buffer
-          in
-          let commit_ts = fresh_ts () in
-          List.iter
-            (fun (e, v) -> install_for c e ~value:v ~wts:commit_ts)
-            final_bindings;
-          c.status <- Committed;
-          record_commit c
-        end
-    | Sgt ->
-        (* commit-wait: every dirty predecessor must commit first, so
-           installs land in serialization order and no committed
-           transaction ever read data that later vanishes. The waits
-           follow conflict-graph arcs (predecessor -> us), which the
-           certifier keeps acyclic, so they cannot deadlock; an aborted
-           predecessor cascades us instead of stranding us. *)
-        if
-          List.exists
-            (fun w -> clients.(w).status <> Committed)
-            c.deps
-        then begin
-          if c.status <> Waiting "(commit)" then begin
-            Sink.incr obs "engine.commit-waits";
-            Sink.emit obs (fun () -> Tr.Commit_wait { txn = c.id })
-          end;
-          c.status <- Waiting "(commit)"
-        end
-        else begin
-          let final_bindings =
-            List.fold_left
-              (fun acc (e, v) ->
-                if List.mem_assoc e acc then acc else (e, v) :: acc)
-              [] c.buffer
-          in
-          List.iter
-            (fun (e, v) -> install_for c e ~value:v ~wts:(fresh_ts ()))
-            final_bindings;
-          drop_dirty c;
-          c.deps <- [];
-          c.status <- Committed;
-          record_commit c
-        end
-    | S2pl | To ->
-        let final_bindings =
-          List.fold_left
-            (fun acc (e, v) -> if List.mem_assoc e acc then acc else (e, v) :: acc)
-            [] c.buffer
-        in
+    match P.validate st c with
+    | Policy.Go ->
+        let stamp = P.stamp st c in
         List.iter
-          (fun (e, v) -> install_for c e ~value:v ~wts:(fresh_ts ()))
-          final_bindings;
-        release c;
-        clear_pending c;
+          (fun (e, v) ->
+            let wts =
+              match stamp with Fresh_each -> fresh_ts () | At ts -> ts
+            in
+            install_for c e ~value:v ~wts)
+          (final_bindings c.buffer);
+        P.finish st c ~committed:true;
         c.status <- Committed;
-        record_commit c)
+        record_commit c
+    | Wait ->
+        (* the commit waits on another transaction (SGT: a dirty
+           predecessor) *)
+        if c.status <> Waiting "(commit)" then begin
+          Sink.incr obs "engine.commit-waits";
+          Sink.emit obs (fun () -> Tr.Commit_wait { txn = c.id })
+        end;
+        c.status <- Waiting "(commit)"
+    | Abort reason -> abort ~reason c
+    | Retry -> ()
+  in
+  let advance c =
+    c.pc <- c.pc + 1;
+    c.status <- Ready
+  in
+  let refuse c e = function
+    | Policy.Wait -> delay c e
+    | Abort reason -> abort ~reason c
+    | Go | Retry -> ()
   in
   let step c =
-    (* SI takes its snapshot at the first operation of each attempt *)
-    if policy = Si && c.pc = 0 && c.regs = [] && c.buffer = [] then
-      c.snapshot <- !next_ts;
+    if c.pc = 0 && c.regs = [] && c.buffer = [] then P.on_begin st c;
     if c.pc >= Array.length c.ops then commit c
     else
-      match (policy, c.ops.(c.pc)) with
-      | S2pl, Program.Read e ->
-          let bs = blockers c e ~write:false in
-          if bs = [] then begin
-            let l = lock_of e in
-            if not (List.mem c.id l.readers) then begin
-              l.readers <- c.id :: l.readers;
-              c.held_read <- e :: c.held_read
-            end;
-            c.regs <- (e, read_value c e) :: c.regs;
-            record_op c e ~write:false;
-            c.pc <- c.pc + 1;
-            c.status <- Ready
-          end
-          else resolve_conflict c e bs
-      | S2pl, Program.Write (e, expr) ->
-          let bs = blockers c e ~write:true in
-          if bs = [] then begin
-            let l = lock_of e in
-            l.writer <- Some c.id;
-            if not (List.mem e c.held_write) then
-              c.held_write <- e :: c.held_write;
-            record_op c e ~write:true;
-            let v = eval_write c e expr in
-            c.buffer <- (e, v) :: c.buffer;
-            c.pc <- c.pc + 1;
-            c.status <- Ready
-          end
-          else resolve_conflict c e bs
-      | To, Program.Read e ->
-          if c.ts < get wts e then abort ~reason:Tr.Ts_order c
-          else if List.exists (fun t -> t < c.ts) !(pending_of e) then
-            (* an older writer has reserved this entity but not yet
-               committed; reading now would return a stale value *)
-            delay c e
-          else begin
-            Hashtbl.replace rts e (max c.ts (get rts e));
-            c.regs <- (e, read_value c e) :: c.regs;
-            record_op c e ~write:false;
-            c.pc <- c.pc + 1;
-            c.status <- Ready
-          end
-      | To, Program.Write (e, expr) ->
-          if c.ts < get rts e || c.ts < get wts e then
-            abort ~reason:Tr.Ts_order c
-          else begin
-            Hashtbl.replace wts e c.ts;
-            let p = pending_of e in
-            if not (List.mem c.ts !p) then p := c.ts :: !p;
-            record_op c e ~write:true;
-            let v = eval_write c e expr in
-            c.buffer <- (e, v) :: c.buffer;
-            c.pc <- c.pc + 1
-          end
-      | Mvto, Program.Read e ->
-          c.regs <- (e, read_value c e) :: c.regs;
-          record_op c e ~write:false;
-          c.pc <- c.pc + 1
-      | Mvto, Program.Write (e, expr) ->
-          if Store.would_invalidate store e ~wts:c.ts then
-            abort ~reason:Tr.Write_invalidated c
-          else begin
-            record_op c e ~write:true;
-            let v = eval_write c e expr in
-            c.buffer <- (e, v) :: c.buffer;
-            c.pc <- c.pc + 1
-          end
-      | Si, Program.Read e ->
-          c.regs <- (e, read_value c e) :: c.regs;
-          record_op c e ~write:false;
-          c.pc <- c.pc + 1
-      | Si, Program.Write (e, expr) ->
-          record_op c e ~write:true;
-          let v = eval_write c e expr in
-          c.buffer <- (e, v) :: c.buffer;
-          c.pc <- c.pc + 1
-      | Sgt, Program.Read e ->
-          if not (cert_feed c (Mvcc_core.Step.read c.id e)) then
-            abort_cascading ~reason:Tr.Certification c
-          else begin
-            (* reading another transaction's dirty write makes us
-               depend on its fate *)
-            (if not (List.mem_assoc e c.buffer) then
-               match !(dirty_of e) with
-               | (w, _) :: _ when w <> c.id && not (List.mem w c.deps)
-                 ->
-                   c.deps <- w :: c.deps
-               | _ -> ());
-            c.regs <- (e, read_value c e) :: c.regs;
-            record_op c e ~write:false;
-            c.pc <- c.pc + 1;
-            c.status <- Ready
-          end
-      | Sgt, Program.Write (e, expr) ->
-          if not (cert_feed c (Mvcc_core.Step.write c.id e)) then
-            abort_cascading ~reason:Tr.Certification c
-          else begin
-            record_op c e ~write:true;
-            (* overwriting an uncommitted write orders our commit after
-               the earlier writer's (ww arc), via the same dep set *)
-            List.iter
-              (fun (w, _) ->
-                if w <> c.id && not (List.mem w c.deps) then
-                  c.deps <- w :: c.deps)
-              !(dirty_of e);
-            let v = eval_write c e expr in
-            c.buffer <- (e, v) :: c.buffer;
-            let l = dirty_of e in
-            l := (c.id, v) :: List.filter (fun (w, _) -> w <> c.id) !l;
-            c.pc <- c.pc + 1;
-            c.status <- Ready
-          end
+      match c.ops.(c.pc) with
+      | Program.Read e -> (
+          let id = Store.intern store e in
+          match P.read st c id e with
+          | Go ->
+              c.regs <- (e, read_value c id e) :: c.regs;
+              record_op c e ~write:false;
+              advance c
+          | v -> refuse c e v)
+      | Program.Write (e, expr) -> (
+          let id = Store.intern store e in
+          match P.write st c id e with
+          | Go ->
+              record_op c e ~write:true;
+              let v = eval_write c e expr in
+              c.buffer <- (e, v) :: c.buffer;
+              P.wrote st c id v;
+              advance c
+          | v -> refuse c e v)
   in
   let runnable () =
     (* read-only clients on the snapshot path never enter the tick loop:
@@ -964,7 +517,7 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
              && c.status <> Committed
              && Random.State.float rng 1. < crash_probability ->
           (* injected failure: the transaction crashes and restarts *)
-          abort_txn ~reason:Tr.Crash c
+          abort ~reason:Tr.Crash c
       | Waiting _ -> begin
           (* retry the same operation *)
           let before = c.status in
@@ -976,7 +529,7 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
       | Committed -> ());
       (if c.status = Committed then begin
          launch_ready_ro ~force:false ();
-         collect_garbage clients;
+         collect_garbage ();
          (* checkpoints sit on commit boundaries: every install of the
             just-committed transaction is already logged and applied. In
             pipeline mode the stage flushes first, so the offered store
@@ -986,8 +539,10 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
          match snapshot_every with
          | Some n when n > 0 && !commits mod n = 0 ->
              (match ex with Some x -> Exec_stage.flush x | None -> ());
-             wal_emit_direct (fun () ->
-                 Wal_checkpoint { store; commits = !commits })
+             (* bypassing the buffer: the listener dumps the live store *)
+             Option.iter
+               (fun f -> f (Wal_checkpoint { store; commits = !commits }))
+               wal
          | _ -> (
              match ex with
              | Some x when Exec_stage.due x -> Exec_stage.flush x
@@ -997,13 +552,8 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
       loop ()
     end
   in
-  (* read-only clients with no read/write predecessors can launch before
-     the first tick *)
   launch_ready_ro ~force:false ();
   loop ();
-  (* end-of-run drain: any still-deferred read-only client launches now
-     — every committed operation has executed, so position safety holds
-     vacuously *)
   launch_ready_ro ~force:true ();
   (* drain the pipeline: execute the final partial batch, emit its
      buffered events, and join the worker domains *)
@@ -1036,108 +586,37 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
   Sink.set_gauge obs "engine.max-version-chain" max_chain;
   Sink.set_gauge obs "engine.ticks" !ticks;
   Sink.set_gauge obs "engine.blocked-ticks" !blocked_ticks;
-  (* Issue the run's serializability certificate: the committed final
-     attempts, in operation order, form the history; the witness order
-     is the one the policy's own invariant guarantees (commit order for
-     strict 2PL, timestamp order for TO/MVTO, the certification graph's
-     topological order for SGT). SI claims only read consistency — it
-     is not serializable in general. *)
+  (* Issue the run's certificate: the committed final attempts, in
+     operation order, form the history; the policy supplies the witness
+     its own invariant guarantees. *)
   let provenance =
     match prov with
     | None -> None
     | Some log ->
-        let n = Array.length clients in
-        let committed = Array.map (fun c -> c.status = Committed) clients in
         let final_ops =
           List.filter
-            (fun (id, att, _, _) -> committed.(id) && att = attempts.(id))
+            (fun (id, att, _, _) ->
+              clients.(id).status = Committed && att = attempts.(id))
             (List.rev !prov_ops)
         in
         let history =
-          Mvcc_core.Schedule.of_steps ~n_txns:n
+          Mvcc_core.Schedule.of_steps ~n_txns:(Array.length clients)
             (List.map (fun (_, _, st, _) -> st) final_ops)
         in
-        let append_missing order =
-          order
-          @ List.filter (fun i -> not (List.mem i order)) (List.init n Fun.id)
-        in
-        let ts_order =
-          Array.to_list clients
-          |> List.filter (fun c -> c.status = Committed)
-          |> List.sort (fun a b -> compare a.ts b.ts)
-          |> List.map (fun c -> c.id)
-          |> append_missing
-        in
-        let version_fn () =
-          let hsteps = Mvcc_core.Schedule.steps history in
-          let v = ref Mvcc_core.Version_fn.empty in
-          List.iteri
-            (fun pos (_, _, (st : Mvcc_core.Step.t), src) ->
-              match src with
-              | None -> ()
-              | Some `Init ->
-                  v := Mvcc_core.Version_fn.(add pos Initial !v)
-              | Some `Self ->
-                  (* the client's own write immediately preceding the
-                     read, as buffered reads see it *)
-                  let q = ref (-1) in
-                  for k = 0 to pos - 1 do
-                    let s2 = hsteps.(k) in
-                    if
-                      s2.Mvcc_core.Step.txn = st.txn
-                      && s2.entity = st.entity
-                      && Mvcc_core.Step.is_write s2
-                    then q := k
-                  done;
-                  v := Mvcc_core.Version_fn.(add pos (From !q) !v)
-              | Some (`Writer j) -> (
-                  match
-                    Mvcc_core.Read_from.last_write_of history ~txn:j
-                      ~entity:st.entity
-                  with
-                  | Some q -> v := Mvcc_core.Version_fn.(add pos (From q) !v)
-                  | None -> ()))
-            final_ops;
-          !v
+        let read_srcs =
+          List.mapi
+            (fun pos (_, _, _, src) -> Option.map (fun s -> (pos, s)) src)
+            final_ops
+          |> List.filter_map Fun.id
         in
         let witness =
-          match policy with
-          | S2pl ->
-              { W.claim = Member Csr;
-                evidence = Accept_topo (append_missing (List.rev !commit_seq));
-              }
-          | To -> { W.claim = Member Csr; evidence = Accept_topo ts_order }
-          | Sgt when !ro_views <> [] -> (
-              (* off-loop snapshot readers never enter the certification
-                 graph, and [append_missing] would place them last —
-                 after writers that committed behind their snapshot. A
-                 topological order of the committed history's own
-                 conflict graph positions them correctly (as recovery
-                 does when rebuilding the SGT witness from the log). *)
-              match
-                Mvcc_graph.Topo.sort (Mvcc_core.Conflict.graph history)
-              with
-              | Some o -> { W.claim = Member Csr; evidence = Accept_topo o }
-              | None ->
-                  { W.claim = Member Csr;
-                    evidence = Accept_topo (append_missing (List.rev !commit_seq));
-                  })
-          | Sgt ->
-              let topo =
-                Ig.topological_order (Mvcc_online.Incr_conflict.graph cert)
-                |> List.filter (fun i -> i < n && committed.(i))
-              in
-              { W.claim = Member Csr;
-                evidence = Accept_topo (append_missing topo);
-              }
-          | Mvto ->
-              { W.claim = Member Mvsr;
-                evidence = Accept_version_fn (ts_order, version_fn ());
-              }
-          | Si ->
-              { W.claim = Read_consistent;
-                evidence = Accept_version_fn ([], version_fn ());
-              }
+          P.witness st
+            {
+              Policy.history;
+              commit_order = List.rev !commit_seq;
+              read_srcs;
+              offloop = !ro_views <> [];
+            }
         in
         let id = Mvcc_provenance.Log.register log witness in
         Sink.emit obs (fun () ->
@@ -1160,5 +639,6 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
     final_state = Store.value_map store;
     ro_reads = List.rev !ro_views;
     provenance;
-    durable_commits = (if Option.is_some wal_durable then Some !acked else None);
+    durable_commits =
+      (if Option.is_some wal_durable then Some !acked else None);
   }

@@ -3,16 +3,15 @@
     paper's opening claim that keeping multiple versions enhances
     performance (E10).
 
-    Three policies are provided: strict two-phase locking (blocking, with
-    deadlock detection and victim abort), single-version timestamp
-    ordering (abort and restart on order violations), and multiversion
-    timestamp ordering (reads never block nor abort). Writes are buffered
-    in the transaction and installed at commit; reads see committed
-    versions plus the transaction's own buffer. The simulator is a
-    deterministic discrete-event loop: one operation attempt per tick,
-    client chosen pseudo-randomly from the runnable set. *)
+    [run] is a policy-blind driver: intake ({!Intake}), a serial tick
+    loop running one operation or commit attempt of a pseudo-randomly
+    chosen client per tick, the execution stage ({!Exec_stage}) and the
+    trace, span and WAL streams. Every decision is the policy's module
+    ({!Policy.S}). Writes are buffered and installed at commit; reads
+    see committed versions (or, under SGT, dirty writes) plus the
+    transaction's own buffer. *)
 
-type policy =
+type policy = Policy.policy =
   | S2pl  (** strict two-phase locking: blocking + deadlock victims *)
   | To  (** single-version timestamp ordering: abort and restart *)
   | Mvto  (** multiversion timestamp ordering: reads never block/abort *)
@@ -25,17 +24,21 @@ type policy =
       (** serialization-graph testing: every operation is certified
           online against the incremental conflict graph
           ({!Mvcc_online.Incr_conflict}); a cycle-closing operation
-          aborts its transaction. Reads see the newest write — dirty
-          (uncommitted) or committed — so the certified graph reflects
-          real data flow; commits wait for dirty predecessors
-          (deadlock-free, the waits follow acyclic conflict arcs) and
-          aborts cascade to dirty readers. Accepts exactly the
-          conflict-serializable interleavings — the most permissive
-          serializable policy here. *)
+          aborts its transaction. Reads see the newest write, dirty or
+          committed; commits wait for dirty predecessors and aborts
+          cascade to dirty readers. Accepts exactly the
+          conflict-serializable interleavings. *)
+
+val all_policies : policy list
+(** Every policy, in declaration order. *)
 
 val policy_name : policy -> string
+(** The CLI name: ["s2pl"], ["to"], ["mvto"], ["si"], ["sgt"]. *)
 
-type deadlock_policy =
+val policy_of_name : string -> policy option
+(** Inverse of {!policy_name}. *)
+
+type deadlock_policy = Policy.deadlock =
   | Detect  (** waits-for cycle detection; the requester is the victim *)
   | Wait_die
       (** non-preemptive prevention: a requester younger than the lock
@@ -95,10 +98,7 @@ val pp_stats : Format.formatter -> stats -> unit
 
 type batch = Exec_stage.batch =
   | Fixed of int  (** flush the execution stage every N committed plans *)
-  | Auto
-      (** adaptive flush target, steered from observed batch shape (see
-          {!Exec_stage.batch}); deterministic for a given commit stream,
-          and identity-preserving at every setting *)
+  | Auto  (** adaptive flush target (see {!Exec_stage.batch}) *)
 
 type result = {
   stats : stats;
@@ -143,113 +143,75 @@ val run :
   result
 (** Run every program to commit (each aborted attempt restarts from the
     beginning) or until [max_ticks] (default 1_000_000) elapses.
-    Deterministic for a given seed. With [~gc:true] (default [false]),
-    versions no running transaction can read are pruned after each commit
-    — the retention/footprint trade-off of real MVCC engines.
-    [crash_probability] (default 0) injects failures: before each
-    operation the running transaction aborts and restarts with that
-    probability — buffered writes are discarded, so committed state and
-    invariants must survive arbitrary mid-flight failures.
-    [deadlock] (default {!Detect}) selects how S2PL resolves lock
-    conflicts; it is ignored by the non-blocking policies.
+    Deterministic for a given seed. [gc] (default [false]) prunes, after
+    each commit, the versions no running transaction can read.
+    [crash_probability] (default 0) aborts and restarts the running
+    transaction before each operation with that probability — buffered
+    writes are discarded, so committed state and invariants must survive
+    arbitrary mid-flight failures. [deadlock] (default {!Detect}) selects
+    how S2PL resolves lock conflicts; the other policies ignore it.
 
     [obs] (default {!Mvcc_obs.Sink.noop}) streams accounting into the
-    observability layer without ever changing a decision (the run is
-    bit-for-bit identical for any sink — a tested invariant): counters
-    [engine.commits], [engine.aborts] plus [engine.abort.<reason>] per
-    {!Mvcc_obs.Trace.reason}, [engine.delays] (transitions into a lock
-    or timestamp wait), [engine.commit-waits] (SGT commits parked on a
-    dirty predecessor), and under SGT the certifier's cost
-    ([engine.cert.arcs], [engine.cert.reorder-moves],
-    [engine.cert.rollbacks], [engine.cert.rollback-arcs]) with feed
-    latency histogram [engine.cert.feed_s]; trace events for txn
+    observability layer without ever changing a decision (a tested
+    invariant): counters [engine.commits], [engine.aborts] plus
+    [engine.abort.<reason>] per {!Mvcc_obs.Trace.reason},
+    [engine.delays] (transitions into a wait), [engine.commit-waits]
+    (SGT commits parked on a dirty predecessor), and under SGT the
+    certifier's cost ([engine.cert.arcs], [engine.cert.reorder-moves],
+    [engine.cert.rollbacks], [engine.cert.rollback-arcs], feed latency
+    histogram [engine.cert.feed_s]); trace events for txn
     begin/commit/abort-with-reason, step scheduled/delayed, commit
-    waits, and certifier arc-insert/rollback.
+    waits, and certifier arc-insert/rollback. With a span ring attached
+    it also emits the pipeline span grammar (DESIGN.md): a [txn] root
+    span per client (attrs [txn]/[policy], closed with [outcome] and
+    [attempts]), an [attempt] child per attempt (closed with [outcome]
+    and the abort [reason], ["cascade"] for cascades), [op]/[install]/
+    [commit] points under the attempt, and with [wal_durable] a
+    [durable] point per acknowledged commit carrying [lag_ticks]. Spans
+    cut off by [max_ticks] close with [outcome = "running"].
 
-    With a span ring attached the run additionally emits the pipeline
-    span grammar (DESIGN.md): a [txn] root span per client (submit to
-    final outcome, attrs [txn]/[policy], closed with [outcome] and
-    [attempts]), an [attempt] child span per attempt (closed with
-    [outcome] and the abort [reason]; cascades carry
-    [reason = "cascade"]), [op]/[install]/[commit] point spans under
-    the attempt, and — with [wal_durable] — a [durable] point span per
-    acknowledged commit carrying [lag_ticks], from which
-    {!Mvcc_obs.Latency} derives the commit-latency and durability-lag
-    histograms. Spans cut off by [max_ticks] are closed with
-    [outcome = "running"], so exported span trees are always complete.
-
-    [prov] (default off) makes the run issue a decision certificate: the
-    committed history together with a witness of the policy's guarantee —
-    [Member Csr] with the commit order (S2PL), the timestamp order (TO),
+    [prov] (default off) makes the run issue a certificate: the
+    committed history and a witness of the policy's guarantee —
+    [Member Csr] with the commit order (S2PL), the timestamp order (TO)
     or the certification graph's topological order (SGT); [Member Mvsr]
-    with the timestamp order and the version function actually served
-    (MVTO); [Read_consistent] with the served version function (SI,
-    which is {e not} serializable in general). The witness is registered
-    in [prov] and a [Decision] trace event carries its id; the test
-    suite verifies every witness with [Mvcc_provenance.Checker] against
-    the returned history. Like [obs], provenance never changes a
-    decision.
+    with the timestamp order and the served version function (MVTO);
+    [Read_consistent] with the served version function (SI, which is
+    {e not} serializable in general). The witness is registered in
+    [prov] and a [Decision] trace event carries its id.
 
-    [wal] (default off) streams {!wal_event}s — initial state, attempt
-    begins with timestamps, operations with read sources, version
-    installs (emitted before the store mutation), commits, aborts — to
-    a durability listener; [lib/durable] turns them into a CRC-framed
-    write-ahead log and recovers committed state and history from any
-    prefix of it. With [snapshot_every = Some n] a [Wal_checkpoint]
-    carrying the live store is additionally offered every [n] commits.
-    Both are pure accounting: with or without them the run is
-    bit-for-bit identical (a qcheck-pinned invariant, like [obs]), and
-    when absent no event is ever constructed.
-
-    [wal_durable] (default off) is the group-commit acknowledgement
-    poll: a callback returning how many commit records the log has
-    forced so far (e.g. [Wal.acked_commits]). The engine polls it each
-    tick, matches acknowledgements to commits in commit order, counts
-    them in the ["engine.acks"] counter and the ["engine.ack-lag-ticks"]
-    histogram, and reports the final count as [result.durable_commits].
-    Acknowledgement is accounting only — the engine never waits on it,
-    modelling an asynchronous-commit client that learns of durability
-    after the fact.
+    [wal] (default off) streams {!wal_event}s to a durability listener;
+    [lib/durable] turns them into a CRC-framed write-ahead log and
+    recovers committed state and history from any prefix of it. With
+    [snapshot_every = Some n] a [Wal_checkpoint] carrying the live
+    store is also offered every [n] commits. Both are pure accounting:
+    the run is bit-for-bit identical with or without them, and when
+    absent no event is constructed. [wal_durable] (default off) polls
+    how many commit records the log has forced (e.g.
+    [Wal.acked_commits]) each tick, matches acknowledgements to commits
+    in commit order (counter ["engine.acks"], histogram
+    ["engine.ack-lag-ticks"]) and reports the final count as
+    [result.durable_commits]; the engine never waits on it.
 
     [cores] (default 1) sizes the BOHM-style execution stage: with
-    [cores > 1] the run keeps its decisions, version placement, and
-    commit order on the (serial, deterministic) concurrency-control
-    stage, but defers every value computation into per-attempt plans
-    that [cores] worker domains replay in dependency waves at batch
-    boundaries, filling the placed version records ({!Exec_stage}).
-    Decisions under every policy are functions of metadata only, so the
-    committed history, stats, final state, witnesses, and WAL byte
-    stream are identical at every [cores] setting — [cores = 1] runs
-    the original inline-evaluation path and is the reference the
-    identity is tested against (qcheck-pinned, like the [obs]/[wal]
-    blindness invariants). The store is partitioned into [cores] shards
-    by interned entity id, and GC sweeps run as per-shard tasks on the
-    same workers.
-
-    [client_queues] (default 1) partitions intake: programs are dealt
-    round-robin into that many client queues, each queue builds its
-    client records independently, and a deterministic merge restores the
-    submission order before the serial clock stamps the batch
-    ({!Intake.admit}) — admission output is identical at every queue
-    count.
-
-    [batch] (default [Fixed (8 * cores)]) sets the execution stage's
-    flush-target policy; [Auto] steers the target from the observed
-    batch shape (exported as the [engine.stage.batch-target] gauge).
-    Flush timing never changes decisions or WAL bytes, so every setting
-    preserves the [cores = 1] identity.
+    [cores > 1] decisions, version placement and commit order stay on
+    the serial tick loop, while value computation is deferred into
+    per-attempt plans that [cores] worker domains replay in dependency
+    waves at batch boundaries ({!Exec_stage}). Decisions read metadata
+    only, so history, stats, final state, witnesses and WAL bytes are
+    identical at every [cores] setting; [cores = 1] evaluates inline
+    and is the reference. The store is partitioned into [cores] shards
+    by interned entity id, and GC sweeps run per shard on the workers.
+    [client_queues] (default 1) partitions intake ({!Intake.admit});
+    [batch] (default [Fixed (8 * cores)]) sets the stage's flush target,
+    [Auto] steering it from the observed batch shape (gauge
+    [engine.stage.batch-target]). Neither changes the run.
 
     [ro_snapshot] (default [false]) routes all-read programs off the
-    tick loop entirely: each launches atomically at a commit boundary
-    once every read/write client submitted before it has committed (and
-    the policy's position-safety test passes — see DESIGN.md), reads the
-    newest committed version of each entity at a snapshot timestamp, and
-    commits on the spot, without ever blocking, aborting, or entering
-    the certification graph. Under TO/MVTO the reader re-begins at a
-    fresh timestamp and bumps read-timestamp metadata so the logged
-    timestamp order remains a valid serialization; under SGT the witness
-    is recomputed from the committed history's conflict graph. Served
-    reads are reported in [result.ro_reads]. The fast path changes
-    scheduling, so runs with it enabled are compared against a
-    [cores = 1] reference with the same flag, not against the
-    all-in-loop schedule. *)
+    tick loop: each launches at a commit boundary once every read/write
+    client submitted before it has committed and the policy's
+    position-safety test passes ({!Policy.S.ro_safe}), reads the newest
+    committed version of each entity at a snapshot timestamp, and
+    commits on the spot, never blocking, aborting, or entering the
+    certification graph. Served reads are reported in
+    [result.ro_reads]. The fast path changes scheduling, so its
+    reference is the [cores = 1] run with the same flag. *)

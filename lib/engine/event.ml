@@ -1,3 +1,6 @@
+module Schedule = Mvcc_core.Schedule
+module Vf = Mvcc_core.Version_fn
+
 type read_src = From_init | From_self | From_txn of int
 
 type t =
@@ -13,3 +16,43 @@ type t =
   | Wal_commit of { txn : int }
   | Wal_abort of { txn : int; reason : Mvcc_obs.Trace.reason }
   | Wal_checkpoint of { store : Store.t; commits : int }
+
+(* One pass with a last-write table keyed by (transaction, entity id):
+   a [From_self] read resolves against the table as of its position,
+   a [From_txn] read against the table once the pass is complete. *)
+let version_fn history srcs =
+  let steps = Schedule.steps history in
+  let src_at = Array.make (Array.length steps) None in
+  List.iter (fun (pos, src) -> src_at.(pos) <- Some src) srcs;
+  let n_entities = Schedule.n_entities history in
+  let key txn pos = (txn * n_entities) + Schedule.entity_at history pos in
+  let last = Hashtbl.create 16 in
+  let vf = ref Vf.empty and from_txn = ref [] in
+  Array.iteri
+    (fun pos (st : Mvcc_core.Step.t) ->
+      if Mvcc_core.Step.is_write st then
+        Hashtbl.replace last (key st.txn pos) pos
+      else
+        match src_at.(pos) with
+        | None -> ()
+        | Some From_init -> vf := Vf.add pos Initial !vf
+        | Some From_self ->
+            let q =
+              Option.value ~default:(-1)
+                (Hashtbl.find_opt last (key st.txn pos))
+            in
+            vf := Vf.add pos (From q) !vf
+        | Some (From_txn j) -> from_txn := (pos, key j pos) :: !from_txn)
+    steps;
+  List.iter
+    (fun (pos, k) ->
+      match Hashtbl.find_opt last k with
+      | Some q -> vf := Vf.add pos (From q) !vf
+      | None -> ())
+    !from_txn;
+  !vf
+
+let append_missing n order =
+  let seen = Array.make n false in
+  List.iter (fun i -> if i >= 0 && i < n then seen.(i) <- true) order;
+  order @ List.filter (fun i -> not seen.(i)) (List.init n Fun.id)

@@ -1,11 +1,15 @@
-(** The durability events the engine streams to a WAL listener.
+(** The durability events the engine streams to a WAL listener, and the
+    read-source vocabulary they share with recovery.
 
     Hoisted out of {!Engine} (which re-exports the constructors under
     their historical names) so the pipeline stage modules can buffer and
     emit events without depending on the engine itself. See
     {!Engine.wal_event} for the per-constructor contracts. *)
 
-type read_src = From_init | From_self | From_txn of int
+type read_src =
+  | From_init  (** the entity's initial version (write timestamp 0) *)
+  | From_self  (** the reader's own earlier write *)
+  | From_txn of int  (** the writing transaction *)
 
 type t =
   | Wal_state of { entity : string; value : int }
@@ -20,3 +24,15 @@ type t =
   | Wal_commit of { txn : int }
   | Wal_abort of { txn : int; reason : Mvcc_obs.Trace.reason }
   | Wal_checkpoint of { store : Store.t; commits : int }
+
+val version_fn :
+  Mvcc_core.Schedule.t -> (int * read_src) list -> Mvcc_core.Version_fn.t
+(** The version function a committed history's read sources induce, in
+    one pass: [From_init] → the initial version, [From_self] → the
+    reader's latest earlier write of the entity ([-1] if none),
+    [From_txn j] → [j]'s last write of the entity (no entry if none).
+    Every witness and certified read built from read sources uses it. *)
+
+val append_missing : int -> int list -> int list
+(** [append_missing n order] is [order], then every id in [0 .. n-1] it
+    does not mention, ascending: a witness order over all [n]. *)

@@ -49,8 +49,6 @@ let create ~cores ~store ~n_clients ~writer_of ?wal ~obs
   Sink.set_gauge obs "engine.stage.batch-target" t.batch_target;
   t
 
-let batch_target t = t.batch_target
-
 (* The adaptive controller, fed by the same signals the
    [engine.stage.queue-depth]/[waves] metrics expose: how full the batch
    was and how deep the leveler had to stack it. Wide, shallow batches

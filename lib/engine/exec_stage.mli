@@ -42,10 +42,6 @@ val create :
     the live target is exported as the [engine.stage.batch-target]
     gauge. *)
 
-val batch_target : t -> int
-(** The current flush target (constant under [Fixed], controller-steered
-    under [Auto]). *)
-
 val buffer : t -> Event.t -> unit
 (** Queue a metadata event (already fully evaluated) for emission at the
     next flush. No-op when the stage has no [wal] listener. *)

@@ -14,12 +14,6 @@ type client = {
   mutable ts : int;
   mutable snapshot : int; (* commit clock at attempt start, for SI *)
   mutable status : status;
-  mutable held_read : string list;
-  mutable held_write : string list;
-  mutable deps : int list;
-      (* SGT: uncommitted transactions whose dirty data we consumed (or
-         whose write we overwrote) — their commit must precede ours, and
-         their abort cascades to us *)
   mutable sp_txn : int;
       (* open pipeline spans ([-1] when the sink has no span ring):
          sp_txn covers submit -> commit, sp_attempt one attempt *)
@@ -45,41 +39,19 @@ let prepare id program =
     ts = 0;
     snapshot = 0;
     status = Ready;
-    held_read = [];
-    held_write = [];
-    deps = [];
     sp_txn = -1;
     sp_attempt = -1;
     plan = Plan.create ();
   }
 
-(* Phase 2: the deterministic merge. Clients were dealt round-robin into
-   the queues by submission index ([queues.(id mod n)]), so popping the
-   queues round-robin reproduces the submission order exactly — the
-   merge is client-order-equivalent by construction, and everything
-   order-sensitive (timestamp draws, begin events, span opens, WAL
-   begins) happens here, on the merged stream. *)
+(* Phase 2: the deterministic merge. Clients were dealt into the queues
+   by submission index, so merging by id restores the submission order
+   exactly; everything order-sensitive (timestamp draws, begin events,
+   span opens, WAL begins) happens on the merged stream. *)
 let merge queues =
-  let n = Array.length queues in
-  let total = Array.fold_left (fun acc q -> acc + List.length q) 0 queues in
-  let heads = Array.map (fun q -> ref q) queues in
-  let out = ref [] in
-  let q = ref 0 in
-  for _ = 1 to total do
-    (* skip exhausted queues: with a non-uniform deal the round-robin
-       cursor may pass several empty ones *)
-    while !(heads.(!q mod n)) = [] do
-      incr q
-    done;
-    let h = heads.(!q mod n) in
-    (match !h with
-    | c :: rest ->
-        out := c :: !out;
-        h := rest
-    | [] -> assert false);
-    incr q
-  done;
-  List.rev !out
+  let clients = Array.of_list (List.concat (Array.to_list queues)) in
+  Array.sort (fun a b -> compare a.id b.id) clients;
+  clients
 
 let admit ~policy_name ~programs ?(queues = 1) ~obs ~fresh_ts ~wal_begin () =
   let n_queues = max 1 queues in
@@ -89,11 +61,7 @@ let admit ~policy_name ~programs ?(queues = 1) ~obs ~fresh_ts ~wal_begin () =
   List.iteri
     (fun id program -> qs.(id mod n_queues) <- prepare id program :: qs.(id mod n_queues))
     programs;
-  let qs = Array.map List.rev qs in
-  let clients = Array.of_list (merge qs) in
-  (* the merged stream is in submission order — required by everything
-     downstream that indexes clients by id *)
-  Array.iteri (fun i c -> assert (c.id = i)) clients;
+  let clients = merge qs in
   Sink.set_gauge obs "engine.clients" (Array.length clients);
   Sink.set_gauge obs "engine.intake.queues" n_queues;
   Array.iter

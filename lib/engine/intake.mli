@@ -1,14 +1,14 @@
 (** The intake stage: batch admission of a run's transaction programs.
 
     Intake owns the machine-level client state the downstream stages
-    share — program counters, register and write-buffer bindings, lock
-    and dependency footprints, open spans, and the current attempt's
-    execution {!Plan} — and performs the batch work that happens once
-    per run: begin timestamps are assigned to the whole batch up front
-    (Faleiro–Abadi's batched timestamp allocation; the clock is the
-    caller's, so restarts draw from the same sequence), and the per-txn
-    begin events land in the trace, the span ring, and the WAL before
-    the first tick. *)
+    share — program counters, register and write-buffer bindings,
+    timestamps, open spans, and the current attempt's execution {!Plan}
+    (each policy keeps its own footprints, see {!Policy}) — and
+    performs the batch work that happens once per run: begin timestamps
+    are assigned to the whole batch up front (Faleiro–Abadi's batched
+    timestamp allocation; the clock is the caller's, so restarts draw
+    from the same sequence), and the per-txn begin events land in the
+    trace, the span ring, and the WAL before the first tick. *)
 
 type status = Ready | Waiting of string | Backoff of int | Committed
 
@@ -22,9 +22,6 @@ type client = {
   mutable ts : int;
   mutable snapshot : int;
   mutable status : status;
-  mutable held_read : string list;
-  mutable held_write : string list;
-  mutable deps : int list;
   mutable sp_txn : int;
   mutable sp_attempt : int;
   mutable plan : Plan.t;
@@ -49,10 +46,8 @@ val admit :
     are dealt round-robin into [n] client queues by submission index
     (queue [q] models the [q]-th client connection), each queue builds
     its client records independently of the others — no timestamp
-    draws, no events — and a deterministic round-robin merge then
-    replays the queues back into exactly the submission order before
-    the serial clock stamps the batch. The merge is
-    client-order-equivalent by construction (deal and merge use the
-    same cursor), so the admitted array — ids, timestamps, begin
-    events, WAL bytes — is identical at every queue count; a qcheck
-    property pins this. *)
+    draws, no events — and a deterministic merge by submission index
+    then restores exactly the submission order before the serial clock
+    stamps the batch. The admitted array — ids, timestamps, begin
+    events, WAL bytes — is therefore identical at every queue count; a
+    test pins this. *)

@@ -1,0 +1,419 @@
+module Sink = Mvcc_obs.Sink
+module Tr = Mvcc_obs.Trace
+module Ic = Mvcc_online.Incr_conflict
+module Ig = Mvcc_online.Incr_digraph
+module Step = Mvcc_core.Step
+module W = Mvcc_provenance.Witness
+open Intake
+
+include Policy_intf
+
+(* The hooks most policies leave alone. *)
+module Defaults = struct
+  let on_begin _ _ = ()
+  let read _ _ _ _ = Go
+  let write _ _ _ _ = Go
+  let wrote _ _ _ _ = ()
+  let validate _ _ = Go
+  let stamp _ _ = Fresh_each
+  let finish _ _ ~committed:_ = ()
+  let cascade _ _ = ()
+  let ro_safe _ _ = true
+  let ro_read _ _ _ _ = ()
+  let gc_ts c = c.ts
+  let records_src = false
+end
+
+(* an attempt's footprint is its own read and write sets *)
+let iter_ids ctx f bindings =
+  List.iter (fun (e, _) -> f (Store.intern ctx.store e)) bindings
+
+let for_all_ids ctx p es =
+  List.for_all (fun e -> p (Store.intern ctx.store e)) es
+let latest ctx e = Version (Store.latest ctx.store e)
+let csr order = { W.claim = Member Csr; evidence = Accept_topo order }
+
+(* Committed clients by timestamp, completed with the rest: the
+   serialization order of the timestamp policies. *)
+let ts_order ctx =
+  Array.to_list ctx.clients
+  |> List.filter (fun c -> c.status = Committed)
+  |> List.sort (fun a b -> compare a.ts b.ts)
+  |> List.map (fun c -> c.id)
+  |> Event.append_missing (Array.length ctx.clients)
+
+(* Strict two-phase locking. Readers of an entity are kept newest first
+   and wound-wait wounds blockers in that order, so the lists' order is
+   part of the decision sequence. *)
+module S2pl (D : sig
+  val deadlock : deadlock
+end) =
+struct
+  include Defaults
+
+  type t = {
+    ctx : ctx;
+    readers : int list array;  (** per entity *)
+    writer : int array;  (** per entity; -1 = unlocked *)
+  }
+
+  let create ctx =
+    {
+      ctx;
+      readers = Array.make ctx.capacity [];
+      writer = Array.make ctx.capacity (-1);
+    }
+
+  (* who currently blocks client [c] from accessing entity [id] *)
+  let blockers t c id ~write =
+    let w = t.writer.(id) in
+    let from_writer = if w >= 0 && w <> c then [ w ] else [] in
+    if write then from_writer @ List.filter (fun r -> r <> c) t.readers.(id)
+    else from_writer
+
+  (* does some blocker (transitively) wait on [target]? *)
+  let rec waits_on t seen who target =
+    who = target
+    || (not (List.mem who seen))
+       &&
+       let c' = t.ctx.clients.(who) in
+       match c'.status with
+       | Waiting e ->
+           let write =
+             c'.pc < Array.length c'.ops
+             && match c'.ops.(c'.pc) with Program.Write _ -> true | _ -> false
+           in
+           List.exists
+             (fun b -> waits_on t (who :: seen) b target)
+             (blockers t who (Store.intern t.ctx.store e) ~write)
+       | _ -> false
+
+  let resolve t c bs =
+    let clients = t.ctx.clients in
+    match D.deadlock with
+    | Detect ->
+        if List.exists (fun b -> waits_on t [ c.id ] b c.id) bs then
+          Abort Tr.Deadlock
+        else Wait
+    | Wait_die ->
+        (* the requester may wait only for younger holders *)
+        if List.exists (fun b -> clients.(b).ts < c.ts) bs then
+          Abort Tr.Wait_die
+        else Wait
+    | Wound_wait ->
+        (* wound younger holders; wait for older ones *)
+        let wounded = ref false in
+        List.iter
+          (fun b ->
+            let h = clients.(b) in
+            if h.ts > c.ts && h.status <> Committed then begin
+              t.ctx.abort ~reason:Tr.Wound h;
+              wounded := true
+            end)
+          bs;
+        if !wounded then Retry else Wait
+
+  let read t c id _ =
+    match blockers t c.id id ~write:false with
+    | [] ->
+        if not (List.mem c.id t.readers.(id)) then
+          t.readers.(id) <- c.id :: t.readers.(id);
+        Go
+    | bs -> resolve t c bs
+
+  let write t c id _ =
+    match blockers t c.id id ~write:true with
+    | [] ->
+        t.writer.(id) <- c.id;
+        Go
+    | bs -> resolve t c bs
+
+  let serve t _ _ e = latest t.ctx e
+
+  let finish t c ~committed:_ =
+    iter_ids t.ctx
+      (fun id -> t.readers.(id) <- List.filter (( <> ) c.id) t.readers.(id))
+      c.regs;
+    iter_ids t.ctx
+      (fun id -> if t.writer.(id) = c.id then t.writer.(id) <- -1)
+      c.buffer
+
+  (* a snapshot read may not pass an executed (write-locked) write *)
+  let ro_safe t = for_all_ids t.ctx (fun id -> t.writer.(id) < 0)
+  let ro_stamp t _ = t.ctx.clock ()
+
+  let witness t o =
+    csr (Event.append_missing (Array.length t.ctx.clients) o.commit_order)
+end
+
+(* Single-version timestamp ordering. An uncommitted write reserves its
+   entity at the writer's timestamp: a read older than the reservation
+   is consistent, a younger one waits for the writer to finish, or it
+   would see a stale value. *)
+module To = struct
+  include Defaults
+
+  type t = {
+    ctx : ctx;
+    rts : int array;  (** per entity *)
+    wts : int array;
+    pending : int list array;  (** per entity: reserving timestamps *)
+  }
+
+  let create ctx =
+    {
+      ctx;
+      rts = Array.make ctx.capacity 0;
+      wts = Array.make ctx.capacity 0;
+      pending = Array.make ctx.capacity [];
+    }
+
+  let read t c id _ =
+    if c.ts < t.wts.(id) then Abort Tr.Ts_order
+    else if List.exists (fun ts -> ts < c.ts) t.pending.(id) then Wait
+    else begin
+      t.rts.(id) <- max c.ts t.rts.(id);
+      Go
+    end
+
+  let write t c id _ =
+    if c.ts < t.rts.(id) || c.ts < t.wts.(id) then Abort Tr.Ts_order
+    else begin
+      t.wts.(id) <- c.ts;
+      if not (List.mem c.ts t.pending.(id)) then
+        t.pending.(id) <- c.ts :: t.pending.(id);
+      Go
+    end
+
+  let serve t _ _ e = latest t.ctx e
+
+  let finish t c ~committed:_ =
+    iter_ids t.ctx
+      (fun id -> t.pending.(id) <- List.filter (( <> ) c.ts) t.pending.(id))
+      c.buffer
+
+  (* the snapshot timestamp is fresher than every reservation, so this
+     is TO's own older-pending-writer read rule *)
+  let ro_safe t = for_all_ids t.ctx (fun id -> t.pending.(id) = [])
+
+  let ro_stamp t c =
+    c.ts <- t.ctx.fresh_ts ();
+    c.ts
+
+  let ro_read t c id _ = t.rts.(id) <- max c.ts t.rts.(id)
+  let witness t _ = csr (ts_order t.ctx)
+end
+
+(* Multiversion timestamp ordering: reads never block nor abort; a write
+   (and its commit) aborts if it would invalidate a younger read. *)
+module Mvto = struct
+  include Defaults
+
+  type t = ctx
+
+  let create ctx = ctx
+
+  let invalidates ctx c e = Store.would_invalidate ctx.store e ~wts:c.ts
+
+  let write ctx c _ e =
+    if invalidates ctx c e then Abort Tr.Write_invalidated else Go
+
+  let serve ctx c _ e =
+    let v = Store.read_at ctx.store e c.ts in
+    v.Store.max_rts <- max v.Store.max_rts c.ts;
+    Version v
+
+  let validate ctx c =
+    if List.exists (fun (e, _) -> invalidates ctx c e) c.buffer then
+      Abort Tr.Write_invalidated
+    else Go
+
+  let stamp _ c = At c.ts
+
+  let ro_stamp ctx c =
+    c.ts <- ctx.fresh_ts ();
+    c.ts
+
+  let ro_read _ c _ v = v.Store.max_rts <- max v.Store.max_rts c.ts
+  let records_src = true
+
+  let witness ctx o =
+    {
+      W.claim = Member Mvsr;
+      evidence =
+        Accept_version_fn
+          (ts_order ctx, Event.version_fn o.history o.read_srcs);
+    }
+end
+
+(* Snapshot isolation: reads at the attempt's start snapshot,
+   first-committer-wins on writes. Not serializable in general. *)
+module Si = struct
+  include Defaults
+
+  type t = ctx
+
+  let create ctx = ctx
+  let on_begin ctx c = c.snapshot <- ctx.clock ()
+  let serve ctx c _ e = Version (Store.read_at ctx.store e c.snapshot)
+
+  (* a version of a written entity committed after our snapshot means a
+     concurrent writer beat us *)
+  let validate ctx c =
+    let beaten (e, _) = (Store.latest ctx.store e).Store.wts > c.snapshot in
+    if List.exists beaten c.buffer then Abort Tr.First_committer
+    else Go
+
+  let stamp ctx _ = At (ctx.fresh_ts ())
+
+  let ro_stamp ctx c =
+    c.snapshot <- ctx.clock ();
+    c.snapshot
+
+  let gc_ts c = c.snapshot
+  let records_src = true
+
+  let witness _ o =
+    {
+      W.claim = Read_consistent;
+      evidence = Accept_version_fn ([], Event.version_fn o.history o.read_srcs);
+    }
+end
+
+(* Serialization-graph testing: every operation is certified against
+   the incremental conflict graph over client ids. Reads see the newest
+   write — the dirty head of the entity if an uncommitted write is
+   outstanding, else the latest committed version — so arrival order is
+   data-flow order and the certified graph is the real history's. *)
+module Sgt = struct
+  include Defaults
+
+  type t = {
+    ctx : ctx;
+    cert : Ic.t;
+    dirty : (int * int) list array;
+        (** per entity: uncommitted (writer, value) pairs, newest first *)
+    deps : int list array;
+        (** per client: uncommitted transactions whose dirty data it
+            consumed or overwrote — their commit must precede its own,
+            and their abort cascades to it *)
+  }
+
+  let create ctx =
+    {
+      ctx;
+      cert = Ic.create ();
+      dirty = Array.make ctx.capacity [];
+      deps = Array.make (Array.length ctx.clients) [];
+    }
+
+  (* Feed one operation to the certifier; with a sink attached, account
+     its cost (latency, arcs, Pearce–Kelly reorder moves, rolled-back
+     arcs) as deltas of the digraph's cumulative counters. *)
+  let feed t c st =
+    let obs = t.ctx.obs in
+    let ok =
+      if Sink.enabled obs then begin
+        let g = Ic.graph t.cert in
+        let arcs0 = Ig.n_edges g
+        and moves0 = Ig.reorder_moves g
+        and rolled0 = Ig.rolled_back_arcs g in
+        let ok =
+          Sink.time obs "engine.cert.feed_s" (fun () -> Ic.feed t.cert st)
+        in
+        let arcs = Ig.n_edges g - arcs0
+        and moves = Ig.reorder_moves g - moves0
+        and rolled = Ig.rolled_back_arcs g - rolled0 in
+        Sink.incr ~by:moves obs "engine.cert.reorder-moves";
+        if ok then begin
+          Sink.incr ~by:arcs obs "engine.cert.arcs";
+          Sink.emit obs (fun () -> Tr.Cert_arcs { txn = c.id; arcs; moves })
+        end
+        else begin
+          Sink.incr obs "engine.cert.rollbacks";
+          Sink.incr ~by:rolled obs "engine.cert.rollback-arcs";
+          Sink.emit obs (fun () ->
+              Tr.Cert_rollback { txn = c.id; arcs = rolled })
+        end;
+        ok
+      end
+      else Ic.feed t.cert st
+    in
+    if ok then Go else Abort Tr.Certification
+
+  let others c = List.filter (fun (w, _) -> w <> c.id)
+
+  let depend t c w =
+    if w <> c.id && not (List.mem w t.deps.(c.id)) then
+      t.deps.(c.id) <- w :: t.deps.(c.id)
+
+  let read t c _ e = feed t c (Step.read c.id e)
+  let write t c _ e = feed t c (Step.write c.id e)
+
+  (* reading another transaction's dirty write makes us depend on it *)
+  let serve t c id e =
+    match t.dirty.(id) with
+    | (w, v) :: _ ->
+        depend t c w;
+        Dirty { writer = w; value = v }
+    | [] -> latest t.ctx e
+
+  (* overwriting an uncommitted write orders our commit after the
+     earlier writer's (ww arc), via the same dependency set *)
+  let wrote t c id v =
+    List.iter (fun (w, _) -> depend t c w) t.dirty.(id);
+    t.dirty.(id) <- (c.id, v) :: others c t.dirty.(id)
+
+  (* commit-wait: every dirty predecessor must commit first, so installs
+     land in serialization order and no committed transaction ever read
+     data that later vanishes. The waits follow conflict-graph arcs,
+     which the certifier keeps acyclic, so they cannot deadlock; an
+     aborted predecessor cascades us instead of stranding us. *)
+  let validate t c =
+    let active w = t.ctx.clients.(w).status <> Committed in
+    if List.exists active t.deps.(c.id) then Wait else Go
+
+  let finish t c ~committed =
+    iter_ids t.ctx
+      (fun id -> t.dirty.(id) <- others c t.dirty.(id))
+      c.buffer;
+    if not committed then Ic.forget_txn t.cert c.id;
+    t.deps.(c.id) <- []
+
+  (* terminates: each round clears a victim's dependencies *)
+  let cascade t c =
+    Array.iter
+      (fun d ->
+        if d.id <> c.id && d.status <> Committed && List.mem c.id t.deps.(d.id)
+        then t.ctx.abort ~reason:Tr.Cascade d)
+      t.ctx.clients
+
+  (* a snapshot read would serve the committed version where SGT's own
+     read rule serves the dirty one *)
+  let ro_safe t = for_all_ids t.ctx (fun id -> t.dirty.(id) = [])
+  let ro_stamp t _ = t.ctx.clock ()
+
+  let witness t o =
+    let n = Array.length t.ctx.clients in
+    if o.offloop then
+      (* off-loop readers are not in the certification graph; the
+         committed history's own conflict graph orders them (as
+         recovery does) *)
+      match Mvcc_graph.Topo.sort (Mvcc_core.Conflict.graph o.history) with
+      | Some order -> csr order
+      | None -> csr (Event.append_missing n o.commit_order)
+    else
+      Ig.topological_order (Ic.graph t.cert)
+      |> List.filter (fun i -> i < n && t.ctx.clients.(i).status = Committed)
+      |> Event.append_missing n |> csr
+end
+
+let of_engine ?(deadlock = Detect) = function
+  | S2pl ->
+      (module S2pl (struct
+        let deadlock = deadlock
+      end) : S)
+  | To -> (module To : S)
+  | Mvto -> (module Mvto : S)
+  | Si -> (module Si : S)
+  | Sgt -> (module Sgt : S)

@@ -68,7 +68,13 @@ let create_sharded ~shards ~initial =
 
 let create ~initial = create_sharded ~shards:1 ~initial
 
-let entities t = Array.to_list (Array.sub t.names 0 t.n) |> List.sort compare
+(* the entities with a chain: interning alone (the engine interns on an
+   operation's first touch) does not make an entity present *)
+let entities t =
+  Array.fold_left
+    (fun acc tbl -> Hashtbl.fold (fun id _ acc -> t.names.(id) :: acc) tbl acc)
+    [] t.shards
+  |> List.sort compare
 
 let latest t e =
   let c = !(chain t e) in

@@ -46,7 +46,9 @@ val set_initial : t -> string -> int -> unit
 
 val intern : t -> string -> int
 (** The entity's dense interned id (assigned on first touch, in
-    first-touch order). *)
+    first-touch order). Interning alone does not make the entity
+    present in {!entities}: only a read, install, or other chain
+    access does. *)
 
 val name : t -> int -> string
 (** Inverse of {!intern}. *)
@@ -57,7 +59,7 @@ val shard_of : t -> string -> int
 (** The partition holding the entity's chain: [intern t e mod shards]. *)
 
 val entities : t -> string list
-(** Entities currently present, sorted. *)
+(** Entities currently present (with a version chain), sorted. *)
 
 val latest : t -> string -> version
 (** The newest committed version. *)

@@ -14,7 +14,6 @@ module Sink = Mvcc_obs.Sink
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-let all_policies = [ E.S2pl; E.To; E.Mvto; E.Si; E.Sgt ]
 
 (* -- WAL codec -- *)
 
@@ -31,7 +30,7 @@ let gen_record =
         [ "x"; "acct0"; "nasty \"quoted\\name\""; "tab\tand\nnewline";
           "\001"; "ctl\031\127\255" ]
     in
-    let src = oneofl [ Wal.Init; Wal.Self; Wal.Txn 3; Wal.Txn 17 ] in
+    let src = oneofl [ Wal.From_init; Wal.From_self; Wal.From_txn 3; Wal.From_txn 17 ] in
     oneof
       [
         (let* entity = name and* value = gen_int in
@@ -41,7 +40,7 @@ let gen_record =
         (let* txn = int_range 0 40
          and* entity = name
          and* write = bool
-         and* s = oneof [ src; map (fun w -> Wal.Txn w) gen_int ] in
+         and* s = oneof [ src; map (fun w -> Wal.From_txn w) gen_int ] in
          return
            (Wal.Op { txn; entity; write; src = (if write then None else Some s) }));
         (let* txn = gen_int
@@ -118,7 +117,7 @@ let test_wal_every_byte_change_rejected () =
         (Wal.State { entity = "a\"b\\c\td"; value = max_int });
       Wal.encode ~lsn:4
         (Wal.Op
-           { txn = 0; entity = "e"; write = false; src = Some (Wal.Txn min_int) });
+           { txn = 0; entity = "e"; write = false; src = Some (Wal.From_txn min_int) });
     ]
   in
   let lines =
@@ -377,7 +376,7 @@ let prop_wal_off_invariance =
     ~name:"a wal listener never changes decisions, state, or trace"
     ~count:40
     QCheck2.Gen.(
-      let* seed = int_range 0 10_000 and* policy = oneofl all_policies in
+      let* seed = int_range 0 10_000 and* policy = oneofl E.all_policies in
       return (seed, policy))
     (fun (seed, policy) ->
       let blind, trace_blind = run_traced ~policy ~seed () in
@@ -420,7 +419,7 @@ let test_full_log_recovery_all_policies () =
                (E.policy_name policy))
             true
             (Mvcc_provenance.Checker.verify rec_.history wit))
-    all_policies
+    E.all_policies
 
 (* A lost Commit record must cascade to the transactions that read from
    it, to a fixpoint — the one case where recovery aborts a committed
@@ -434,7 +433,7 @@ let test_midlog_commit_loss_cascades () =
   app (Wal.Op { txn = 0; entity = "x"; write = true; src = None });
   app (Wal.Install { txn = 0; entity = "x"; value = 5; wts = 1 });
   app (Wal.Commit { txn = 0 });
-  app (Wal.Op { txn = 1; entity = "x"; write = false; src = Some (Wal.Txn 0) });
+  app (Wal.Op { txn = 1; entity = "x"; write = false; src = Some (Wal.From_txn 0) });
   app (Wal.Op { txn = 1; entity = "x"; write = true; src = None });
   app (Wal.Install { txn = 1; entity = "x"; value = 6; wts = 2 });
   app (Wal.Commit { txn = 1 });
@@ -484,7 +483,7 @@ let test_crash_injection_all_policies () =
             true
             (report.Crash.torn > 0 && report.checked > 0))
         [ 3; 4 ])
-    all_policies
+    E.all_policies
 
 (* Group-commit crash points: every point checks both the raw cut
    (mid-batch) and the forced-boundary image, so this exercises
@@ -518,7 +517,7 @@ let test_crash_group_commit_all_policies () =
             && report.Crash.acked <= report.Crash.commits
             && report.Crash.torn > 0))
         windows)
-    all_policies
+    E.all_policies
 
 let test_crash_only_point_reproduces () =
   let cfg = { Crash.default with policy = E.Sgt; seed = 9; points = 40 } in
@@ -540,7 +539,7 @@ let prop_follower_equiv_recovery =
     ~count:15
     QCheck2.Gen.(
       let* seed = int_range 0 1000
-      and* policy = oneofl all_policies
+      and* policy = oneofl E.all_policies
       and* chunk_seed = int_range 0 1000 in
       return (seed, policy, chunk_seed))
     (fun (seed, policy, chunk_seed) ->
@@ -659,7 +658,7 @@ let test_follower_never_observes_unforced () =
   check "replica has heard nothing" true (Follower.read f "x" = None);
   (* the second commit fills the window and forces the batch *)
   app (Wal.Begin { txn = 1; ts = 2 });
-  app (Wal.Op { txn = 1; entity = "x"; write = false; src = Some (Wal.Txn 0) });
+  app (Wal.Op { txn = 1; entity = "x"; write = false; src = Some (Wal.From_txn 0) });
   app (Wal.Op { txn = 1; entity = "x"; write = true; src = None });
   app (Wal.Install { txn = 1; entity = "x"; value = 6; wts = 2 });
   app (Wal.Commit { txn = 1 });
@@ -742,7 +741,7 @@ let test_follower_lagging_reads_all_policies () =
         (Follower.read_view f = r.E.final_state);
       let _, _, ok2 = Follower.certify f in
       check "certified at the tip" true ok2)
-    all_policies
+    E.all_policies
 
 let () =
   Alcotest.run "durable"

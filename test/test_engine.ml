@@ -288,7 +288,7 @@ let test_crash_injection () =
             r.E.stats.E.commits;
           check "crashes recorded as aborts" true (r.E.stats.E.aborts > 0))
         [ 1; 2; 3 ])
-    [ E.S2pl; E.To; E.Mvto; E.Si; E.Sgt ]
+    E.all_policies
 
 let test_deadlock_policies () =
   (* opposed transfers force lock conflicts; every resolution policy must
@@ -511,7 +511,7 @@ let test_abort_reason_counters () =
              in
              Metrics.counter metrics "engine.abort.crash" > 0)
            seeds))
-    [ E.S2pl; E.To; E.Mvto; E.Si; E.Sgt ]
+    E.all_policies
 
 (* -- properties -- *)
 
@@ -596,7 +596,7 @@ let prop_cores_identity =
     ~count:60
     QCheck2.Gen.(
       let* seed = int_range 0 100_000 in
-      let* policy = oneofl [ E.S2pl; E.To; E.Mvto; E.Si; E.Sgt ] in
+      let* policy = oneofl E.all_policies in
       let* cores = int_range 2 4 in
       let* n_transfers = int_range 1 5 in
       let* n_readers = int_range 0 3 in
@@ -644,7 +644,7 @@ let test_sharded_identity_fixed () =
             true
             (same_run reference (at cores)))
         [ 2; 3; 4 ])
-    [ E.S2pl; E.To; E.Mvto; E.Si; E.Sgt ]
+    E.all_policies
 
 (* -- partitioned intake -- *)
 
@@ -690,7 +690,7 @@ let prop_pipeline_identity =
     ~count:50
     QCheck2.Gen.(
       let* seed = int_range 0 100_000 in
-      let* policy = oneofl [ E.S2pl; E.To; E.Mvto; E.Si; E.Sgt ] in
+      let* policy = oneofl E.all_policies in
       let* cores = int_range 1 4 in
       let* queues = oneofl [ 1; 2; 4 ] in
       let* batch = oneofl [ None; Some E.Auto; Some (E.Fixed 3) ] in
@@ -753,7 +753,7 @@ let prop_ro_snapshot_version_fn =
     ~count:40
     QCheck2.Gen.(
       let* seed = int_range 0 100_000 in
-      let* policy = oneofl [ E.S2pl; E.To; E.Mvto; E.Si; E.Sgt ] in
+      let* policy = oneofl E.all_policies in
       let* cores = int_range 1 4 in
       let* n_txns = int_range 4 12 in
       return (seed, policy, cores, n_txns))
@@ -838,6 +838,222 @@ let prop_ro_snapshot_version_fn =
       | Some (h, w) -> Checker.check h w = Checker.Confirmed
       | None -> false)
 
+(* -- the frozen golden grid -- *)
+
+(* One line per run over policy x cores x gc x crash x ro_snapshot x
+   seed (plus the S2PL deadlock-prevention modes and, per policy, two
+   max_ticks-cut runs): the run's stats and durable count, and MD5s of the
+   final state, the off-loop reads, the committed history with its
+   printed witness, and the bytes a [Hook] writes (group commit every 3
+   commits, a checkpoint every 4). [test/golden/engine_grid.golden]
+   holds the grid as the engine produced it; any change to a decision,
+   a witness or a WAL byte shows up as a differing line. Set
+   ENGINE_GRID_OUT to a path to write the regenerated grid there. *)
+module Wal = Mvcc_durable.Wal
+module Hook = Mvcc_durable.Hook
+
+let grid_programs seed =
+  let initial, programs =
+    Mvcc_workload.Program_gen.mixed ~n_entities:6 ~theta:0.6
+      ~read_fraction:0.4 ~reads_per_txn:3 ~writes_per_txn:2 ~mix_rounds:2
+      ~n_txns:10 ~seed ()
+  in
+  (* a program reading its own writes ([From_self] sources, one entity
+     written twice) and one writing an entity outside the initial
+     state *)
+  let extra =
+    [
+      {
+        P.label = "self";
+        ops =
+          [
+            P.Write ("e0", P.Const 7);
+            P.Read "e0";
+            P.Write ("e0", P.Add (P.Reg "e0", P.Const 1));
+            P.Read "e0";
+            P.Write ("e1", P.Add (P.Reg "e0", P.Const 1));
+            P.Read "e1";
+          ];
+      };
+      {
+        P.label = "fresh";
+        ops = [ P.Read "e1"; P.Write ("n0", P.Add (P.Reg "e1", P.Const 3)) ];
+      };
+    ]
+  in
+  (initial, programs @ extra)
+
+let grid_line ~policy ?deadlock ?max_ticks ?(tag = "") ?programs ~cores ~gc
+    ~crash ~ro ~seed () =
+  let initial, programs =
+    match programs with
+    | None -> grid_programs seed
+    | Some ps -> (fst (grid_programs seed), ps)
+  in
+  let w = Wal.writer ~window:(Wal.window ~commits:3 ()) () in
+  let hook = Hook.create w in
+  let prov = Mvcc_provenance.Log.create () in
+  let r =
+    E.run ~policy ~initial ~programs ?max_ticks ~gc ~crash_probability:crash
+      ?deadlock ~prov ~wal:(Hook.listener hook)
+      ~wal_durable:(fun () -> Wal.acked_commits w)
+      ~snapshot_every:4 ~cores ~ro_snapshot:ro ~seed ()
+  in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let final =
+    String.concat ";"
+      (List.map (fun (e, v) -> Printf.sprintf "%s=%d" e v) r.E.final_state)
+  in
+  let ro_reads =
+    String.concat ";"
+      (List.map
+         (fun (id, snap, views) ->
+           Printf.sprintf "%d@%d:%s" id snap
+             (String.concat ","
+                (List.map (fun (e, w) -> Printf.sprintf "%s/%d" e w) views)))
+         r.E.ro_reads)
+  in
+  let witness =
+    match r.E.provenance with
+    | None -> "none"
+    | Some (h, wit) ->
+        Format.asprintf "%s | %a" (Mvcc_core.Schedule.to_string h) W.pp wit
+  in
+  Format.asprintf
+    "%s%s c%d gc%d crash%g ro%d seed%d%s: %a durable=%s final=%s ro=%s \
+     witness=%s wal=%s"
+    (E.policy_name policy)
+    (match deadlock with
+    | None -> ""
+    | Some d -> "/" ^ E.deadlock_policy_name d)
+    cores (Bool.to_int gc) crash (Bool.to_int ro) seed
+    ((match max_ticks with None -> "" | Some t -> Printf.sprintf " max%d" t)
+    ^ tag)
+    E.pp_stats r.E.stats
+    (match r.E.durable_commits with None -> "-" | Some d -> string_of_int d)
+    (md5 final) (md5 ro_reads) (md5 witness)
+    (md5 (Wal.contents w))
+
+let engine_grid () =
+  let lines = ref [] in
+  let add l = lines := l :: !lines in
+  let dims f =
+    List.iter
+      (fun cores ->
+        List.iter
+          (fun gc ->
+            List.iter
+              (fun crash ->
+                List.iter
+                  (fun ro ->
+                    List.iter (fun seed -> f ~cores ~gc ~crash ~ro ~seed)
+                      [ 1; 2; 3 ])
+                  [ false; true ])
+              [ 0.; 0.05 ])
+          [ false; true ])
+      [ 1; 2 ]
+  in
+  List.iter
+    (fun policy ->
+      dims (fun ~cores ~gc ~crash ~ro ~seed ->
+          add (grid_line ~policy ~cores ~gc ~crash ~ro ~seed ())))
+    E.all_policies;
+  List.iter
+    (fun deadlock ->
+      dims (fun ~cores ~gc ~crash ~ro ~seed ->
+          add
+            (grid_line ~policy:E.S2pl ~deadlock ~cores ~gc ~crash ~ro ~seed
+               ())))
+    [ E.Wait_die; E.Wound_wait ];
+  List.iter
+    (fun policy ->
+      add
+        (grid_line ~policy ~max_ticks:25 ~cores:1 ~gc:true ~crash:0.05
+           ~ro:true ~seed:1 ()))
+    E.all_policies;
+  (* cut after one tick, mid-attempt: a write of an entity outside the
+     initial state has executed but not committed — which entities the
+     final state lists then depends on what the policy's write touched *)
+  List.iter
+    (fun policy ->
+      add
+        (grid_line ~policy ~max_ticks:1 ~tag:" uncommitted"
+           ~programs:
+             [
+               {
+                 P.label = "w";
+                 ops = [ P.Write ("n1", P.Const 5); P.Read "e0" ];
+               };
+             ]
+           ~cores:1 ~gc:false ~crash:0. ~ro:false ~seed:1 ()))
+    E.all_policies;
+  String.concat "\n" (List.rev !lines) ^ "\n"
+
+let test_engine_grid () =
+  let got = engine_grid () in
+  (match Sys.getenv_opt "ENGINE_GRID_OUT" with
+  | Some path -> Out_channel.with_open_bin path (fun oc -> output_string oc got)
+  | None -> ());
+  let want =
+    In_channel.with_open_bin "golden/engine_grid.golden" In_channel.input_all
+  in
+  (* report the first differing line, then require the whole file *)
+  (match
+     List.find_opt
+       (fun (g, w) -> g <> w)
+       (List.combine
+          (String.split_on_char '\n' got)
+          (String.split_on_char '\n' want))
+   with
+  | Some (g, w) -> Alcotest.(check string) "first differing grid line" w g
+  | None | (exception Invalid_argument _) -> ());
+  check "grid is byte-identical to the golden" true (got = want)
+
+(* -- the paper's class oracle -- *)
+
+(* Every committed history, run through the paper's own deciders rather
+   than the policy's witness: the single-version serializable policies
+   (S2PL, TO, SGT) realize subsets of CSR, and MVTO a subset of MVSR
+   (PAPER.md, Fig. 1). SI is not serializable and is left out. *)
+let prop_class_oracle =
+  let decider name = Option.get (Mvcc_classes.Deciders.find name) in
+  let csr = decider "CSR" and mvsr = decider "MVSR" in
+  QCheck2.Test.make ~name:"committed histories lie in the paper's classes"
+    ~count:80
+    QCheck2.Gen.(
+      let* seed = int_range 0 100_000 in
+      let* policy = oneofl [ E.S2pl; E.To; E.Mvto; E.Sgt ] in
+      let* cores = oneofl [ 1; 2 ] in
+      let* ro = bool in
+      let* n_txns = int_range 2 7 in
+      return (seed, policy, cores, ro, n_txns))
+    (fun (seed, policy, cores, ro, n_txns) ->
+      let initial, programs =
+        Mvcc_workload.Program_gen.mixed ~n_entities:4 ~theta:0.6
+          ~read_fraction:0.4 ~reads_per_txn:3 ~writes_per_txn:2 ~mix_rounds:0
+          ~n_txns ~seed ()
+      in
+      let r =
+        E.run ~policy ~initial ~programs
+          ~prov:(Mvcc_provenance.Log.create ())
+          ~cores ~ro_snapshot:ro ~seed ()
+      in
+      match r.E.provenance with
+      | None -> false
+      | Some (h, _) ->
+          Mvcc_analysis.Decider.test_schedule
+            (if policy = E.Mvto then mvsr else csr)
+            h)
+
+let test_policy_names () =
+  List.iter
+    (fun p ->
+      check (E.policy_name p ^ " round-trips") true
+        (E.policy_of_name (E.policy_name p) = Some p))
+    E.all_policies;
+  check_int "five policies" 5 (List.length E.all_policies);
+  check "unknown name" true (E.policy_of_name "2pl" = None)
+
 let () =
   Alcotest.run "engine"
     [
@@ -883,6 +1099,7 @@ let () =
           Alcotest.test_case "wound-wait preempts" `Quick
             test_wound_wait_preempts;
           Alcotest.test_case "store prune" `Quick test_store_prune;
+          Alcotest.test_case "policy names" `Quick test_policy_names;
         ] );
       ( "observability",
         [
@@ -900,6 +1117,8 @@ let () =
           Alcotest.test_case "intake merge order" `Quick
             test_intake_merge_order;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "engine grid" `Quick test_engine_grid ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
@@ -907,5 +1126,6 @@ let () =
             prop_cores_identity;
             prop_pipeline_identity;
             prop_ro_snapshot_version_fn;
+            prop_class_oracle;
           ] );
     ]

@@ -579,7 +579,7 @@ let prop_span_tree_wellformed =
     ~count:60
     QCheck2.Gen.(
       let* seed = int_range 0 100_000 in
-      let* policy = oneofl [ E.S2pl; E.To; E.Mvto; E.Si; E.Sgt ] in
+      let* policy = oneofl E.all_policies in
       let* commits_window = int_range 1 4 in
       return (seed, policy, commits_window))
     (fun (seed, policy, commits_window) ->
@@ -698,7 +698,7 @@ let prop_engine_invariance =
     ~name:"engine runs are bit-identical with and without a sink" ~count:80
     QCheck2.Gen.(
       let* seed = int_range 0 100_000 in
-      let* policy = oneofl [ E.S2pl; E.To; E.Mvto; E.Si; E.Sgt ] in
+      let* policy = oneofl E.all_policies in
       let* crash = oneofl [ 0.; 0.05 ] in
       return (seed, policy, crash))
     (fun (seed, policy, crash) ->

@@ -264,7 +264,7 @@ let test_engine_provenance () =
               check (name ^ ": checker confirms") true
                 (Checker.verify history w))
         [ 1; 2; 5; 11 ])
-    [ E.S2pl; E.To; E.Mvto; E.Si; E.Sgt ]
+    E.all_policies
 
 let () =
   Alcotest.run "provenance"
