@@ -2,7 +2,7 @@
    decision invariance.
 
    Every engine policy runs the banking workload twice — once blind,
-   once with a full sink (metrics + trace ring) — and the two results
+   once with a full sink (metrics + span ring) — and the two results
    must be structurally identical: observability must never change a
    decision. The instrumented run's metric snapshot is emitted as a
    JSON line next to the timing data, which is what future perf PRs
@@ -12,7 +12,7 @@
 module E = Mvcc_engine.Engine
 module P = Mvcc_engine.Program
 module Metrics = Mvcc_obs.Metrics
-module Trace = Mvcc_obs.Trace
+module Span = Mvcc_obs.Span
 module Sink = Mvcc_obs.Sink
 module Driver = Mvcc_sched.Driver
 
@@ -65,8 +65,8 @@ let run ~seeds =
                   ~crash_probability:0.01 ~seed ())
           in
           let metrics = Metrics.create () in
-          let trace = Trace.create ~capacity:4096 () in
-          let obs = Sink.create ~metrics ~trace () in
+          let spans = Span.create ~capacity:4096 () in
+          let obs = Sink.create ~metrics ~spans () in
           let seen, t_obs =
             Util.time_ms (fun () ->
                 E.run ~policy ~obs ~initial ~programs:workload
@@ -97,7 +97,7 @@ let run ~seeds =
     (fun sched ->
       let metrics = Metrics.create () in
       let obs =
-        Sink.create ~metrics ~trace:(Trace.create ~capacity:256 ()) ()
+        Sink.create ~metrics ~spans:(Span.create ~capacity:256 ()) ()
       in
       let blind = Driver.run sched s in
       let seen = Driver.run ~obs sched s in

@@ -5,7 +5,7 @@
    blind run pays one pattern match per instrumentation point and never
    reads the clock. Part 1 is the end-to-end version of that claim:
    for every policy, a blind leg (noop sink) and a spans leg (metrics +
-   trace + spans ring threaded through the engine AND the WAL writer)
+   span ring threaded through the engine AND the WAL writer)
    must agree on stats, final state, acknowledged commits, and the
    exact WAL bytes — instrumentation that changed any of these would be
    a heisenberg layer, not an observer. The wall-clock overhead of the
@@ -78,10 +78,7 @@ let pipeline ?(obs = Sink.noop) ~window c =
 
 let live_sink () =
   let spans = Span.create ~capacity:65536 () in
-  ( Sink.create ~metrics:(Metrics.create ())
-      ~trace:(Mvcc_obs.Trace.create ~capacity:65536 ())
-      ~spans (),
-    spans )
+  (Sink.create ~metrics:(Metrics.create ()) ~spans (), spans)
 
 let run ~passes =
   Util.section "E25  span instrumentation: invariance and latency breakdown";

@@ -436,34 +436,34 @@ let census_cmd =
       const run $ txns_arg $ entities_arg $ max_steps_arg $ samples_arg
       $ jobs_arg $ seed_arg)
 
-(* simulate *)
+(* simulate and replay *)
 
-let simulate_cmd =
-  let policy_arg = policy_arg ~doc:"Concurrency control policy." in
+(* The engine and log flags of a banking run. [simulate] records a run
+   from them and [replay] rebuilds it from the same flags, so both
+   commands parse one record and run it through one [run_banking].
+   [--snapshot-every] is simulate's alone: a checkpoint record names the
+   snapshot file, so a replayed log (written elsewhere) could not match
+   the recorded one byte for byte. *)
+type banking = {
+  policy : Mvcc_engine.Engine.policy;
+  cores : int;
+  client_queues : int;
+  batch : Mvcc_engine.Engine.batch option;
+  ro_snapshot : bool;
+  readers : int;
+  writers : int;
+  certify : bool;
+  wal : string option;
+  group_commit : int option;
+  seed : int;
+}
+
+let banking_term =
   let readers_arg =
     Arg.(value & opt int 6 & info [ "readers" ] ~doc:"Analytics transactions.")
   in
   let writers_arg =
     Arg.(value & opt int 3 & info [ "writers" ] ~doc:"Transfer transactions.")
-  in
-  let stats_arg =
-    Arg.(
-      value & flag
-      & info [ "stats" ]
-          ~doc:
-            "Collect metrics during the run and print the snapshot as a \
-             JSON object: commits, aborts by reason, delays, and (under \
-             sgt) certification cost and latency quantiles.")
-  in
-  let trace_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Record structured trace events (txn begin/commit/abort, step \
-             scheduled/delayed, certifier arc-insert/rollback) and write \
-             them to $(docv) as JSON-lines.")
   in
   let certify_arg =
     Arg.(
@@ -484,16 +484,6 @@ let simulate_cmd =
              $(b,recover) rebuilds the committed state and history from \
              it (or any crash-truncated prefix).")
   in
-  let snapshot_every_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "snapshot-every" ] ~docv:"N"
-          ~doc:
-            "With $(b,--wal FILE), snapshot the version chains to \
-             $(i,FILE).snap every $(docv) commits and log a checkpoint, \
-             so recovery can replay only the log tail.")
-  in
   let group_commit_arg =
     Arg.(
       value
@@ -506,48 +496,109 @@ let simulate_cmd =
              the run reports how many were acknowledged by the end. \
              $(docv)=1 reproduces the flush-per-record log byte for byte.")
   in
-  let run policy cores client_queues batch ro_snapshot readers writers stats
-      trace_file certify wal_file snapshot_every group_commit seed =
-    let accounts, initial, programs = banking_workload ~readers ~writers in
+  let make policy cores client_queues batch ro_snapshot readers writers
+      certify wal group_commit seed =
+    {
+      policy; cores; client_queues; batch; ro_snapshot; readers; writers;
+      certify; wal; group_commit; seed;
+    }
+  in
+  Term.(
+    const make
+    $ policy_arg ~doc:"Concurrency control policy."
+    $ cores_arg $ client_queues_arg $ batch_arg $ ro_snapshot_arg
+    $ readers_arg $ writers_arg $ certify_arg $ wal_arg $ group_commit_arg
+    $ seed_arg)
+
+(* Run [b]'s banking workload through [obs], logging to [wal_path] when
+   given (the writer shares [obs], so --stats snapshots include the
+   durable counters and a --trace ring the wal.* spans). Returns the
+   accounts, the engine result, and the still-open writer with its
+   hook. *)
+let run_banking ?snapshot_every b ~obs ~wal_path =
+  let accounts, initial, programs =
+    banking_workload ~readers:b.readers ~writers:b.writers
+  in
+  let prov =
+    if b.certify then Some (Mvcc_provenance.Log.create ()) else None
+  in
+  let window =
+    Option.map (fun n -> Mvcc_durable.Wal.window ~commits:n ()) b.group_commit
+  in
+  let hook =
+    Option.map
+      (fun file ->
+        let writer = Mvcc_durable.Wal.writer ~path:file ?window ~obs () in
+        ( writer,
+          Mvcc_durable.Hook.create ~snapshot_path:(file ^ ".snap") writer ))
+      wal_path
+  in
+  let r =
+    Mvcc_engine.Engine.run ~policy:b.policy ~initial ~programs ~obs ?prov
+      ?wal:(Option.map (fun (_, h) -> Mvcc_durable.Hook.listener h) hook)
+      ?wal_durable:
+        (Option.map
+           (fun (writer, _) () -> Mvcc_durable.Wal.acked_commits writer)
+           hook)
+      ?snapshot_every ~cores:b.cores
+      ~client_queues:b.client_queues ?batch:b.batch ~ro_snapshot:b.ro_snapshot
+      ~seed:b.seed ()
+  in
+  (accounts, r, hook)
+
+(* The --trace ring. Its clock is a counter, so the recorded span lines
+   are a pure function of the run and replay can compare them byte for
+   byte. *)
+let trace_ring () =
+  Mvcc_obs.Span.create ~capacity:65536
+    ~clock:(Mvcc_obs.Span.counter_clock ()) ()
+
+let simulate_cmd =
+  let snapshot_every_arg =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "snapshot-every" ] ~docv:"N"
+          ~doc:
+            "With $(b,--wal FILE), snapshot the version chains to \
+             $(i,FILE).snap every $(docv) commits and log a checkpoint, \
+             so recovery can replay only the log tail.")
+  in
+  let stats_arg =
+    Arg.(
+      value & flag
+      & info [ "stats" ]
+          ~doc:
+            "Collect metrics during the run and print the snapshot as a \
+             JSON object: commits, aborts by reason, delays, and (under \
+             sgt) certification cost and latency quantiles.")
+  in
+  let trace_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:
+            "Record the run's spans (transactions, attempts with their \
+             abort reasons, op/commit/delay/certification points, \
+             provenance decisions, WAL appends and forces) and write them \
+             to $(docv) as JSON-lines; $(b,replay) re-checks them.")
+  in
+  let run b snapshot_every stats trace_file =
     let metrics =
       if stats then Some (Mvcc_obs.Metrics.create ()) else None
     in
-    let tr =
-      Option.map
-        (fun _ -> Mvcc_obs.Trace.create ~capacity:65536 ())
-        trace_file
-    in
+    let spans = Option.map (fun _ -> trace_ring ()) trace_file in
     let obs =
       if stats || trace_file <> None then
-        Mvcc_obs.Sink.create ?metrics ?trace:tr ()
+        Mvcc_obs.Sink.create ?metrics ?spans ()
       else Mvcc_obs.Sink.noop
     in
-    let prov = if certify then Some (Mvcc_provenance.Log.create ()) else None in
-    let window =
-      Option.map (fun n -> Mvcc_durable.Wal.window ~commits:n ()) group_commit
-    in
-    let hook =
-      Option.map
-        (fun file ->
-          (* the writer shares the sink, so --stats snapshots include the
-             durable counters (wal.appends/forces, force boundary, acks) *)
-          let writer = Mvcc_durable.Wal.writer ~path:file ?window ~obs () in
-          (writer, Mvcc_durable.Hook.create ~snapshot_path:(file ^ ".snap") writer))
-        wal_file
-    in
-    let wal = Option.map (fun (_, h) -> Mvcc_durable.Hook.listener h) hook in
-    let wal_durable =
-      Option.map
-        (fun (writer, _) () -> Mvcc_durable.Wal.acked_commits writer)
-        hook
-    in
-    let r =
-      Mvcc_engine.Engine.run ~policy ~initial ~programs ~obs ?prov ?wal
-        ?wal_durable ?snapshot_every ~cores ~client_queues ?batch ~ro_snapshot
-        ~seed ()
+    let accounts, r, hook =
+      run_banking ?snapshot_every b ~obs ~wal_path:b.wal
     in
     Format.printf "policy=%s %a@."
-      (Mvcc_engine.Engine.policy_name policy)
+      (Mvcc_engine.Engine.policy_name b.policy)
       Mvcc_engine.Engine.pp_stats r.Mvcc_engine.Engine.stats;
     (match r.Mvcc_engine.Engine.provenance with
     | Some (history, w) ->
@@ -563,9 +614,9 @@ let simulate_cmd =
     in
     Format.printf "total balance: %d (expected %d)@." total
       (100 * List.length accounts);
-    (match (hook, wal_file) with
+    (match (hook, b.wal) with
     | Some (writer, h), Some file ->
-        (match (group_commit, r.Mvcc_engine.Engine.durable_commits) with
+        (match (b.group_commit, r.Mvcc_engine.Engine.durable_commits) with
         | Some _, Some acked ->
             Format.printf
               "group commit: %d/%d commits acknowledged at run end (%d \
@@ -586,94 +637,92 @@ let simulate_cmd =
     (match metrics with
     | Some m -> print_endline (Mvcc_obs.Metrics.to_json m)
     | None -> ());
-    match (trace_file, tr) with
-    | Some file, Some t ->
+    match (trace_file, spans) with
+    | Some file, Some ring ->
         let oc = open_out file in
-        Mvcc_obs.Trace.write_jsonl oc t;
+        Mvcc_obs.Span.write_jsonl oc ring;
         close_out oc;
-        Format.printf "trace: %d events to %s (%d dropped)@."
-          (List.length (Mvcc_obs.Trace.to_list t))
+        Format.printf "trace: %d spans to %s (%d dropped)@."
+          (List.length (Mvcc_obs.Span.to_list ring))
           file
-          (Mvcc_obs.Trace.dropped t)
+          (Mvcc_obs.Span.dropped ring)
     | _ -> ()
   in
   Cmd.v
     (Cmd.info "simulate"
        ~doc:"Run a banking workload through the storage engine")
     Term.(
-      const run $ policy_arg $ cores_arg $ client_queues_arg $ batch_arg
-      $ ro_snapshot_arg $ readers_arg $ writers_arg $ stats_arg $ trace_arg
-      $ certify_arg $ wal_arg $ snapshot_every_arg $ group_commit_arg
-      $ seed_arg)
-
-(* replay *)
+      const run $ banking_term $ snapshot_every_arg $ stats_arg $ trace_arg)
 
 let replay_cmd =
-  let policy_arg = policy_arg ~doc:"Concurrency control policy of the run." in
-  let readers_arg =
-    Arg.(value & opt int 6 & info [ "readers" ] ~doc:"Analytics transactions.")
-  in
-  let writers_arg =
-    Arg.(value & opt int 3 & info [ "writers" ] ~doc:"Transfer transactions.")
-  in
   let trace_arg =
     Arg.(
       required
       & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
-          ~doc:"JSON-lines trace captured by $(b,simulate --trace).")
+          ~doc:
+            "Span JSON-lines captured by $(b,simulate --trace); pass the \
+             same engine and log flags the recording was made with (a \
+             recording made with $(b,--snapshot-every) cannot be \
+             replayed).")
   in
-  let run policy readers writers trace_file seed =
+  let run b trace_file =
     let ic = open_in trace_file in
-    let recorded, rstats = Mvcc_obs.Trace.read_jsonl ic in
+    let recorded, rstats = Mvcc_obs.Span.read_jsonl ic in
     close_in ic;
-    (* reconstruct the run: same workload, same seed, fresh trace *)
-    let accounts = List.init 8 (fun i -> Printf.sprintf "acct%d" i) in
-    let initial = List.map (fun a -> (a, 100)) accounts in
-    let programs =
-      List.init readers (fun i ->
-          Mvcc_engine.Program.read_all
-            ~label:(Printf.sprintf "audit%d" i)
-            accounts)
-      @ List.init writers (fun i ->
-            Mvcc_engine.Program.transfer
-              ~label:(Printf.sprintf "xfer%d" i)
-              ~from_:(List.nth accounts (i mod 8))
-              ~to_:(List.nth accounts ((i + 1) mod 8))
-              10)
+    (* rebuild the run: same flags, same seed, a fresh ring; a logged
+       run writes to a scratch file so the recorded log is left alone *)
+    let ring = trace_ring () in
+    let obs = Mvcc_obs.Sink.create ~spans:ring () in
+    let wal_path =
+      Option.map (fun _ -> Filename.temp_file "mvcc_replay" ".wal") b.wal
     in
-    let t = Mvcc_obs.Trace.create ~capacity:65536 () in
-    let obs = Mvcc_obs.Sink.create ~trace:t () in
-    let r = Mvcc_engine.Engine.run ~policy ~initial ~programs ~obs ~seed () in
-    let replayed = Mvcc_obs.Trace.to_list t in
-    let lines l = List.map (fun (seq, ev) -> Mvcc_obs.Trace.to_json seq ev) l in
+    let _, r, hook = run_banking b ~obs ~wal_path in
+    Option.iter (fun (writer, _) -> Mvcc_durable.Wal.close writer) hook;
+    Option.iter
+      (fun file ->
+        List.iter
+          (fun f -> if Sys.file_exists f then Sys.remove f)
+          [ file; file ^ ".snap" ])
+      wal_path;
+    let replayed = Mvcc_obs.Span.to_list ring in
+    let lines = List.map Mvcc_obs.Span.to_json in
     let rec_lines = lines recorded and rep_lines = lines replayed in
-    Format.printf "recorded: %d events (%d unparseable line(s) skipped%s)@."
+    Format.printf "recorded: %d spans (%d unparseable line(s) skipped%s)@."
       (List.length recorded) rstats.Mvcc_obs.Jsonl.skipped
       (if rstats.Mvcc_obs.Jsonl.torn_tail then ", torn final line dropped"
        else "");
-    Format.printf "replayed: %d events@." (List.length replayed);
-    let events_match = rec_lines = rep_lines in
-    if events_match then Format.printf "events  : byte-for-byte identical@."
+    Format.printf "replayed: %d spans@." (List.length replayed);
+    let spans_match = rec_lines = rep_lines in
+    if spans_match then Format.printf "spans   : byte-for-byte identical@."
     else begin
-      Format.printf "events  : MISMATCH@.";
+      Format.printf "spans   : MISMATCH@.";
       let rec first_diff i = function
         | a :: tl, b :: tl' ->
-            if a <> b then Format.printf "  first divergence at event %d:@.  recorded: %s@.  replayed: %s@." i a b
+            if a <> b then
+              Format.printf
+                "  first divergence at span %d:@.  recorded: %s@.  \
+                 replayed: %s@."
+                i a b
             else first_diff (i + 1) (tl, tl')
-        | a :: _, [] -> Format.printf "  recorded has extra event %d: %s@." i a
-        | [], b :: _ -> Format.printf "  replayed has extra event %d: %s@." i b
+        | a :: _, [] -> Format.printf "  recorded has extra span %d: %s@." i a
+        | [], b :: _ -> Format.printf "  replayed has extra span %d: %s@." i b
         | [], [] -> ()
       in
       first_diff 0 (rec_lines, rep_lines)
     end;
-    (* cross-check the decision counters the trace implies against the
-       replayed run's stats *)
-    let count f = List.length (List.filter (fun (_, ev) -> f ev) recorded) in
-    let commits_rec =
-      count (function Mvcc_obs.Trace.Txn_commit _ -> true | _ -> false)
+    (* cross-check the decisions the recording implies against the
+       replayed run's stats: a "commit" point per commit, an attempt
+       span closed with outcome "abort" per abort *)
+    let count f =
+      List.length (List.filter (fun (s : Mvcc_obs.Span.span) -> f s) recorded)
+    in
+    let commits_rec = count (fun s -> s.name = "commit")
     and aborts_rec =
-      count (function Mvcc_obs.Trace.Txn_abort _ -> true | _ -> false)
+      count (fun s ->
+          s.name = "attempt"
+          && List.assoc_opt "outcome" s.attrs
+             = Some (Mvcc_obs.Json.Str "abort"))
     in
     let st = r.Mvcc_engine.Engine.stats in
     Format.printf "commits : recorded %d, replayed %d@." commits_rec
@@ -681,7 +730,7 @@ let replay_cmd =
     Format.printf "aborts  : recorded %d, replayed %d@." aborts_rec
       st.Mvcc_engine.Engine.aborts;
     let ok =
-      events_match
+      spans_match
       && commits_rec = st.Mvcc_engine.Engine.commits
       && aborts_rec = st.Mvcc_engine.Engine.aborts
     in
@@ -693,11 +742,9 @@ let replay_cmd =
   Cmd.v
     (Cmd.info "replay"
        ~doc:
-         "Reconstruct an engine run from a recorded trace and verify the \
-          replayed decisions match it byte-for-byte")
-    Term.(
-      const run $ policy_arg $ readers_arg $ writers_arg $ trace_arg
-      $ seed_arg)
+         "Rebuild an engine run from the flags it was recorded with and \
+          verify the replayed spans match the recorded trace byte-for-byte")
+    Term.(const run $ banking_term $ trace_arg)
 
 (* recover *)
 

@@ -19,7 +19,7 @@ let listener t (ev : Engine.wal_event) =
         Wal.Install { txn; entity; value; wts }
     | Wal_commit { txn } -> Wal.Commit { txn }
     | Wal_abort { txn; reason } ->
-        Wal.Abort { txn; reason = Mvcc_obs.Trace.reason_name reason }
+        Wal.Abort { txn; reason = Mvcc_engine.Event.reason_name reason }
     | Wal_checkpoint { store; commits } ->
         (* capture before appending: the checkpoint record's own LSN is
            where tail replay resumes, and it must not be part of the

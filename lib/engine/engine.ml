@@ -1,5 +1,4 @@
 module Sink = Mvcc_obs.Sink
-module Tr = Mvcc_obs.Trace
 module J = Mvcc_obs.Json
 module W = Mvcc_provenance.Witness
 open Intake
@@ -65,7 +64,7 @@ type wal_event = Event.t =
     }
   | Wal_install of { txn : int; entity : string; value : int; wts : int }
   | Wal_commit of { txn : int }
-  | Wal_abort of { txn : int; reason : Tr.reason }
+  | Wal_abort of { txn : int; reason : Event.reason }
   | Wal_checkpoint of { store : Store.t; commits : int }
 
 (* newest binding per entity wins; the buffer is newest-first *)
@@ -99,8 +98,8 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
   in
   let inline = Option.is_none ex in
   (* the event is only built when a log hook is attached, so durability
-     is free when off — the same thunking discipline as Sink.emit. In
-     pipeline mode metadata events are evaluated eagerly (their fields
+     is free when off — the same thunking discipline as span attributes.
+     In pipeline mode metadata events are evaluated eagerly (their fields
      are plain ints and strings) but buffered in the execution stage
      until the next flush, keeping the byte stream identical. *)
   let wal_emit ev =
@@ -244,7 +243,8 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
   let delay c e =
     if c.status <> Waiting e then begin
       Sink.incr obs "engine.delays";
-      Sink.emit obs (fun () -> Tr.Step_delayed { txn = c.id; entity = e })
+      Sink.span_event obs ~parent:c.sp_attempt "delay" ~attrs:(fun () ->
+          [ ("txn", J.Int c.id); ("entity", J.Str e) ])
     end;
     c.status <- Waiting e
   in
@@ -271,8 +271,6 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
     wal_emit (fun () ->
         let src = if write then None else Some (last_src ()) in
         Wal_op { txn = c.id; entity = e; write; src });
-    Sink.emit obs (fun () ->
-        Tr.Step_scheduled { txn = c.id; entity = e; write });
     Sink.span_event obs ~parent:c.sp_attempt "op" ~attrs:(fun () ->
         [ ("txn", J.Int c.id); ("entity", J.Str e); ("write", J.Bool write) ])
   in
@@ -284,13 +282,12 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
     incr aborts;
     attempts.(c.id) <- attempts.(c.id) + 1;
     Sink.incr obs "engine.aborts";
-    Sink.incr obs ("engine.abort." ^ Tr.reason_name reason);
-    Sink.emit obs (fun () -> Tr.Txn_abort { txn = c.id; reason });
+    Sink.incr obs ("engine.abort." ^ Event.reason_name reason);
     wal_emit (fun () -> Wal_abort { txn = c.id; reason });
     Sink.span_finish obs c.sp_attempt ~attrs:(fun () ->
         [
           ("outcome", J.Str "abort");
-          ("reason", J.Str (Tr.reason_name reason));
+          ("reason", J.Str (Event.reason_name reason));
         ]);
     c.pc <- 0;
     c.regs <- [];
@@ -353,7 +350,6 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
     if not is_ro.(c.id) then incr rw_commits;
     commit_seq := c.id :: !commit_seq;
     Sink.incr obs "engine.commits";
-    Sink.emit obs (fun () -> Tr.Txn_commit { txn = c.id });
     wal_emit (fun () -> Wal_commit { txn = c.id });
     Sink.span_event obs ~parent:c.sp_attempt "commit" ~attrs:(fun () ->
         [ ("txn", J.Int c.id) ]);
@@ -461,7 +457,8 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
            predecessor) *)
         if c.status <> Waiting "(commit)" then begin
           Sink.incr obs "engine.commit-waits";
-          Sink.emit obs (fun () -> Tr.Commit_wait { txn = c.id })
+          Sink.span_event obs ~parent:c.sp_attempt "commit-wait"
+            ~attrs:(fun () -> [ ("txn", J.Int c.id) ])
         end;
         c.status <- Waiting "(commit)"
     | Abort reason -> abort ~reason c
@@ -517,7 +514,7 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
              && c.status <> Committed
              && Random.State.float rng 1. < crash_probability ->
           (* injected failure: the transaction crashes and restarts *)
-          abort ~reason:Tr.Crash c
+          abort ~reason:Event.Crash c
       | Waiting _ -> begin
           (* retry the same operation *)
           let before = c.status in
@@ -619,9 +616,11 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
             }
         in
         let id = Mvcc_provenance.Log.register log witness in
-        Sink.emit obs (fun () ->
-            Tr.Decision
-              { site = "engine." ^ policy_name policy; id; ok = true });
+        Sink.span_event obs "decision" ~attrs:(fun () ->
+            [
+              ("site", J.Str ("engine." ^ policy_name policy));
+              ("id", J.Int id); ("ok", J.Bool true);
+            ]);
         Some (history, witness)
   in
   {

@@ -74,7 +74,7 @@ type wal_event = Event.t =
       (** a version about to be installed at commit (logical redo
           record; emitted {e before} the store mutation) *)
   | Wal_commit of { txn : int }  (** the attempt's commit point *)
-  | Wal_abort of { txn : int; reason : Mvcc_obs.Trace.reason }
+  | Wal_abort of { txn : int; reason : Event.reason }
   | Wal_checkpoint of { store : Store.t; commits : int }
       (** offered every [snapshot_every] commits, on a commit boundary:
           the listener may persist {!Store.dump} and write a checkpoint
@@ -154,19 +154,19 @@ val run :
     [obs] (default {!Mvcc_obs.Sink.noop}) streams accounting into the
     observability layer without ever changing a decision (a tested
     invariant): counters [engine.commits], [engine.aborts] plus
-    [engine.abort.<reason>] per {!Mvcc_obs.Trace.reason},
+    [engine.abort.<reason>] per {!Event.reason},
     [engine.delays] (transitions into a wait), [engine.commit-waits]
     (SGT commits parked on a dirty predecessor), and under SGT the
     certifier's cost ([engine.cert.arcs], [engine.cert.reorder-moves],
     [engine.cert.rollbacks], [engine.cert.rollback-arcs], feed latency
-    histogram [engine.cert.feed_s]); trace events for txn
-    begin/commit/abort-with-reason, step scheduled/delayed, commit
-    waits, and certifier arc-insert/rollback. With a span ring attached
-    it also emits the pipeline span grammar (DESIGN.md): a [txn] root
-    span per client (attrs [txn]/[policy], closed with [outcome] and
-    [attempts]), an [attempt] child per attempt (closed with [outcome]
-    and the abort [reason], ["cascade"] for cascades), [op]/[install]/
-    [commit] points under the attempt, and with [wal_durable] a
+    histogram [engine.cert.feed_s]). With a span ring attached it emits
+    the span grammar (DESIGN.md): a [txn] root span per client (attrs
+    [txn]/[policy], closed with [outcome] and [attempts]), an [attempt]
+    child per attempt (closed with [outcome] and the abort [reason],
+    ["cascade"] for cascades), [op]/[install]/[commit] points under the
+    attempt and beside them the decision points [delay] ([txn],
+    [entity]), [commit-wait] ([txn]) and under SGT [cert] ([txn],
+    [arcs], then [moves] or [rolled_back]), and with [wal_durable] a
     [durable] point per acknowledged commit carrying [lag_ticks]. Spans
     cut off by [max_ticks] close with [outcome = "running"].
 
@@ -177,7 +177,8 @@ val run :
     with the timestamp order and the served version function (MVTO);
     [Read_consistent] with the served version function (SI, which is
     {e not} serializable in general). The witness is registered in
-    [prov] and a [Decision] trace event carries its id.
+    [prov] and a root ["decision"] span point carries its id ([site],
+    [id], [ok]).
 
     [wal] (default off) streams {!wal_event}s to a durability listener;
     [lib/durable] turns them into a CRC-framed write-ahead log and

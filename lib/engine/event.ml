@@ -3,6 +3,34 @@ module Vf = Mvcc_core.Version_fn
 
 type read_src = From_init | From_self | From_txn of int
 
+type reason =
+  | Deadlock
+  | Wait_die
+  | Wound
+  | Ts_order
+  | Write_invalidated
+  | First_committer
+  | Certification
+  | Cascade
+  | Crash
+
+let reason_name = function
+  | Deadlock -> "deadlock"
+  | Wait_die -> "wait-die"
+  | Wound -> "wound"
+  | Ts_order -> "ts-order"
+  | Write_invalidated -> "write-invalidated"
+  | First_committer -> "first-committer"
+  | Certification -> "certification"
+  | Cascade -> "cascade"
+  | Crash -> "crash"
+
+let all_reasons =
+  [
+    Deadlock; Wait_die; Wound; Ts_order; Write_invalidated; First_committer;
+    Certification; Cascade; Crash;
+  ]
+
 type t =
   | Wal_state of { entity : string; value : int }
   | Wal_begin of { txn : int; ts : int }
@@ -14,7 +42,7 @@ type t =
     }
   | Wal_install of { txn : int; entity : string; value : int; wts : int }
   | Wal_commit of { txn : int }
-  | Wal_abort of { txn : int; reason : Mvcc_obs.Trace.reason }
+  | Wal_abort of { txn : int; reason : reason }
   | Wal_checkpoint of { store : Store.t; commits : int }
 
 (* One pass with a last-write table keyed by (transaction, entity id):

@@ -11,6 +11,22 @@ type read_src =
   | From_self  (** the reader's own earlier write *)
   | From_txn of int  (** the writing transaction *)
 
+(** Why an attempt aborted. {!reason_name} is the string WAL abort
+    records and the [engine.abort.<reason>] counters are written from. *)
+type reason =
+  | Deadlock  (** S2PL waits-for cycle, requester is the victim *)
+  | Wait_die  (** wait-die: younger requester dies *)
+  | Wound  (** wound-wait: younger holder preempted *)
+  | Ts_order  (** TO read/write arrived too late *)
+  | Write_invalidated  (** MVTO write under an already-served read *)
+  | First_committer  (** SI first-committer-wins *)
+  | Certification  (** SGT: the operation would close a cycle *)
+  | Cascade  (** aborted because a dirty predecessor aborted *)
+  | Crash  (** injected failure *)
+
+val reason_name : reason -> string
+val all_reasons : reason list
+
 type t =
   | Wal_state of { entity : string; value : int }
   | Wal_begin of { txn : int; ts : int }
@@ -22,7 +38,7 @@ type t =
     }
   | Wal_install of { txn : int; entity : string; value : int; wts : int }
   | Wal_commit of { txn : int }
-  | Wal_abort of { txn : int; reason : Mvcc_obs.Trace.reason }
+  | Wal_abort of { txn : int; reason : reason }
   | Wal_checkpoint of { store : Store.t; commits : int }
 
 val version_fn :

@@ -1,5 +1,4 @@
 module Sink = Mvcc_obs.Sink
-module Tr = Mvcc_obs.Trace
 module J = Mvcc_obs.Json
 
 type status = Ready | Waiting of string | Backoff of int | Committed
@@ -67,7 +66,6 @@ let admit ~policy_name ~programs ?(queues = 1) ~obs ~fresh_ts ~wal_begin () =
   Array.iter
     (fun c ->
       c.ts <- fresh_ts ();
-      Sink.emit obs (fun () -> Tr.Txn_begin { txn = c.id });
       wal_begin ~txn:c.id ~ts:c.ts;
       c.sp_txn <-
         Sink.span_start obs "txn" ~attrs:(fun () ->

@@ -37,8 +37,8 @@ val admit :
   unit ->
   client array
 (** Build the client array for one run: ids in program order, one begin
-    timestamp each (drawn from [fresh_ts], in id order), [Txn_begin]
-    trace events, [txn]/[attempt] spans opened, and [wal_begin] called
+    timestamp each (drawn from [fresh_ts], in id order), [txn]/[attempt]
+    spans opened, and [wal_begin] called
     per client — exactly the admission the sequential engine performed
     inline.
 

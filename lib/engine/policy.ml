@@ -1,5 +1,5 @@
 module Sink = Mvcc_obs.Sink
-module Tr = Mvcc_obs.Trace
+module J = Mvcc_obs.Json
 module Ic = Mvcc_online.Incr_conflict
 module Ig = Mvcc_online.Incr_digraph
 module Step = Mvcc_core.Step
@@ -93,12 +93,12 @@ struct
     match D.deadlock with
     | Detect ->
         if List.exists (fun b -> waits_on t [ c.id ] b c.id) bs then
-          Abort Tr.Deadlock
+          Abort Event.Deadlock
         else Wait
     | Wait_die ->
         (* the requester may wait only for younger holders *)
         if List.exists (fun b -> clients.(b).ts < c.ts) bs then
-          Abort Tr.Wait_die
+          Abort Event.Wait_die
         else Wait
     | Wound_wait ->
         (* wound younger holders; wait for older ones *)
@@ -107,7 +107,7 @@ struct
           (fun b ->
             let h = clients.(b) in
             if h.ts > c.ts && h.status <> Committed then begin
-              t.ctx.abort ~reason:Tr.Wound h;
+              t.ctx.abort ~reason:Event.Wound h;
               wounded := true
             end)
           bs;
@@ -169,7 +169,7 @@ module To = struct
     }
 
   let read t c id _ =
-    if c.ts < t.wts.(id) then Abort Tr.Ts_order
+    if c.ts < t.wts.(id) then Abort Event.Ts_order
     else if List.exists (fun ts -> ts < c.ts) t.pending.(id) then Wait
     else begin
       t.rts.(id) <- max c.ts t.rts.(id);
@@ -177,7 +177,7 @@ module To = struct
     end
 
   let write t c id _ =
-    if c.ts < t.rts.(id) || c.ts < t.wts.(id) then Abort Tr.Ts_order
+    if c.ts < t.rts.(id) || c.ts < t.wts.(id) then Abort Event.Ts_order
     else begin
       t.wts.(id) <- c.ts;
       if not (List.mem c.ts t.pending.(id)) then
@@ -216,7 +216,7 @@ module Mvto = struct
   let invalidates ctx c e = Store.would_invalidate ctx.store e ~wts:c.ts
 
   let write ctx c _ e =
-    if invalidates ctx c e then Abort Tr.Write_invalidated else Go
+    if invalidates ctx c e then Abort Event.Write_invalidated else Go
 
   let serve ctx c _ e =
     let v = Store.read_at ctx.store e c.ts in
@@ -225,7 +225,7 @@ module Mvto = struct
 
   let validate ctx c =
     if List.exists (fun (e, _) -> invalidates ctx c e) c.buffer then
-      Abort Tr.Write_invalidated
+      Abort Event.Write_invalidated
     else Go
 
   let stamp _ c = At c.ts
@@ -261,7 +261,7 @@ module Si = struct
      concurrent writer beat us *)
   let validate ctx c =
     let beaten (e, _) = (Store.latest ctx.store e).Store.wts > c.snapshot in
-    if List.exists beaten c.buffer then Abort Tr.First_committer
+    if List.exists beaten c.buffer then Abort Event.First_committer
     else Go
 
   let stamp ctx _ = At (ctx.fresh_ts ())
@@ -325,21 +325,21 @@ module Sgt = struct
         and moves = Ig.reorder_moves g - moves0
         and rolled = Ig.rolled_back_arcs g - rolled0 in
         Sink.incr ~by:moves obs "engine.cert.reorder-moves";
-        if ok then begin
-          Sink.incr ~by:arcs obs "engine.cert.arcs";
-          Sink.emit obs (fun () -> Tr.Cert_arcs { txn = c.id; arcs; moves })
-        end
+        if ok then Sink.incr ~by:arcs obs "engine.cert.arcs"
         else begin
           Sink.incr obs "engine.cert.rollbacks";
-          Sink.incr ~by:rolled obs "engine.cert.rollback-arcs";
-          Sink.emit obs (fun () ->
-              Tr.Cert_rollback { txn = c.id; arcs = rolled })
+          Sink.incr ~by:rolled obs "engine.cert.rollback-arcs"
         end;
+        Sink.span_event obs ~parent:c.sp_attempt "cert" ~attrs:(fun () ->
+            ("txn", J.Int c.id)
+            ::
+            (if ok then [ ("arcs", J.Int arcs); ("moves", J.Int moves) ]
+             else [ ("arcs", J.Int rolled); ("rolled_back", J.Bool true) ]));
         ok
       end
       else Ic.feed t.cert st
     in
-    if ok then Go else Abort Tr.Certification
+    if ok then Go else Abort Event.Certification
 
   let others c = List.filter (fun (w, _) -> w <> c.id)
 
@@ -385,7 +385,7 @@ module Sgt = struct
     Array.iter
       (fun d ->
         if d.id <> c.id && d.status <> Committed && List.mem c.id t.deps.(d.id)
-        then t.ctx.abort ~reason:Tr.Cascade d)
+        then t.ctx.abort ~reason:Event.Cascade d)
       t.ctx.clients
 
   (* a snapshot read would serve the committed version where SGT's own

@@ -10,14 +10,14 @@ type ctx = {
   fresh_ts : unit -> int;  (** draw the next timestamp *)
   clock : unit -> int;  (** the last timestamp drawn *)
   obs : Mvcc_obs.Sink.t;
-  abort : reason:Mvcc_obs.Trace.reason -> Intake.client -> unit;
+  abort : reason:Event.reason -> Intake.client -> unit;
       (** the driver's abort: reset the attempt and restart it *)
 }
 
 type verdict =
   | Go
   | Wait  (** block; the client retries when next picked *)
-  | Abort of Mvcc_obs.Trace.reason
+  | Abort of Event.reason
   | Retry  (** no progress: the policy acted itself (wound-wait) *)
 
 type source =

@@ -3,7 +3,7 @@
     Covers exactly the fragment the observability layer produces: flat,
     single-line objects whose values are integers, floats, strings, or
     booleans. {!obj} and {!parse_obj} are inverses on that fragment —
-    the basis of the trace JSON-lines round-trip — with no external
+    the basis of the span JSON-lines round-trip — with no external
     JSON dependency. *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool

@@ -1,25 +1,18 @@
-(* The instrumentation funnel: a sink is either live (metrics, a trace
-   ring, and/or a span ring) or the shared noop. Every operation
-   pattern-matches the relevant component first, so on the noop each
-   call is one branch — and the thunked variants ([emit], [time], the
-   span operations) never build the event, the attribute list, or read
-   the clock when nobody is listening. *)
+(* The instrumentation funnel: a sink is either live (metrics and/or a
+   span ring) or the shared noop. Every operation pattern-matches the
+   relevant component first, so on the noop each call is one branch —
+   and the thunked variants ([time], the span operations) never build
+   the attribute list or read the clock when nobody is listening. *)
 
 type t = {
   metrics : Metrics.t option;
-  trace : Trace.t option;
   spans : Span.t option;
 }
 
-let noop = { metrics = None; trace = None; spans = None }
-let create ?metrics ?trace ?spans () = { metrics; trace; spans }
-
-let enabled t =
-  Option.is_some t.metrics || Option.is_some t.trace
-  || Option.is_some t.spans
-
+let noop = { metrics = None; spans = None }
+let create ?metrics ?spans () = { metrics; spans }
+let enabled t = Option.is_some t.metrics || Option.is_some t.spans
 let metrics t = t.metrics
-let trace t = t.trace
 let spans t = t.spans
 
 let incr ?(by = 1) t name =
@@ -30,9 +23,6 @@ let set_gauge t name v =
 
 let observe t name v =
   match t.metrics with None -> () | Some m -> Metrics.observe m name v
-
-let emit t f =
-  match t.trace with None -> () | Some tr -> Trace.emit tr (f ())
 
 let time t name f =
   match t.metrics with

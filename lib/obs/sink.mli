@@ -1,12 +1,12 @@
 (** The instrumentation funnel handed to the engine, the schedulers,
     the certifier, the WAL writer, and the follower.
 
-    A sink bundles an optional {!Metrics.t} registry, an optional
-    {!Trace.t} ring, and an optional {!Span.t} ring. Instrumented code
-    calls the operations below unconditionally; on {!noop} each call is
-    a single pattern match on [None], the thunks passed to {!emit} and
-    the span operations are never forced, and {!time}/{!span_start}
-    never read the clock — observability is free when off, and the
+    A sink bundles an optional {!Metrics.t} registry and an optional
+    {!Span.t} ring — the one event stream. Instrumented code calls the
+    operations below unconditionally; on {!noop} each call is a single
+    pattern match on [None], the attribute thunks of the span
+    operations are never forced, and {!time}/{!span_start} never read
+    the clock — observability is free when off, and the
     decision-invariance property tests (test/test_obs.ml) check it is
     also {e silent}: enabling a sink never changes any scheduling or
     certification decision, nor a byte of the WAL. *)
@@ -16,8 +16,7 @@ type t
 val noop : t
 (** The disabled sink: every operation is a no-op. *)
 
-val create :
-  ?metrics:Metrics.t -> ?trace:Trace.t -> ?spans:Span.t -> unit -> t
+val create : ?metrics:Metrics.t -> ?spans:Span.t -> unit -> t
 
 val enabled : t -> bool
 (** [false] exactly for sinks with no component (e.g. {!noop}) — the
@@ -25,16 +24,11 @@ val enabled : t -> bool
     sizes, clocks) before it can record anything. *)
 
 val metrics : t -> Metrics.t option
-val trace : t -> Trace.t option
 val spans : t -> Span.t option
 
 val incr : ?by:int -> t -> string -> unit
 val set_gauge : t -> string -> int -> unit
 val observe : t -> string -> float -> unit
-
-val emit : t -> (unit -> Trace.event) -> unit
-(** Emit a trace event; the thunk is only forced when a trace ring is
-    attached, so building the event costs nothing when tracing is off. *)
 
 val time : t -> string -> (unit -> 'a) -> 'a
 (** [time t name f] runs [f] and records its wall-clock duration (in
@@ -61,4 +55,6 @@ val span_event :
   t ->
   string ->
   unit
-(** A zero-duration point span (see {!Span.event}). *)
+(** A zero-duration point span (see {!Span.event}): how decisions are
+    reported — delays, commit waits, certification steps, scheduler
+    offers, provenance verdicts (DESIGN.md lists the grammar). *)

@@ -1,8 +1,8 @@
 (* Pipeline spans: open-span table + bounded ring of finished spans.
 
-   The ring mirrors Trace's discipline (fixed memory, oldest dropped,
-   JSON-lines round-trip through the shared Json/Jsonl modules); what
-   is new is the time base. Span ticks are integer nanoseconds since
+   The ring is the observability layer's one event stream: fixed
+   memory, oldest dropped, JSON-lines round-trip through the shared
+   Json/Jsonl modules. Span ticks are integer nanoseconds since
    the ring's creation: subtracting the epoch keeps the numbers small
    enough that serialization is exact, and integer ticks make the
    pipeline-ordering properties (commit <= durable <= replicated)
@@ -50,8 +50,14 @@ let create ?(capacity = 4096) ?(clock = Unix.gettimeofday) () =
     last = 0;
   }
 
+let counter_clock () =
+  let n = ref 0 in
+  fun () ->
+    incr n;
+    float_of_int !n *. 1e-6
+
 let now t =
-  let tick = int_of_float ((t.clock () -. t.epoch) *. 1e9) in
+  let tick = Float.to_int (Float.round ((t.clock () -. t.epoch) *. 1e9)) in
   if tick < t.last then t.last else (t.last <- tick; tick)
 
 let record t s =

@@ -4,17 +4,18 @@
     start/end ticks, and flat key/value attributes — the unit the
     commit-pipeline waterfall ([timeline]) and the Chrome trace export
     are built from. Ticks are nanoseconds since the ring's creation
-    (the ring reads its clock once at {!create} and subtracts), kept as
-    integers so the JSON-lines round-trip is exact and comparisons
-    ([commit <= durable <= replicated]) never hit float rounding. The
-    clock is monotonically clamped: a span started after another can
-    never carry an earlier tick even if the wall clock steps back.
+    (the ring reads its clock once at {!create} and subtracts), rounded
+    to the nearest and kept as integers so the JSON-lines round-trip is
+    exact and comparisons ([commit <= durable <= replicated]) never hit
+    float rounding. The clock is monotonically clamped: a span started
+    after another can never carry an earlier tick even if the wall
+    clock steps back.
 
-    Like {!Trace}, finished spans land in a bounded ring — the oldest
-    are overwritten (and counted as dropped) rather than growing
-    without bound. Spans still open are held aside until {!finish},
-    so their memory is bounded by the number of concurrently open
-    spans, not by run length. *)
+    Finished spans land in a bounded ring — the oldest are overwritten
+    (and counted as dropped) rather than growing without bound. Spans
+    still open are held aside until {!finish}, so their memory is
+    bounded by the number of concurrently open spans, not by run
+    length. *)
 
 type span = {
   id : int;  (** unique, assigned in {!start} order *)
@@ -33,6 +34,10 @@ val create : ?capacity:int -> ?clock:(unit -> float) -> unit -> t
     counter for deterministic tests.
     @raise Invalid_argument if [capacity <= 0]. *)
 
+val counter_clock : unit -> unit -> float
+(** A fresh deterministic clock for {!create}: every read advances one
+    microsecond, so a ring's ticks depend only on the calls made. *)
+
 val start :
   t -> ?parent:int -> ?attrs:(string * Json.value) list -> string -> int
 (** Open a span and return its id. A negative [parent] means no parent
@@ -47,7 +52,8 @@ val finish : t -> ?attrs:(string * Json.value) list -> int -> unit
 val event :
   t -> ?parent:int -> ?attrs:(string * Json.value) list -> string -> unit
 (** A zero-duration span ([t0 = t1], one clock read) — for points in
-    the pipeline (op decided, commit durable, commit replicated). *)
+    the pipeline (op decided, commit durable, commit replicated) and
+    for decisions (delay, certification step, provenance verdict). *)
 
 val capacity : t -> int
 
@@ -78,5 +84,9 @@ val of_json : string -> span option
 val write_jsonl : out_channel -> t -> unit
 
 val read_jsonl : in_channel -> span list * Jsonl.stats
-(** Tolerant ingestion via {!Jsonl} — damaged lines are skipped and
-    reported, same discipline as trace replay and WAL recovery. *)
+(** Tolerant ingestion via {!Jsonl}, in file order: blank lines are
+    ignored, garbage lines before the end are counted as skips, and a
+    partial final line (a write torn by a crash) is reported as
+    {!Jsonl.stats.torn_tail} instead — the discipline [replay --trace]
+    and WAL recovery share. Inverse of {!write_jsonl} on well-formed
+    files ({!Jsonl.clean} stats). *)

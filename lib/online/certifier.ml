@@ -1,5 +1,6 @@
 open Mvcc_core
 module Sink = Mvcc_obs.Sink
+module J = Mvcc_obs.Json
 
 type mode = Conflict | Mv_conflict
 type verdict = Accepted | Rejected
@@ -58,17 +59,18 @@ let feed t (st : Step.t) =
       Sink.incr ~by:moves t.obs (t.pfx ^ ".reorder-moves");
       if ok then begin
         Sink.incr t.obs (t.pfx ^ ".accepted");
-        Sink.incr ~by:arcs t.obs (t.pfx ^ ".arcs");
-        Sink.emit t.obs (fun () ->
-            Mvcc_obs.Trace.Cert_arcs { txn = st.txn; arcs; moves })
+        Sink.incr ~by:arcs t.obs (t.pfx ^ ".arcs")
       end
       else begin
         Sink.incr t.obs (t.pfx ^ ".rejected");
         Sink.incr t.obs (t.pfx ^ ".rollbacks");
-        Sink.incr ~by:rolled t.obs (t.pfx ^ ".rollback-arcs");
-        Sink.emit t.obs (fun () ->
-            Mvcc_obs.Trace.Cert_rollback { txn = st.txn; arcs = rolled })
+        Sink.incr ~by:rolled t.obs (t.pfx ^ ".rollback-arcs")
       end;
+      Sink.span_event t.obs "cert" ~attrs:(fun () ->
+          ("txn", J.Int st.txn)
+          ::
+          (if ok then [ ("arcs", J.Int arcs); ("moves", J.Int moves) ]
+           else [ ("arcs", J.Int rolled); ("rolled_back", J.Bool true) ]));
       ok
     end
     else feed_state t st
@@ -120,7 +122,9 @@ let feed_explained t (st : Step.t) =
   | None -> ()
   | Some log ->
       let id = Mvcc_provenance.Log.register log witness in
-      Sink.emit t.obs (fun () ->
-          Mvcc_obs.Trace.Decision
-            { site = t.pfx; id; ok = verdict = Accepted }));
+      Sink.span_event t.obs "decision" ~attrs:(fun () ->
+          [
+            ("site", J.Str t.pfx); ("id", J.Int id);
+            ("ok", J.Bool (verdict = Accepted));
+          ]));
   { verdict; witness }

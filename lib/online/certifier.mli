@@ -28,11 +28,12 @@ val create : ?obs:Mvcc_obs.Sink.t -> ?log:Mvcc_provenance.Log.t -> mode -> t
     [accepted]/[rejected]/[arcs] (arcs inserted), [reorder-moves]
     (topological-order slots the Pearce–Kelly reorder reassigned),
     [rollbacks]/[rollback-arcs] (rejected batches and the arcs they
-    unwound), latency histogram [feed_s], and [Cert_arcs] /
-    [Cert_rollback] trace events. Decisions are identical with any
-    sink — checked by the invariance properties in test/test_obs.ml.
-    [log] makes {!feed_explained} register each witness there and emit a
-    [Decision] trace event carrying its id. *)
+    unwound), latency histogram [feed_s], and a ["cert"] span point per
+    feed ([txn], [arcs], then [moves] or [rolled_back]). Decisions are
+    identical with any sink — checked by the invariance properties in
+    test/test_obs.ml. [log] makes {!feed_explained} register each
+    witness there and emit a ["decision"] span point carrying its id
+    ([site], [id], [ok]). *)
 
 val mode : t -> mode
 

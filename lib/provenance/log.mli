@@ -1,9 +1,10 @@
 (** A witness registry.
 
-    Trace events are flat JSON and cannot carry a structured certificate;
+    Spans are flat JSON and cannot carry a structured certificate;
     instead, decision sites register their witness here and emit only the
-    returned id ({!Mvcc_obs.Trace.Decision}). Post-mortem tooling joins
-    the trace back against the log. *)
+    returned id, as the [id] attribute of a zero-duration ["decision"]
+    span point ({!Mvcc_obs.Sink.span_event}). Post-mortem tooling joins
+    the spans back against the log. *)
 
 type t
 

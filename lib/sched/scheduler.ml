@@ -1,4 +1,6 @@
 open Mvcc_core
+module Sink = Mvcc_obs.Sink
+module J = Mvcc_obs.Json
 
 type verdict = Accepted of Version_fn.source option | Rejected
 
@@ -16,7 +18,7 @@ let extend = Schedule.append
    untouched, so instrumentation can never change a decision — the
    invariance property tests run each policy both ways and compare. *)
 let instrument sink (sched : t) =
-  if not (Mvcc_obs.Sink.enabled sink) then sched
+  if not (Sink.enabled sink) then sched
   else
     let pfx = "sched." ^ sched.name in
     let offered = pfx ^ ".offered"
@@ -31,30 +33,22 @@ let instrument sink (sched : t) =
           {
             offer =
               (fun ~prefix ~last_of_txn (st : Step.t) ->
-                Mvcc_obs.Sink.incr sink offered;
+                Sink.incr sink offered;
                 let verdict =
-                  Mvcc_obs.Sink.time sink offer_s (fun () ->
+                  Sink.time sink offer_s (fun () ->
                       inst.offer ~prefix ~last_of_txn st)
                 in
-                (match verdict with
-                | Accepted _ ->
-                    Mvcc_obs.Sink.incr sink accepted;
-                    Mvcc_obs.Sink.emit sink (fun () ->
-                        Mvcc_obs.Trace.Step_scheduled
-                          {
-                            txn = st.txn;
-                            entity = st.entity;
-                            write = Step.is_write st;
-                          })
-                | Rejected ->
-                    Mvcc_obs.Sink.incr sink rejected;
-                    Mvcc_obs.Sink.emit sink (fun () ->
-                        Mvcc_obs.Trace.Step_rejected
-                          {
-                            txn = st.txn;
-                            entity = st.entity;
-                            write = Step.is_write st;
-                          }));
+                let ok =
+                  match verdict with Accepted _ -> true | Rejected -> false
+                in
+                Sink.incr sink (if ok then accepted else rejected);
+                Sink.span_event sink "offer" ~attrs:(fun () ->
+                    [
+                      ("txn", J.Int st.txn);
+                      ("entity", J.Str st.entity);
+                      ("write", J.Bool (Step.is_write st));
+                      ("accepted", J.Bool ok);
+                    ]);
                 verdict);
           });
     }

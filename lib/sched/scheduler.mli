@@ -34,8 +34,8 @@ type t = { name : string; fresh : unit -> instance }
 val instrument : Mvcc_obs.Sink.t -> t -> t
 (** [instrument sink sched] counts, times, and traces every offer under
     [sched]'s name: counters [sched.<name>.offered/accepted/rejected],
-    latency histogram [sched.<name>.offer_s], and
-    [Step_scheduled]/[Step_rejected] trace events. Verdicts are
+    latency histogram [sched.<name>.offer_s], and an ["offer"] span
+    point ([txn], [entity], [write], [accepted]). Verdicts are
     forwarded untouched — instrumentation never changes a decision (the
     invariance property in test/test_obs.ml) — and on a disabled sink
     the scheduler is returned as-is, so the wrapper costs nothing when

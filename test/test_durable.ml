@@ -9,7 +9,7 @@ module Recovery = Mvcc_durable.Recovery
 module Hook = Mvcc_durable.Hook
 module Crash = Mvcc_durable.Crash
 module Follower = Mvcc_durable.Follower
-module Trace = Mvcc_obs.Trace
+module Span = Mvcc_obs.Span
 module Sink = Mvcc_obs.Sink
 
 let check = Alcotest.(check bool)
@@ -362,14 +362,12 @@ let run_traced ?wal ?snapshot_every ~policy ~seed () =
     Crash.workload { Crash.default with policy; seed; snapshot_every }
   in
   let initial = List.init 6 (fun i -> (Printf.sprintf "e%d" i, 100)) in
-  let trace = Trace.create ~capacity:4096 () in
-  let obs = Sink.create ~trace () in
+  let spans =
+    Span.create ~capacity:4096 ~clock:(Span.counter_clock ()) ()
+  in
+  let obs = Sink.create ~spans () in
   let r = E.run ~policy ~initial ~programs ~obs ?wal ?snapshot_every ~seed () in
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun (i, ev) -> Buffer.add_string buf (Trace.to_json i ev))
-    (Trace.to_list trace);
-  (r, Buffer.contents buf)
+  (r, List.map Span.to_json (Span.to_list spans))
 
 let prop_wal_off_invariance =
   QCheck2.Test.make

@@ -5,7 +5,9 @@ module E = Mvcc_engine.Engine
 module P = Mvcc_engine.Program
 module S = Mvcc_engine.Store
 module Metrics = Mvcc_obs.Metrics
-module Trace = Mvcc_obs.Trace
+module Span = Mvcc_obs.Span
+module Json = Mvcc_obs.Json
+module Event = Mvcc_engine.Event
 module Sink = Mvcc_obs.Sink
 
 let check = Alcotest.(check bool)
@@ -347,26 +349,36 @@ let test_store_prune () =
 
 (* -- observability: abort reasons, cascade chains, commit waits -- *)
 
-let instrumented ?(crash = 0.) ~policy ~programs seed =
+let instrumented ?(crash = 0.) ?(initial = initial) ~policy ~programs seed =
   let metrics = Metrics.create () in
-  let trace = Trace.create ~capacity:8192 () in
-  let obs = Sink.create ~metrics ~trace () in
+  let spans = Span.create ~capacity:65536 () in
+  let obs = Sink.create ~metrics ~spans () in
   let r =
     E.run ~policy ~initial ~programs ~crash_probability:crash ~obs ~seed ()
   in
-  (r, metrics, trace)
+  (r, metrics, spans)
 
 let abort_reason_total metrics =
   List.fold_left
     (fun acc reason ->
       acc
-      + Metrics.counter metrics ("engine.abort." ^ Trace.reason_name reason))
-    0 Trace.all_reasons
+      + Metrics.counter metrics ("engine.abort." ^ Event.reason_name reason))
+    0 Event.all_reasons
+
+(* the abort reason an attempt span closed with, if it aborted *)
+let abort_reason (s : Span.span) =
+  let attr k = List.assoc_opt k s.Span.attrs in
+  match (s.Span.name, attr "outcome", attr "reason") with
+  | "attempt", Some (Json.Str "abort"), Some (Json.Str r) -> Some r
+  | _ -> None
 
 (* the accounting identities every instrumented run must satisfy:
-   counters reconcile with the engine's own statistics, and the trace
-   holds exactly one terminal event per commit/abort *)
-let check_reconciled name r metrics trace =
+   counters reconcile with the engine's own statistics, and the span
+   ring holds exactly one "commit" point per commit and one aborted
+   attempt span per abort, with each reason counted as often as its
+   [engine.abort.<reason>] counter *)
+let check_reconciled name r metrics spans =
+  check_int (name ^ ": no span dropped") 0 (Span.dropped spans);
   check_int (name ^ ": commit counter = stats") r.E.stats.E.commits
     (Metrics.counter metrics "engine.commits");
   check_int (name ^ ": abort counter = stats") r.E.stats.E.aborts
@@ -374,13 +386,20 @@ let check_reconciled name r metrics trace =
   check_int
     (name ^ ": abort reasons partition the aborts")
     r.E.stats.E.aborts (abort_reason_total metrics);
-  let count f =
-    List.length (List.filter (fun (_, e) -> f e) (Trace.to_list trace))
-  in
-  check_int (name ^ ": one commit event per commit") r.E.stats.E.commits
-    (count (function Trace.Txn_commit _ -> true | _ -> false));
-  check_int (name ^ ": one abort event per abort") r.E.stats.E.aborts
-    (count (function Trace.Txn_abort _ -> true | _ -> false))
+  let sl = Span.to_list spans in
+  let count f = List.length (List.filter f sl) in
+  check_int (name ^ ": one commit point per commit") r.E.stats.E.commits
+    (count (fun s -> s.Span.name = "commit"));
+  check_int (name ^ ": one aborted attempt per abort") r.E.stats.E.aborts
+    (count (fun s -> abort_reason s <> None));
+  List.iter
+    (fun reason ->
+      let n = Event.reason_name reason in
+      check_int
+        (Printf.sprintf "%s: %s attempts = engine.abort.%s" name n n)
+        (Metrics.counter metrics ("engine.abort." ^ n))
+        (count (fun s -> abort_reason s = Some n)))
+    Event.all_reasons
 
 (* a dependency chain: t1 reads t0's dirty write, t2 reads t1's, t3
    reads t2's — so a crash of an early writer must cascade down the
@@ -403,36 +422,25 @@ let test_sgt_cascade_chain () =
   (* the counters must reconcile on every seed... *)
   List.iter
     (fun seed ->
-      let r, metrics, trace =
+      let r, metrics, spans =
         instrumented ~crash:0.08 ~policy:E.Sgt ~programs:chain_workload
           seed
       in
       check_reconciled (Printf.sprintf "cascade seed %d" seed) r metrics
-        trace)
+        spans)
     seeds;
   (* ...and some seed must exhibit a chain at least three deep: a root
      abort (crash or certification) followed by >= 2 cascades *)
   let deep_chain seed =
-    let _, metrics, trace =
+    let _, metrics, spans =
       instrumented ~crash:0.08 ~policy:E.Sgt ~programs:chain_workload seed
     in
     Metrics.counter metrics "engine.abort.cascade" >= 2
     &&
-    let events = List.map snd (Trace.to_list trace) in
-    let rec after_root = function
-      | Trace.Txn_abort { reason = Trace.Cascade; _ } :: _ -> false
-      | Trace.Txn_abort { reason = _; _ } :: rest ->
-          List.length
-            (List.filter
-               (function
-                 | Trace.Txn_abort { reason = Trace.Cascade; _ } -> true
-                 | _ -> false)
-               rest)
-          >= 2
-      | _ :: rest -> after_root rest
-      | [] -> false
-    in
-    after_root events
+    (* aborted attempts in abort order: a root, then >= 2 cascades *)
+    match List.filter_map abort_reason (Span.to_list spans) with
+    | "cascade" :: _ | [] -> false
+    | _ :: rest -> List.length (List.filter (( = ) "cascade") rest) >= 2
   in
   check "some seed cascades >= 3 transactions deep" true
     (List.exists deep_chain seeds)
@@ -456,7 +464,7 @@ let test_sgt_commit_waits () =
   let waited = ref false in
   List.iter
     (fun seed ->
-      let r, metrics, trace = instrumented ~policy:E.Sgt ~programs seed in
+      let r, metrics, spans = instrumented ~policy:E.Sgt ~programs seed in
       check_int
         (Printf.sprintf "seed %d: both commit" seed)
         2 r.E.stats.E.commits;
@@ -464,16 +472,15 @@ let test_sgt_commit_waits () =
         r.E.stats.E.aborts;
       check_reconciled
         (Printf.sprintf "commit-wait seed %d" seed)
-        r metrics trace;
+        r metrics spans;
       if Metrics.counter metrics "engine.commit-waits" > 0 then begin
         waited := true;
         check
-          (Printf.sprintf "seed %d: wait event traced" seed)
+          (Printf.sprintf "seed %d: commit-wait point traced" seed)
           true
           (List.exists
-             (fun (_, e) ->
-               match e with Trace.Commit_wait _ -> true | _ -> false)
-             (Trace.to_list trace))
+             (fun s -> s.Span.name = "commit-wait")
+             (Span.to_list spans))
       end)
     seeds;
   check "some seed exhibits a commit wait" true !waited
@@ -511,6 +518,26 @@ let test_abort_reason_counters () =
              in
              Metrics.counter metrics "engine.abort.crash" > 0)
            seeds))
+    E.all_policies
+
+(* the span/stat identities beyond SGT: Mix-loaded mixed workloads
+   under every policy, with crashes feeding the crash reason *)
+let test_spans_reconcile_all_policies () =
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun seed ->
+          let initial, programs =
+            Mvcc_workload.Program_gen.mixed ~n_entities:6 ~theta:0.6
+              ~n_txns:10 ~seed ()
+          in
+          let r, metrics, spans =
+            instrumented ~crash:0.05 ~initial ~policy ~programs seed
+          in
+          check_reconciled
+            (Printf.sprintf "%s seed %d" (E.policy_name policy) seed)
+            r metrics spans)
+        (List.init 12 Fun.id))
     E.all_policies
 
 (* -- properties -- *)
@@ -556,7 +583,7 @@ let wal_line e =
       Printf.sprintf "install %d %s=%d@%d" txn entity value wts
   | E.Wal_commit { txn } -> Printf.sprintf "commit %d" txn
   | E.Wal_abort { txn; reason } ->
-      Printf.sprintf "abort %d %s" txn (Trace.reason_name reason)
+      Printf.sprintf "abort %d %s" txn (Event.reason_name reason)
   | E.Wal_checkpoint { store; commits } ->
       (* materialize the dump now: the engine hands over the live store *)
       S.dump store
@@ -1109,6 +1136,8 @@ let () =
             test_sgt_commit_waits;
           Alcotest.test_case "abort reason counters" `Quick
             test_abort_reason_counters;
+          Alcotest.test_case "spans reconcile under every policy" `Quick
+            test_spans_reconcile_all_policies;
         ] );
       ( "sharded",
         [

@@ -1,14 +1,14 @@
 (* Tests for the observability layer: histogram bucketing and quantile
-   extraction on known distributions, trace ring-buffer wraparound,
-   JSON-lines round-trips — and the load-bearing property that
-   instrumentation never changes a decision: every scheduler and both
-   incremental certifiers produce identical outcomes with a live sink
-   and with the noop sink, and the engine produces bit-identical runs. *)
+   extraction on known distributions, span ring accounting, the
+   tolerant JSON-lines reader the trace file goes through — and the
+   load-bearing property that instrumentation never changes a decision:
+   every scheduler and both incremental certifiers produce identical
+   outcomes with a live sink and with the noop sink, and the engine
+   produces bit-identical runs. *)
 
 open Mvcc_core
 module Metrics = Mvcc_obs.Metrics
 module H = Mvcc_obs.Metrics.Histogram
-module Trace = Mvcc_obs.Trace
 module Sink = Mvcc_obs.Sink
 module Json = Mvcc_obs.Json
 module Span = Mvcc_obs.Span
@@ -193,72 +193,45 @@ let test_metrics_registry () =
     && json.[0] = '{'
     && json.[String.length json - 1] = '}')
 
-(* -- trace ring buffer -- *)
+(* -- the trace file: span JSON-lines through the tolerant reader -- *)
 
-let ev i = Trace.Txn_commit { txn = i }
+(* a ring holding every shape the engine records: a txn root, an
+   attempt closed with an abort reason, points with escaped strings and
+   one attribute of each JSON type *)
+let sample_ring () =
+  let s = Span.create ~capacity:64 ~clock:(Span.counter_clock ()) () in
+  let root = Span.start s "txn" ~attrs:[ ("txn", Json.Int 3) ] in
+  let att = Span.start s ~parent:root "attempt" in
+  Span.event s ~parent:att "op"
+    ~attrs:
+      [
+        ("txn", Json.Int 3); ("entity", Json.Str "a\"b\\c");
+        ("write", Json.Bool true);
+      ];
+  Span.event s ~parent:att "cert"
+    ~attrs:[ ("arcs", Json.Int 2); ("rolled_back", Json.Bool true) ];
+  Span.event s "decision"
+    ~attrs:
+      [
+        ("site", Json.Str "engine.mvto"); ("id", Json.Int 0);
+        ("ok", Json.Bool false); ("cost", Json.Float 1.5);
+      ];
+  Span.finish s att
+    ~attrs:[ ("outcome", Json.Str "abort"); ("reason", Json.Str "cascade") ];
+  Span.finish s root;
+  s
 
-let test_trace_ring_wraparound () =
-  let t = Trace.create ~capacity:4 () in
-  check_int "empty ring" 0 (List.length (Trace.to_list t));
-  check_int "nothing dropped yet" 0 (Trace.dropped t);
-  for i = 0 to 2 do
-    Trace.emit t (ev i)
-  done;
-  check_int "under capacity keeps all" 3 (List.length (Trace.to_list t));
-  check "sequence numbers from 0" true
-    (List.map fst (Trace.to_list t) = [ 0; 1; 2 ]);
-  for i = 3 to 9 do
-    Trace.emit t (ev i)
-  done;
-  check_int "wrapped ring holds capacity" 4 (List.length (Trace.to_list t));
-  check_int "emitted counts everything" 10 (Trace.emitted t);
-  check_int "dropped = emitted - capacity" 6 (Trace.dropped t);
-  check "oldest-first and newest retained" true
-    (List.map fst (Trace.to_list t) = [ 6; 7; 8; 9 ]);
-  check "events preserved" true
-    (List.map snd (Trace.to_list t) = [ ev 6; ev 7; ev 8; ev 9 ]);
-  check "bad capacity rejected" true
-    (try
-       ignore (Trace.create ~capacity:0 ());
-       false
-     with Invalid_argument _ -> true)
-
-(* -- JSON-lines round trip -- *)
-
-let sample_events =
-  [
-    Trace.Step_scheduled { txn = 0; entity = "x"; write = false };
-    Trace.Step_scheduled { txn = 3; entity = "a\"b\\c"; write = true };
-    Trace.Step_delayed { txn = 1; entity = "acct0" };
-    Trace.Step_rejected { txn = 2; entity = "y"; write = true };
-    Trace.Txn_begin { txn = 4 };
-    Trace.Txn_commit { txn = 5 };
-    Trace.Commit_wait { txn = 6 };
-    Trace.Cert_arcs { txn = 7; arcs = 3; moves = 11 };
-    Trace.Cert_rollback { txn = 8; arcs = 2 };
-    Trace.Decision { site = "cert.conflict"; id = 12; ok = true };
-    Trace.Decision { site = "engine.mvto"; id = 0; ok = false };
-  ]
-  @ List.map
-      (fun reason -> Trace.Txn_abort { txn = 9; reason })
-      Trace.all_reasons
-
+(* write_jsonl emits one parseable line per retained span, in ring
+   order, and only the retained ones once the ring has wrapped *)
 let test_trace_json_round_trip () =
-  List.iteri
-    (fun i e ->
-      let line = Trace.to_json i e in
-      match Trace.of_json line with
-      | None -> Alcotest.fail ("unparseable: " ^ line)
-      | Some (seq, e') ->
-          check_int ("seq of " ^ line) i seq;
-          check ("event of " ^ line) true (e = e'))
-    sample_events;
-  (* write_jsonl emits one parseable line per retained event *)
-  let t = Trace.create ~capacity:64 () in
-  List.iter (Trace.emit t) sample_events;
+  let s = sample_ring () in
+  for i = 0 to 79 do
+    Span.event s "p" ~attrs:[ ("i", Json.Int i) ]
+  done;
+  check "ring wrapped" true (Span.dropped s > 0);
   let file = Filename.temp_file "mvcc_trace" ".jsonl" in
   let oc = open_out file in
-  Trace.write_jsonl oc t;
+  Span.write_jsonl oc s;
   close_out oc;
   let ic = open_in file in
   let lines = ref [] in
@@ -268,86 +241,84 @@ let test_trace_json_round_trip () =
      done
    with End_of_file -> close_in ic);
   Sys.remove file;
-  let parsed = List.rev_map Trace.of_json !lines in
-  check_int "one line per event" (List.length sample_events)
+  let parsed = List.rev_map Span.of_json !lines in
+  check_int "one line per retained span"
+    (List.length (Span.to_list s))
     (List.length parsed);
-  check "every line parses back" true
-    (List.for_all Option.is_some parsed);
-  check "file round-trips the ring" true
-    (List.map Option.get parsed = Trace.to_list t);
-  check "garbage rejected" true (Trace.of_json "{\"seq\":1" = None);
-  check "unknown event rejected" true
-    (Trace.of_json "{\"seq\":1,\"ev\":\"warp\"}" = None)
+  check "every line parses back" true (List.for_all Option.is_some parsed);
+  check "file round trips the ring" true
+    (List.map Option.get parsed = Span.to_list s);
+  check "ids preserved in ring order" true
+    (List.map (fun sp -> sp.Span.id) (List.map Option.get parsed)
+    = List.map (fun sp -> sp.Span.id) (Span.to_list s))
 
 let test_trace_read_jsonl_tolerance () =
-  let t = Trace.create ~capacity:64 () in
-  List.iter (Trace.emit t) sample_events;
+  let t = sample_ring () in
   let file = Filename.temp_file "mvcc_trace" ".jsonl" in
   (* a well-formed file reads back losslessly with a zero skip count *)
   let oc = open_out file in
-  Trace.write_jsonl oc t;
+  Span.write_jsonl oc t;
   close_out oc;
   let ic = open_in file in
-  let events, stats = Trace.read_jsonl ic in
+  let spans, stats = Span.read_jsonl ic in
   close_in ic;
   check_int "clean file skips nothing" 0 stats.Mvcc_obs.Jsonl.skipped;
   check "clean file has no torn tail" false stats.Mvcc_obs.Jsonl.torn_tail;
-  check "clean file round trips" true (events = Trace.to_list t);
+  check "clean file round trips" true (spans = Span.to_list t);
   (* a damaged file: foreign output, a line truncated mid-JSON, a blank
-     line, and an unknown event — the good lines still come through *)
+     line, and a span missing its ticks — the good lines still come
+     through *)
   let oc = open_out file in
   output_string oc "not json at all\n";
-  Trace.write_jsonl oc t;
-  output_string oc "{\"seq\":99,\"ev\":\"txn-commit\"\n";
+  Span.write_jsonl oc t;
+  output_string oc "{\"id\":99,\"name\":\"commit\"\n";
   output_string oc "\n";
-  output_string oc "{\"seq\":1,\"ev\":\"warp\"}\n";
+  output_string oc "{\"id\":1,\"name\":\"warp\"}\n";
   close_out oc;
   let ic = open_in file in
-  let events, stats = Trace.read_jsonl ic in
+  let spans, stats = Span.read_jsonl ic in
   close_in ic;
   Sys.remove file;
   check_int "damaged lines counted, blank lines free" 3
     stats.Mvcc_obs.Jsonl.skipped;
   check "newline-terminated garbage is not a torn tail" false
     stats.Mvcc_obs.Jsonl.torn_tail;
-  check "valid events survive the damage" true (events = Trace.to_list t)
+  check "valid spans survive the damage" true (spans = Span.to_list t)
 
-(* The torn-tail contract recovery depends on: truncating a well-formed
+(* The torn-tail contract replay depends on: truncating a well-formed
    trace at EVERY byte offset of its final record must either keep that
    record whole (cut exactly at its closing byte) or report a torn tail
    — never a silent drop, never a mid-file skip. *)
 let test_trace_torn_tail_every_offset () =
-  let t = Trace.create ~capacity:64 () in
-  List.iter (Trace.emit t) sample_events;
+  let t = sample_ring () in
   let buf = Buffer.create 256 in
   List.iter
-    (fun (seq, ev) ->
-      Buffer.add_string buf (Trace.to_json seq ev);
+    (fun sp ->
+      Buffer.add_string buf (Span.to_json sp);
       Buffer.add_char buf '\n')
-    (Trace.to_list t);
+    (Span.to_list t);
   let whole = Buffer.contents buf in
-  let all = Trace.to_list t in
-  let n_events = List.length all in
+  let n_spans = List.length (Span.to_list t) in
   let last_line_start =
     String.rindex_from whole (String.length whole - 2) '\n' + 1
   in
   for cut = last_line_start to String.length whole - 1 do
-    let events, stats =
-      Mvcc_obs.Jsonl.read_string Trace.of_json (String.sub whole 0 cut)
+    let spans, stats =
+      Mvcc_obs.Jsonl.read_string Span.of_json (String.sub whole 0 cut)
     in
     check_int
       (Printf.sprintf "cut at byte %d: no mid-file skips" cut)
       0 stats.Mvcc_obs.Jsonl.skipped;
     if cut = String.length whole - 1 then begin
       (* the full final record minus only its newline: complete *)
-      check_int "complete record without newline kept" n_events
-        (List.length events);
+      check_int "complete record without newline kept" n_spans
+        (List.length spans);
       check "not reported torn" false stats.Mvcc_obs.Jsonl.torn_tail
     end
     else begin
       check_int
         (Printf.sprintf "cut at byte %d: prefix records intact" cut)
-        (n_events - 1) (List.length events);
+        (n_spans - 1) (List.length spans);
       check
         (Printf.sprintf "cut at byte %d: torn iff partial bytes present" cut)
         (cut > last_line_start)
@@ -373,16 +344,8 @@ let test_json_parser () =
 
 (* -- spans: ring accounting, round trip, well-formedness checker -- *)
 
-(* a deterministic clock advancing 1us per read, so tick arithmetic in
-   the tests is exact *)
-let counter_clock () =
-  let t = ref 0. in
-  fun () ->
-    t := !t +. 1e-6;
-    !t
-
 let test_span_ring () =
-  let s = Span.create ~capacity:4 ~clock:(counter_clock ()) () in
+  let s = Span.create ~capacity:4 ~clock:(Span.counter_clock ()) () in
   check_int "empty ring" 0 (List.length (Span.to_list s));
   check_int "no opens" 0 (Span.open_spans s);
   let root = Span.start s "txn" ~attrs:[ ("txn", Json.Int 0) ] in
@@ -433,13 +396,7 @@ let test_span_ring () =
      with Invalid_argument _ -> true)
 
 let test_span_json_round_trip () =
-  let s = Span.create ~clock:(counter_clock ()) () in
-  let root = Span.start s "txn" ~attrs:[ ("txn", Json.Int 3) ] in
-  let kid = Span.start s ~parent:root "attempt" in
-  Span.event s ~parent:root "durable"
-    ~attrs:[ ("lag_ticks", Json.Int 2); ("who", Json.Str "a\"b\\c") ];
-  Span.finish s kid ~attrs:[ ("outcome", Json.Str "commit") ];
-  Span.finish s root;
+  let s = sample_ring () in
   List.iter
     (fun sp ->
       match Span.of_json (Span.to_json sp) with
@@ -448,18 +405,7 @@ let test_span_json_round_trip () =
     (Span.to_list s);
   check "garbage rejected" true (Span.of_json "{\"id\":1" = None);
   check "missing fields rejected" true
-    (Span.of_json "{\"id\":1,\"name\":\"x\"}" = None);
-  (* file round trip through the tolerant reader *)
-  let file = Filename.temp_file "mvcc_span" ".jsonl" in
-  let oc = open_out file in
-  Span.write_jsonl oc s;
-  close_out oc;
-  let ic = open_in file in
-  let spans, stats = Span.read_jsonl ic in
-  close_in ic;
-  Sys.remove file;
-  check_int "clean file skips nothing" 0 stats.Mvcc_obs.Jsonl.skipped;
-  check "file round trips the ring" true (spans = Span.to_list s)
+    (Span.of_json "{\"id\":1,\"name\":\"x\"}" = None)
 
 let test_span_check () =
   let sp ?parent ~id ~t0 ~t1 name =
@@ -520,7 +466,7 @@ let test_openmetrics_render () =
   check "write_file = render" true (bytes = text)
 
 let test_chrome_trace_render () =
-  let s = Span.create ~clock:(counter_clock ()) () in
+  let s = Span.create ~clock:(Span.counter_clock ()) () in
   let root = Span.start s "txn" ~attrs:[ ("txn", Json.Int 2) ] in
   Span.event s "wal.append" ~attrs:[ ("lsn", Json.Int 0) ];
   Span.event s ~parent:root "replicated" ~attrs:[ ("txn", Json.Int 2) ];
@@ -543,7 +489,7 @@ let accounts = List.init 6 (fun i -> Printf.sprintf "a%d" i)
 let initial = List.map (fun a -> (a, 100)) accounts
 
 let pipeline_spans ~policy ~seed ~commits_window =
-  let spans = Span.create ~capacity:65536 ~clock:(counter_clock ()) () in
+  let spans = Span.create ~capacity:65536 ~clock:(Span.counter_clock ()) () in
   let metrics = Metrics.create () in
   let obs = Sink.create ~metrics ~spans () in
   let w = D_wal.writer ~window:(D_wal.window ~commits:commits_window ()) ~obs () in
@@ -615,10 +561,10 @@ let test_noop_sink () =
   Sink.observe Sink.noop "h" 1.;
   Sink.set_gauge Sink.noop "g" 1;
   let forced = ref false in
-  Sink.emit Sink.noop (fun () ->
+  Sink.span_event Sink.noop "op" ~attrs:(fun () ->
       forced := true;
-      ev 0);
-  check "event thunk never forced on noop" false !forced;
+      []);
+  check "span attrs thunk never forced on noop" false !forced;
   check_int "time still runs the thunk" 7
     (Sink.time Sink.noop "t" (fun () -> 7));
   let m = Metrics.create () in
@@ -645,9 +591,7 @@ let same_outcome (a : Driver.outcome) (b : Driver.outcome) =
 
 let live_sink () =
   (* deliberately tiny rings so the property also exercises wraparound *)
-  Sink.create ~metrics:(Metrics.create ())
-    ~trace:(Trace.create ~capacity:32 ())
-    ~spans:(Span.create ~capacity:32 ())
+  Sink.create ~metrics:(Metrics.create ()) ~spans:(Span.create ~capacity:32 ())
     ()
 
 let gen_schedule =
@@ -733,8 +677,6 @@ let () =
         ] );
       ( "trace",
         [
-          Alcotest.test_case "ring wraparound" `Quick
-            test_trace_ring_wraparound;
           Alcotest.test_case "json round trip" `Quick
             test_trace_json_round_trip;
           Alcotest.test_case "tolerant jsonl reader" `Quick
