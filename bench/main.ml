@@ -1,6 +1,8 @@
-(* Experiment harness: regenerates every figure/table of the reproduction
-   (see DESIGN.md's experiment index and EXPERIMENTS.md for paper-vs-
-   measured) and runs the bechamel timing suite.
+(* Experiment harness: regenerates every figure/table of the paper
+   reproduction, E1-E18 (see DESIGN.md's experiment index and
+   EXPERIMENTS.md for paper-vs-measured), and runs the bechamel timing
+   suite. Engine throughput and per-layer cost are measured by
+   perfbench/, and engine identity checks live in `dune test`.
 
      dune exec bench/main.exe            full run
      dune exec bench/main.exe -- quick   reduced sample counts
@@ -64,30 +66,6 @@ let () =
     record "E18 online-cert"
       (E_online.run
          ~sizes:(if quick then [ 100; 300 ] else [ 100; 300; 1000; 3000 ]));
-  if selected "e20" then
-    record "E20 provenance"
-      (E_provenance.run ~samples:(if quick then 20 else 60));
-  if selected "e19" then
-    record "E19 observability"
-      (E_obs.run ~seeds:(if quick then [ 1; 2 ] else [ 1; 2; 3; 4; 5 ]));
-  if selected "e21" then
-    record "E21 ctx-sharing+jobs"
-      (E_ctx.run ~samples:(if quick then 120 else 400));
-  if selected "e22" then
-    record "E22 interned-core"
-      (E_repr.run ~samples:(if quick then 120 else 300));
-  if selected "e23" then
-    record "E23 durability" (E_durable.run ~passes:(if quick then 3 else 5));
-  if selected "e24" then
-    record "E24 group-commit" (E_group.run ~passes:(if quick then 5 else 9));
-  if selected "e25" then
-    record "E25 spans" (E_spans.run ~passes:(if quick then 3 else 7));
-  if selected "e26" then
-    record "E26 sharded-engine"
-      (E_sharded.run ~passes:(if quick then 3 else 5));
-  if selected "e27" then
-    record "E27 offloop-engine"
-      (E_offloop.run ~passes:(if quick then 3 else 5));
   if selected "timing" && not quick then Timing.run ();
   Util.section "Summary";
   List.iter

@@ -18,43 +18,6 @@ let pct n total =
 
 let rng seed = Random.State.make [| seed |]
 
-(* Drive an engine workload to full completion. A run can end with
-   uncommitted transactions when the tick budget runs out — under S2PL a
-   contended workload spends most of its ticks on deadlock
-   victim/restart cycles — and a throughput row computed from such a run
-   reports attrition, not committed throughput. Retry with a reseeded
-   scheduler (a different interleaving sidesteps the repeating deadlock
-   pattern — the backoff is in schedule space) and a doubled tick
-   budget, up to [attempts] tries; deterministic in the base seed.
-   Returns the first complete result (or the best seen) together with
-   the seed and budget that produced it, so every timing leg can replay
-   exactly that run. The base budget starts *small* on purpose: a
-   livelocked attempt burns its whole budget re-executing victims
-   (Mix compute included), so reshuffling the schedule cheaply and
-   often beats grinding one seed against a large budget — the ladder
-   still reaches [max_ticks * 2^(attempts-1)] if completion really
-   needs it. *)
-let run_to_completion ?(attempts = 6) ~n_txns ?(max_ticks = 20_000) ~seed run
-    =
-  let module E = Mvcc_engine.Engine in
-  let rec go k best =
-    let seed_k = seed + (k * 7919) in
-    let ticks_k = max_ticks * (1 lsl k) in
-    let r = run ~seed:seed_k ~max_ticks:ticks_k in
-    let best =
-      match best with
-      | Some ((b : E.result), _, _) when b.E.stats.E.commits >= r.E.stats.E.commits
-        ->
-          best
-      | _ -> Some (r, seed_k, ticks_k)
-    in
-    if r.E.stats.E.commits >= n_txns || k + 1 >= attempts then
-      let r, s, t = Option.get best in
-      (r, s, t, k + 1)
-    else go (k + 1) best
-  in
-  go 0 None
-
 (* The harness-wide worker pool. Defaults to sequential; main sets it
    from a [jobs=N] argument. Sweeps that go through [pmap]/[pcount] pick
    the parallelism up without further plumbing; results are independent

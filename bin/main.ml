@@ -614,6 +614,15 @@ let simulate_cmd =
     in
     Format.printf "total balance: %d (expected %d)@." total
       (100 * List.length accounts);
+    (* the engine stops only when every program committed or the tick
+       budget ran out, so a short commit count means the latter *)
+    let stats = r.Mvcc_engine.Engine.stats in
+    let n = b.readers + b.writers in
+    if stats.Mvcc_engine.Engine.commits < n then
+      Format.printf
+        "truncated: %d of %d transactions uncommitted at max_ticks=%d@."
+        (n - stats.Mvcc_engine.Engine.commits)
+        n stats.Mvcc_engine.Engine.ticks;
     (match (hook, b.wal) with
     | Some (writer, h), Some file ->
         (match (b.group_commit, r.Mvcc_engine.Engine.durable_commits) with

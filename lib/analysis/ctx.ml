@@ -80,15 +80,6 @@ let mask ~ww ~wr ~rw =
 let kind_graph_keys : Digraph.t key array =
   Array.init 8 (fun m -> key (Printf.sprintf "kind_graph:%d" m))
 
-let kind_selected ~ww ~wr ~rw (a : Step.t) (b : Step.t) =
-  a.entity = b.entity && a.txn <> b.txn
-  &&
-  match (a.action, b.action) with
-  | Step.Write, Step.Write -> ww
-  | Step.Write, Step.Read -> wr
-  | Step.Read, Step.Write -> rw
-  | Step.Read, Step.Read -> false
-
 (* Entity equality is implied inside a bucket, so the sweep only
    inspects the action pair. *)
 let kind_selected_same_entity ~ww ~wr ~rw (a : Step.t) (b : Step.t) =
@@ -109,25 +100,15 @@ let kind_graph t ~ww ~wr ~rw =
         let steps = Schedule.steps s in
         let n = Array.length steps in
         let g = Digraph.create (Schedule.n_txns s) in
-        if !Repr.reference then
-          (* pre-refactor all-pairs scan, string equality innermost *)
-          for p = 0 to n - 1 do
-            for q = p + 1 to n - 1 do
-              if kind_selected ~ww ~wr ~rw steps.(p) steps.(q) then
-                Digraph.add_edge g steps.(p).txn steps.(q).txn
-            done
+        (* per-entity bucket sweep, edges in (p, q) order *)
+        for p = 0 to n - 1 do
+          let b = Schedule.entity_bucket s (Schedule.entity_at s p) in
+          for i = Schedule.entity_rank s p + 1 to Array.length b - 1 do
+            let q = b.(i) in
+            if kind_selected_same_entity ~ww ~wr ~rw steps.(p) steps.(q) then
+              Digraph.add_edge g steps.(p).txn steps.(q).txn
           done
-        else
-          (* per-entity bucket sweep emitting the same edges in the
-             same order *)
-          for p = 0 to n - 1 do
-            let b = Schedule.entity_bucket s (Schedule.entity_at s p) in
-            for i = Schedule.entity_rank s p + 1 to Array.length b - 1 do
-              let q = b.(i) in
-              if kind_selected_same_entity ~ww ~wr ~rw steps.(p) steps.(q)
-              then Digraph.add_edge g steps.(p).txn steps.(q).txn
-            done
-          done;
+        done;
         g)
 
 let conflict_topo_key : int list option key = key "conflict_topo"

@@ -1,8 +1,8 @@
 (** First-class decision procedures over an analysis context.
 
     Every serializability class implements this one interface; [Report],
-    [Topography], the census sweeps, the provenance CLI and the E21
-    bench consume deciders uniformly through it. All functions of one
+    [Topography], the census sweeps and the provenance CLI consume
+    deciders uniformly through it. All functions of one
     module called on the {e same} context share that context's caches —
     the test, witness and violation of a class cost one graph (or one
     polygraph solve, or one search) between them. *)

@@ -12,24 +12,9 @@ let compare_choice (c1 : Polygraph.choice) (c2 : Polygraph.choice) =
     let c = Int.compare c1.k c2.k in
     if c <> 0 then c else Int.compare c1.i c2.i
 
-(* Writers of each entity as padded transaction indices: a string-keyed
-   table on the reference path, the padded schedule's own entity ids on
-   the interned one. Both list writers in reverse first-write order; the
-   choices built from them are sorted before use either way. *)
-let writers_tbl_ref p =
-  let writers = Hashtbl.create 8 in
-  Array.iter
-    (fun (st : Step.t) ->
-      if Step.is_write st then begin
-        let l =
-          Option.value (Hashtbl.find_opt writers st.entity) ~default:[]
-        in
-        if not (List.mem st.txn l) then
-          Hashtbl.replace writers st.entity (st.txn :: l)
-      end)
-    (Schedule.steps p);
-  fun entity -> Option.value (Hashtbl.find_opt writers entity) ~default:[]
-
+(* Writers of each entity as padded transaction indices, keyed by the
+   padded schedule's own entity ids, in reverse first-write order; the
+   choices built from them are sorted before use. *)
 let writers_arr p =
   let writers = Array.make (max 1 (Schedule.n_entities p)) [] in
   Array.iteri
@@ -47,9 +32,7 @@ let writers_arr p =
 
 let of_padded ~padded:p ~std =
   let n = Schedule.n_txns p in
-  let writers_of =
-    if !Repr.reference then writers_tbl_ref p else writers_arr p
-  in
+  let writers_of = writers_arr p in
   let arcs = ref [] in
   let choices = ref [] in
   (* Anchor the padding: T0 precedes everything, Tf follows everything —

@@ -24,76 +24,56 @@ let rec perms = function
    final-state signature matches, plus the number of orders tried. *)
 let search_key : (int list option * int) Ctx.key = Ctx.key "fsr_search"
 
+(* The serialization's final writers depend only on the order: entity
+   [e]'s final writer is the last transaction in the order that writes
+   [e]. Computing that from the interned index filters almost every
+   order with int-vector work, so a schedule is only materialized for the
+   rare orders that pass on to the liveness comparison. *)
 let search c =
   Ctx.memo c search_key (fun c ->
       let s = Ctx.schedule c in
       let lrf_s = Ctx.live_read_froms c and fw_s = Ctx.final_writers c in
+      let n_ents = Schedule.n_entities s in
+      let n_txns = Schedule.n_txns s in
+      let written = Array.make (max 1 (n_txns * n_ents)) false in
+      let writes_of_txn = Array.make n_txns [] in
+      Array.iteri
+        (fun p (st : Step.t) ->
+          if Step.is_write st then begin
+            let e = Schedule.entity_at s p in
+            let slot = (st.txn * n_ents) + e in
+            if not written.(slot) then begin
+              written.(slot) <- true;
+              writes_of_txn.(st.txn) <- e :: writes_of_txn.(st.txn)
+            end
+          end)
+        (Schedule.steps s);
+      let fw_vec = Array.make (max 1 n_ents) (-1) in
+      List.iter
+        (fun (name, w) ->
+          let e = Option.get (Schedule.entity_index s name) in
+          fw_vec.(e) <-
+            (match w with Read_from.T0 -> -1 | Read_from.T i -> i))
+        fw_s;
+      let cur = Array.make (max 1 n_ents) (-1) in
+      let finals_match order =
+        Array.fill cur 0 n_ents (-1);
+        List.iter
+          (fun i -> List.iter (fun e -> cur.(e) <- i) writes_of_txn.(i))
+          order;
+        let rec eq e = e >= n_ents || (cur.(e) = fw_vec.(e) && eq (e + 1)) in
+        eq 0
+      in
       let tried = ref 0 in
-      let orders = perms (List.init (Schedule.n_txns s) Fun.id) in
       let hit =
-        if !Repr.reference then
-          List.find_opt
-            (fun order ->
-              incr tried;
-              let ser = Schedule.serialization s order in
-              (* check the cheap component first: the liveness fixpoint
-                 dominates the signature, and most non-equivalent orders
-                 already disagree on their final writers *)
-              Read_from.equal_finals (Read_from.final_writers ser) fw_s
-              && Read_from.equal_relation (Liveness.live_read_froms ser)
-                   lrf_s)
-            orders
-        else begin
-          (* The serialization's final writers depend only on the order:
-             entity [e]'s final writer is the last transaction in the
-             order that writes [e]. Computing that from the interned
-             index filters almost every order with int-vector work, so a
-             schedule is only materialized for the rare orders that pass
-             on to the liveness comparison. *)
-          let n_ents = Schedule.n_entities s in
-          let n_txns = Schedule.n_txns s in
-          let written = Array.make (max 1 (n_txns * n_ents)) false in
-          let writes_of_txn = Array.make n_txns [] in
-          Array.iteri
-            (fun p (st : Step.t) ->
-              if Step.is_write st then begin
-                let e = Schedule.entity_at s p in
-                let slot = (st.txn * n_ents) + e in
-                if not written.(slot) then begin
-                  written.(slot) <- true;
-                  writes_of_txn.(st.txn) <- e :: writes_of_txn.(st.txn)
-                end
-              end)
-            (Schedule.steps s);
-          let fw_vec = Array.make (max 1 n_ents) (-1) in
-          List.iter
-            (fun (name, w) ->
-              let e = Option.get (Schedule.entity_index s name) in
-              fw_vec.(e) <-
-                (match w with Read_from.T0 -> -1 | Read_from.T i -> i))
-            fw_s;
-          let cur = Array.make (max 1 n_ents) (-1) in
-          let finals_match order =
-            Array.fill cur 0 n_ents (-1);
-            List.iter
-              (fun i ->
-                List.iter (fun e -> cur.(e) <- i) writes_of_txn.(i))
-              order;
-            let rec eq e =
-              e >= n_ents || (cur.(e) = fw_vec.(e) && eq (e + 1))
-            in
-            eq 0
-          in
-          List.find_opt
-            (fun order ->
-              incr tried;
-              finals_match order
-              && Read_from.equal_relation
-                   (Liveness.live_read_froms
-                      (Schedule.serialization s order))
-                   lrf_s)
-            orders
-        end
+        List.find_opt
+          (fun order ->
+            incr tried;
+            finals_match order
+            && Read_from.equal_relation
+                 (Liveness.live_read_froms (Schedule.serialization s order))
+                 lrf_s)
+          (perms (List.init n_txns Fun.id))
       in
       (hit, !tried))
 

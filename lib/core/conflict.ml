@@ -1,7 +1,6 @@
 (* All-pairs reference enumeration, kept as the oracle the bucketed
-   sweeps are qcheck-pinned against (and as the "before" leg of the E22
-   paired benchmark): O(n²) with the relation — string equality
-   included — in the innermost loop. *)
+   sweeps are qcheck-pinned against: O(n²) with the relation — string
+   equality included — in the innermost loop. *)
 let pairs_satisfying rel s =
   let steps = Schedule.steps s in
   let n = Array.length steps in
@@ -40,27 +39,11 @@ let conflicts_same_entity (a : Step.t) (b : Step.t) =
 let mv_conflicts_same_entity (a : Step.t) (b : Step.t) =
   a.txn <> b.txn && a.action = Step.Read && b.action = Step.Write
 
-let conflicting_pairs s =
-  if !Repr.reference then pairs_satisfying Step.conflicts s
-  else sweep_pairs conflicts_same_entity s
-
-let mv_conflicting_pairs s =
-  if !Repr.reference then
-    pairs_satisfying (fun a b -> Step.mv_conflicts ~first:a ~second:b) s
-  else sweep_pairs mv_conflicts_same_entity s
-
-let graph_of_pairs s pairs =
-  let g = Mvcc_graph.Digraph.create (Schedule.n_txns s) in
-  List.iter
-    (fun (p, q) ->
-      let a = Schedule.step s p and b = Schedule.step s q in
-      Mvcc_graph.Digraph.add_edge g a.txn b.txn)
-    pairs;
-  g
+let conflicting_pairs s = sweep_pairs conflicts_same_entity s
+let mv_conflicting_pairs s = sweep_pairs mv_conflicts_same_entity s
 
 (* The graph constructors add edges during the sweep itself instead of
-   materializing the pair list; insertion order is the pair order, so
-   the graphs are identical either way. *)
+   materializing the pair list; insertion order is the pair order. *)
 let sweep_graph keep s =
   let g = Mvcc_graph.Digraph.create (Schedule.n_txns s) in
   let n = Schedule.length s in
@@ -75,16 +58,8 @@ let sweep_graph keep s =
   done;
   g
 
-let graph s =
-  if !Repr.reference then
-    graph_of_pairs s (pairs_satisfying Step.conflicts s)
-  else sweep_graph conflicts_same_entity s
-
-let mv_graph s =
-  if !Repr.reference then
-    graph_of_pairs s
-      (pairs_satisfying (fun a b -> Step.mv_conflicts ~first:a ~second:b) s)
-  else sweep_graph mv_conflicts_same_entity s
+let graph s = sweep_graph conflicts_same_entity s
+let mv_graph s = sweep_graph mv_conflicts_same_entity s
 
 let compare_arc (u1, v1, e1) (u2, v2, e2) =
   let c = Int.compare u1 u2 in

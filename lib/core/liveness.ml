@@ -3,9 +3,9 @@
    is live when a later write of the same transaction is live.
 
    Both implementations run the same descending sweep to the same least
-   fixpoint; the reference one rescans the whole suffix of the schedule
-   at every step, the interned one consults the per-transaction position
-   arrays and a once-built readers-of-write index. *)
+   fixpoint; the reference oracle rescans the whole suffix of the
+   schedule at every step, the interned one consults the per-transaction
+   position arrays and a once-built readers-of-write index. *)
 
 let live_positions_std_ref s std =
   let n = Schedule.length s in
@@ -56,7 +56,7 @@ let live_positions_std_ref s std =
   done;
   live
 
-let live_positions_std_fast s std =
+let live_positions_std s std =
   let n = Schedule.length s in
   let steps = Schedule.steps s in
   let live = Array.make n false in
@@ -105,15 +105,9 @@ let live_positions_std_fast s std =
   done;
   live
 
-let live_positions_std s std =
-  if !Repr.reference then live_positions_std_ref s std
-  else live_positions_std_fast s std
-
 let live_positions s = live_positions_std s (Version_fn.standard s)
 
-let live_read_froms s =
-  let std = Version_fn.standard s in
-  let live = live_positions_std s std in
+let read_froms_of s std live =
   let steps = Schedule.steps s in
   Array.to_list steps
   |> List.mapi (fun pos st -> (pos, st))
@@ -127,6 +121,14 @@ let live_read_froms s =
            Some { Read_from.reader = st.txn; entity = st.entity; writer }
          else None)
   |> List.sort_uniq Read_from.compare_triple
+
+let live_read_froms s =
+  let std = Version_fn.standard s in
+  read_froms_of s std (live_positions_std s std)
+
+let live_read_froms_ref s =
+  let std = Version_fn.standard_ref s in
+  read_froms_of s std (live_positions_std_ref s std)
 
 let dead_steps s =
   let live = live_positions s in

@@ -19,5 +19,10 @@ val live_read_froms : Schedule.t -> Read_from.triple list
     function, sorted and duplicate-free. Two schedules of the same system
     are final-state equivalent iff these and the final writers coincide. *)
 
+val live_read_froms_ref : Schedule.t -> Read_from.triple list
+(** Reference oracle for {!live_read_froms}: the string-keyed standard
+    version function and a fixpoint that rescans the schedule suffix at
+    every step. Same triples; kept for the property tests. *)
+
 val dead_steps : Schedule.t -> Step.t list
 (** The dead steps, in schedule order (for diagnostics). *)

@@ -65,8 +65,8 @@ let equal_finals =
   List.equal (fun (e1, w1) (e2, w2) ->
       String.equal e1 e2 && equal_writer w1 w2)
 
-(* Pre-refactor reference: a string-keyed last-write table probed once
-   per sorted entity. *)
+(* Reference oracle: a string-keyed last-write table probed once per
+   sorted entity. *)
 let final_writers_ref s =
   let last = Hashtbl.create 8 in
   Array.iter
@@ -80,26 +80,24 @@ let final_writers_ref s =
       | None -> (e, T0))
     (Schedule.entities s)
 
+(* Per entity id, the last write is the last write position in its
+   bucket; assemble in ascending name order to match the reference
+   output exactly. *)
 let final_writers s =
-  if !Repr.reference then final_writers_ref s
-  else
-    (* Per entity id, the last write is the last write position in its
-       bucket; assemble in ascending name order to match the reference
-       output exactly. *)
-    Array.to_list (Schedule.sorted_entity_ids s)
-    |> List.map (fun e ->
-           let b = Schedule.entity_bucket s e in
-           let w = ref T0 in
-           (try
-              for i = Array.length b - 1 downto 0 do
-                let st = Schedule.step s b.(i) in
-                if Step.is_write st then begin
-                  w := T st.txn;
-                  raise Exit
-                end
-              done
-            with Exit -> ());
-           (Schedule.entity_name s e, !w))
+  Array.to_list (Schedule.sorted_entity_ids s)
+  |> List.map (fun e ->
+         let b = Schedule.entity_bucket s e in
+         let w = ref T0 in
+         (try
+            for i = Array.length b - 1 downto 0 do
+              let st = Schedule.step s b.(i) in
+              if Step.is_write st then begin
+                w := T st.txn;
+                raise Exit
+              end
+            done
+          with Exit -> ());
+         (Schedule.entity_name s e, !w))
 
 let view s v i =
   relation s v

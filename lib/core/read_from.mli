@@ -47,6 +47,11 @@ val final_writers : Schedule.t -> (string * writer) list
     sorted by entity. This is what the padding transaction Tf reads under
     the standard version function. *)
 
+val final_writers_ref : Schedule.t -> (string * writer) list
+(** Reference oracle for {!final_writers}: a string-keyed last-write
+    table probed once per sorted entity. Same list; kept for the
+    property tests. *)
+
 val view : Schedule.t -> Version_fn.t -> int -> (string * writer) list
 (** The view of a transaction in [(s, V)]: for each entity it reads, the
     writer(s) it reads from — as a sorted association list of (entity,

@@ -168,9 +168,11 @@ let is_permutation n order =
    Building it from the parent's index is all int-array work — no string
    hashing, no per-transaction lists — which matters because factorial
    searches (FSR, the naive oracles) construct one serialization per
-   permutation. The generic [make] funnel below remains the reference
-   leg; both produce structurally identical schedules (qcheck-pinned). *)
-let serialization_interned s order =
+   permutation. It is structurally identical to [make] over the
+   concatenated programs (qcheck-pinned). *)
+let serialization s order =
+  if not (is_permutation s.n_txns order) then
+    invalid_arg "Schedule.serialization: not a permutation";
   let n = Array.length s.steps in
   if n = 0 then make s.n_txns [||]
   else begin
@@ -230,14 +232,6 @@ let serialization_interned s order =
     in
     { n_txns = s.n_txns; steps; index }
   end
-
-let serialization s order =
-  if not (is_permutation s.n_txns order) then
-    invalid_arg "Schedule.serialization: not a permutation";
-  if !Repr.reference then
-    let steps = List.concat_map (fun i -> txn_program s i) order in
-    make s.n_txns (Array.of_list steps)
-  else serialization_interned s order
 
 let append s (st : Step.t) =
   if st.txn < 0 then

@@ -16,7 +16,7 @@ let domain v = Int_map.bindings v |> List.map fst
 let of_list l = List.fold_left (fun v (p, s) -> add p s v) empty l
 let to_list v = Int_map.bindings v
 
-(* Pre-refactor reference: a string-keyed last-write table. *)
+(* Reference oracle: a string-keyed last-write table. *)
 let standard_ref s =
   let last_write = Hashtbl.create 8 in
   let v = ref empty in
@@ -34,25 +34,22 @@ let standard_ref s =
     (Schedule.steps s);
   !v
 
+(* One pass over the interned view: the last write per dense entity id
+   lives in a flat array, no string ever hashed. *)
 let standard s =
-  if !Repr.reference then standard_ref s
-  else begin
-    (* One pass over the interned view: the last write per dense entity
-       id lives in a flat array, no string ever hashed. *)
-    let n = Schedule.length s in
-    let last_write = Array.make (max 1 (Schedule.n_entities s)) (-1) in
-    let v = ref empty in
-    for pos = 0 to n - 1 do
-      let e = Schedule.entity_at s pos in
-      if Step.is_write (Schedule.step s pos) then last_write.(e) <- pos
-      else
-        let src =
-          if last_write.(e) >= 0 then From last_write.(e) else Initial
-        in
-        v := add pos src !v
-    done;
-    !v
-  end
+  let n = Schedule.length s in
+  let last_write = Array.make (max 1 (Schedule.n_entities s)) (-1) in
+  let v = ref empty in
+  for pos = 0 to n - 1 do
+    let e = Schedule.entity_at s pos in
+    if Step.is_write (Schedule.step s pos) then last_write.(e) <- pos
+    else
+      let src =
+        if last_write.(e) >= 0 then From last_write.(e) else Initial
+      in
+      v := add pos src !v
+  done;
+  !v
 
 let legal s v =
   let n = Schedule.length s in

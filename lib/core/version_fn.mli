@@ -35,6 +35,10 @@ val standard : Schedule.t -> t
     the same entity ([Initial] if there is none). Defined on every read
     position of [s]. *)
 
+val standard_ref : Schedule.t -> t
+(** Reference oracle for {!standard}: one pass with a string-keyed
+    last-write table. Same bindings; kept for the property tests. *)
+
 val legal : Schedule.t -> t -> bool
 (** Is the function legal for [s]: every bound position is a read of [s],
     and each [From p] binding names a write step of the same entity

@@ -54,8 +54,8 @@ let create ~cores ~store ~n_clients ~writer_of ?wal ~obs
    was and how deep the leveler had to stack it. Wide, shallow batches
    mean the workers were saturated and the barrier cost is amortized —
    grow, so fewer flushes serve the same commit stream. Narrow waves
-   mean intra-batch dependencies serialized the batch (E26's inversion:
-   8 x cores batches going *deeper*, not wider, as cores grew) — shrink,
+   mean intra-batch dependencies serialized the batch (fixed 8 x cores
+   batches went *deeper*, not wider, as cores grew) — shrink,
    so dependent transactions land in separate flushes where their
    predecessors are already filled. Counts only, never wall-clock, so
    the trajectory is deterministic for a given commit stream. *)

@@ -2,36 +2,24 @@ open Mvcc_core
 
 (* Entity histories are keyed by dense interned ids: the stream's own
    symbol table maps each entity name to an id once per step, and the
-   per-entity reader/writer sets live in flat arrays. The pre-refactor
-   string-keyed tables are kept behind [Repr.reference] (captured at
-   [create]) as the "before" leg of E22; both paths maintain identical
-   per-entity sets, so the arc order — and every accept/reject decision
-   — is the same. *)
+   per-entity reader/writer sets live in flat arrays. *)
 
 type t = {
   graph : Incr_digraph.t;
-  reference : bool;
-  (* interned path *)
   intern : (string, int) Hashtbl.t;
   mutable readers : (int, unit) Hashtbl.t array; (* entity id -> txns *)
   mutable writers : (int, unit) Hashtbl.t array;
   mutable n_entities : int;
-  (* reference path *)
-  readers_by_name : (string, (int, unit) Hashtbl.t) Hashtbl.t;
-  writers_by_name : (string, (int, unit) Hashtbl.t) Hashtbl.t;
   mutable steps : int;
 }
 
 let create () =
   {
     graph = Incr_digraph.create ();
-    reference = !Repr.reference;
     intern = Hashtbl.create 16;
     readers = Array.make 16 (Hashtbl.create 0);
     writers = Array.make 16 (Hashtbl.create 0);
     n_entities = 0;
-    readers_by_name = Hashtbl.create 16;
-    writers_by_name = Hashtbl.create 16;
     steps = 0;
   }
 
@@ -58,52 +46,25 @@ let entity_id t e =
       t.writers.(id) <- Hashtbl.create 4;
       id
 
-let set_of tbl e =
-  match Hashtbl.find_opt tbl e with
-  | Some s -> s
-  | None ->
-      let s = Hashtbl.create 4 in
-      Hashtbl.replace tbl e s;
-      s
-
 (* Arcs the step introduces: every earlier conflicting accessor of the
    entity points at the new step's transaction. A write conflicts with
    prior readers and writers; a read only with prior writers. *)
-let arcs_from_sets ~readers ~writers (st : Step.t) =
+let new_arcs t (st : Step.t) =
+  let e = entity_id t st.entity in
   let arcs = ref [] in
   let from_set s =
     Hashtbl.iter
       (fun j () -> if j <> st.txn then arcs := (j, st.txn) :: !arcs)
       s
   in
-  (match writers with Some s -> from_set s | None -> ());
-  (if Step.is_write st then
-     match readers with Some s -> from_set s | None -> ());
+  from_set t.writers.(e);
+  if Step.is_write st then from_set t.readers.(e);
   !arcs
 
-let new_arcs t (st : Step.t) =
-  if t.reference then
-    arcs_from_sets
-      ~readers:(Hashtbl.find_opt t.readers_by_name st.entity)
-      ~writers:(Hashtbl.find_opt t.writers_by_name st.entity)
-      st
-  else
-    let e = entity_id t st.entity in
-    arcs_from_sets ~readers:(Some t.readers.(e))
-      ~writers:(Some t.writers.(e)) st
-
 let record t (st : Step.t) =
-  if t.reference then begin
-    let tbl =
-      if Step.is_read st then t.readers_by_name else t.writers_by_name
-    in
-    Hashtbl.replace (set_of tbl st.entity) st.txn ()
-  end
-  else begin
-    let e = entity_id t st.entity in
-    let sets = if Step.is_read st then t.readers else t.writers in
-    Hashtbl.replace sets.(e) st.txn ()
-  end
+  let e = entity_id t st.entity in
+  let sets = if Step.is_read st then t.readers else t.writers in
+  Hashtbl.replace sets.(e) st.txn ()
 
 let feed t (st : Step.t) =
   if Incr_digraph.add_edges t.graph (new_arcs t st) then begin
@@ -118,14 +79,9 @@ let n_steps t = t.steps
 let graph t = t.graph
 
 let forget_txn t i =
-  if t.reference then begin
-    Hashtbl.iter (fun _ s -> Hashtbl.remove s i) t.readers_by_name;
-    Hashtbl.iter (fun _ s -> Hashtbl.remove s i) t.writers_by_name
-  end
-  else
-    for e = 0 to t.n_entities - 1 do
-      Hashtbl.remove t.readers.(e) i;
-      Hashtbl.remove t.writers.(e) i
-    done;
+  for e = 0 to t.n_entities - 1 do
+    Hashtbl.remove t.readers.(e) i;
+    Hashtbl.remove t.writers.(e) i
+  done;
   if i >= 0 && i < Incr_digraph.n_nodes t.graph then
     Incr_digraph.remove_incident t.graph i

@@ -1,31 +1,22 @@
 open Mvcc_core
 
-(* Reader histories are keyed by dense interned ids, with the
-   pre-refactor string-keyed table kept behind [Repr.reference]
-   (captured at [create]) as the "before" leg of E22. Both paths hold
-   identical per-entity reader sets, so each write adds arcs in the same
-   order and every accept/reject decision agrees. *)
+(* Reader histories are keyed by dense interned ids: the stream's own
+   symbol table maps each entity name to an id once per step. *)
 
 type t = {
   graph : Incr_digraph.t;
-  reference : bool;
-  (* interned path *)
   intern : (string, int) Hashtbl.t;
   mutable readers : (int, unit) Hashtbl.t array; (* entity id -> txns *)
   mutable n_entities : int;
-  (* reference path *)
-  readers_by_name : (string, (int, unit) Hashtbl.t) Hashtbl.t;
   mutable steps : int;
 }
 
 let create () =
   {
     graph = Incr_digraph.create ();
-    reference = !Repr.reference;
     intern = Hashtbl.create 16;
     readers = Array.make 16 (Hashtbl.create 0);
     n_entities = 0;
-    readers_by_name = Hashtbl.create 16;
     steps = 0;
   }
 
@@ -49,37 +40,22 @@ let entity_id t e =
       t.readers.(id) <- Hashtbl.create 4;
       id
 
-let set_of tbl e =
-  match Hashtbl.find_opt tbl e with
-  | Some s -> s
-  | None ->
-      let s = Hashtbl.create 4 in
-      Hashtbl.replace tbl e s;
-      s
-
 (* MVCG arcs run from an earlier read to a later write of the same
    entity (Theorem 1), so a read introduces no arcs at all and a write
    by T_j adds [T_i -> T_j] for every distinct prior reader T_i. *)
-let arcs_from_readers s (st : Step.t) =
-  Hashtbl.fold
-    (fun i () acc -> if i <> st.txn then (i, st.txn) :: acc else acc)
-    s []
-
 let new_arcs t (st : Step.t) =
   if Step.is_read st then []
-  else if t.reference then
-    match Hashtbl.find_opt t.readers_by_name st.entity with
-    | None -> []
-    | Some s -> arcs_from_readers s st
-  else arcs_from_readers t.readers.(entity_id t st.entity) st
+  else
+    Hashtbl.fold
+      (fun i () acc -> if i <> st.txn then (i, st.txn) :: acc else acc)
+      t.readers.(entity_id t st.entity)
+      []
 
 let feed t (st : Step.t) =
   if Incr_digraph.add_edges t.graph (new_arcs t st) then begin
     Incr_digraph.ensure_node t.graph st.txn;
     if Step.is_read st then
-      if t.reference then
-        Hashtbl.replace (set_of t.readers_by_name st.entity) st.txn ()
-      else Hashtbl.replace t.readers.(entity_id t st.entity) st.txn ();
+      Hashtbl.replace t.readers.(entity_id t st.entity) st.txn ();
     t.steps <- t.steps + 1;
     true
   end
@@ -89,11 +65,8 @@ let n_steps t = t.steps
 let graph t = t.graph
 
 let forget_txn t i =
-  if t.reference then
-    Hashtbl.iter (fun _ s -> Hashtbl.remove s i) t.readers_by_name
-  else
-    for e = 0 to t.n_entities - 1 do
-      Hashtbl.remove t.readers.(e) i
-    done;
+  for e = 0 to t.n_entities - 1 do
+    Hashtbl.remove t.readers.(e) i
+  done;
   if i >= 0 && i < Incr_digraph.n_nodes t.graph then
     Incr_digraph.remove_incident t.graph i

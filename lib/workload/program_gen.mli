@@ -1,7 +1,6 @@
 (** Seeded engine-workload generation: Zipfian mixed read-only /
-    read-write transaction programs, the input of the off-loop
-    snapshot-read experiments (E27) and the pipeline identity
-    properties. *)
+    read-write transaction programs, the input of the perfbench engine
+    workloads and the pipeline identity properties. *)
 
 val mixed :
   ?n_entities:int ->

@@ -348,6 +348,10 @@ let test_exhaustive_universe () =
       Alcotest.(check bool) ("t1/t2 " ^ name) (SW.test s) (MC.test s);
       Alcotest.(check bool) ("vsr " ^ name) (V.test_exact s) (V.test s);
       Alcotest.(check bool) ("mvsr " ^ name) (MS.test_naive s) (MS.test s);
+      (* FSR's finals-filtered search against the definition *)
+      Alcotest.(check bool) ("fsr " ^ name)
+        (List.exists (Fsr.equivalent s) (Schedule.all_serializations s))
+        (Fsr.test s);
       Alcotest.(check bool) ("consistent " ^ name) true
         (T.consistent (T.classify s)))
     (Mvcc_workload.Enumerate.schedules ~n_txns:2 ~n_entities:2 ~max_steps:2
@@ -517,24 +521,6 @@ let prop_serial_in_every_class =
       let r = Schedule.serialization s (List.init (Schedule.n_txns s) Fun.id) in
       C.test r && V.test r && MC.test r && MS.test r && D.test r)
 
-(* The [Repr.reference] flag flips every interned fast path (bucket
-   sweeps, permuted serializations, FSR's finals filter); full reports
-   must come out identical either way. *)
-let prop_reference_invariant_decisions =
-  QCheck2.Test.make ~name:"reference/interned reports are identical"
-    ~count:60 gen_schedule (fun s ->
-      let digest () =
-        let r = Mvcc_classes.Report.make s in
-        let w = Option.map Schedule.to_string in
-        ( (r.csr.in_class, w r.csr.witness),
-          (r.mvcsr.in_class, w r.mvcsr.witness),
-          (r.vsr.in_class, w r.vsr.witness),
-          (r.fsr.in_class, w r.fsr.witness),
-          r.mvsr_certificate,
-          r.dmvsr.in_class )
-      in
-      Repr.with_reference true digest = Repr.with_reference false digest)
-
 let () =
   Alcotest.run "classes"
     [
@@ -618,6 +604,5 @@ let () =
             prop_dmvsr_equals_family_ww_rw;
             prop_write_order_between;
             prop_serial_in_every_class;
-            prop_reference_invariant_decisions;
           ] );
     ]

@@ -337,9 +337,20 @@ let gen_edge_schedule =
 
 let mv_rel a b = Step.mv_conflicts ~first:a ~second:b
 
+(* The transaction edges the oracle's pairs induce, sorted. *)
+let oracle_edges s rel =
+  Conflict.pairs_satisfying rel s
+  |> List.map (fun (p, q) ->
+         ((Schedule.step s p).txn, (Schedule.step s q).txn))
+  |> List.sort_uniq compare
+
+let graph_edges g = List.sort compare (Mvcc_graph.Digraph.edges g)
+
 let sweeps_match s =
   Conflict.conflicting_pairs s = Conflict.pairs_satisfying Step.conflicts s
   && Conflict.mv_conflicting_pairs s = Conflict.pairs_satisfying mv_rel s
+  && graph_edges (Conflict.graph s) = oracle_edges s Step.conflicts
+  && graph_edges (Conflict.mv_graph s) = oracle_edges s mv_rel
 
 let prop_sweep_matches_oracle =
   QCheck2.Test.make
@@ -351,25 +362,19 @@ let prop_sweep_matches_oracle_edges =
     ~name:"bucket sweeps = oracle on empty txns and unread entities"
     ~count:300 gen_edge_schedule sweeps_match
 
-(* The [Repr.reference] flag must only move time, never output. *)
+(* The interned paths against their string-keyed reference oracles. *)
 let reference_invariant s =
-  let both f =
-    ( Repr.with_reference true (fun () -> f s),
-      Repr.with_reference false (fun () -> f s) )
-  in
-  let pairs_r, pairs_f = both Conflict.conflicting_pairs in
-  let mv_r, mv_f = both Conflict.mv_conflicting_pairs in
-  let std_r, std_f = both Version_fn.standard in
-  let fin_r, fin_f = both Read_from.final_writers in
-  let live_r, live_f = both Liveness.live_read_froms in
-  pairs_r = pairs_f && mv_r = mv_f
-  && Version_fn.equal std_r std_f
-  && Read_from.equal_finals fin_r fin_f
-  && Read_from.equal_relation live_r live_f
+  Version_fn.equal (Version_fn.standard_ref s) (Version_fn.standard s)
+  && Read_from.equal_finals
+       (Read_from.final_writers_ref s)
+       (Read_from.final_writers s)
+  && Read_from.equal_relation
+       (Liveness.live_read_froms_ref s)
+       (Liveness.live_read_froms s)
 
-(* The two serialization constructors (generic re-interning vs the
-   int-only permutation of the parent index) must agree on steps AND on
-   every observable of the interned view. *)
+(* The int-only permutation of the parent index must agree with generic
+   re-interning of the concatenated programs, on steps AND on every
+   observable of the interned view. *)
 let same_index a b =
   Schedule.equal a b
   && Schedule.n_entities a = Schedule.n_entities b
@@ -385,10 +390,26 @@ let same_index a b =
      |> List.for_all (fun i ->
             Schedule.txn_positions_arr a i = Schedule.txn_positions_arr b i)
 
+let rec permutations = function
+  | [] -> [ [] ]
+  | l ->
+      List.concat_map
+        (fun x ->
+          List.map (fun p -> x :: p)
+            (permutations (List.filter (( <> ) x) l)))
+        l
+
+(* The oracle is built from the requested order, never read back from the
+   output, so a serialization in the wrong order fails. *)
 let serialization_invariant s =
-  List.for_all2 same_index
-    (Repr.with_reference true (fun () -> Schedule.all_serializations s))
-    (Repr.with_reference false (fun () -> Schedule.all_serializations s))
+  let n = Schedule.n_txns s in
+  List.for_all
+    (fun order ->
+      same_index
+        (Schedule.serialization s order)
+        (Schedule.of_steps ~n_txns:n
+           (List.concat_map (Schedule.txn_program s) order)))
+    (permutations (List.init n Fun.id))
 
 let prop_serialization_invariant =
   QCheck2.Test.make

@@ -608,14 +608,24 @@ let gen_schedule =
          }
          rng))
 
+(* The sink also counts every offered step: the accepted prefix plus the
+   refused step, if any. *)
 let prop_scheduler_invariance =
   QCheck2.Test.make
     ~name:"schedulers decide identically with and without a sink" ~count:400
     gen_schedule (fun s ->
       List.for_all
         (fun sched ->
-          same_outcome (Driver.run sched s)
-            (Driver.run ~obs:(live_sink ()) sched s))
+          let metrics = Metrics.create () in
+          let obs =
+            Sink.create ~metrics ~spans:(Span.create ~capacity:32 ()) ()
+          in
+          let seen = Driver.run ~obs sched s in
+          same_outcome (Driver.run sched s) seen
+          && Metrics.counter metrics
+               ("sched." ^ sched.Mvcc_sched.Scheduler.name ^ ".offered")
+             = seen.Driver.accepted_steps
+               + if seen.Driver.accepted then 0 else 1)
         schedulers)
 
 let prop_certifier_invariance =
@@ -637,6 +647,9 @@ let prop_certifier_invariance =
             (Schedule.steps s))
         [ Certifier.Conflict; Certifier.Mv_conflict ])
 
+(* [window] > 0 attaches a WAL with that group-commit window (commits per
+   force), the sink threaded through the writer too: the log bytes must
+   match as well as the result. *)
 let prop_engine_invariance =
   QCheck2.Test.make
     ~name:"engine runs are bit-identical with and without a sink" ~count:80
@@ -644,8 +657,9 @@ let prop_engine_invariance =
       let* seed = int_range 0 100_000 in
       let* policy = oneofl E.all_policies in
       let* crash = oneofl [ 0.; 0.05 ] in
-      return (seed, policy, crash))
-    (fun (seed, policy, crash) ->
+      let* window = int_range 0 4 in
+      return (seed, policy, crash, window))
+    (fun (seed, policy, crash, window) ->
       let programs =
         List.init 3 (fun i ->
             P.transfer ~label:(string_of_int i)
@@ -655,8 +669,21 @@ let prop_engine_invariance =
         @ [ P.read_all ~label:"r" accounts ]
       in
       let run obs =
-        E.run ~policy ~initial ~programs ~crash_probability:crash ~obs ~seed
-          ()
+        let w =
+          if window = 0 then None
+          else
+            Some
+              (D_wal.writer ~window:(D_wal.window ~commits:window ()) ~obs ())
+        in
+        let hook = Option.map D_hook.create w in
+        let r =
+          E.run ~policy ~initial ~programs ~crash_probability:crash ~obs
+            ?wal:(Option.map D_hook.listener hook)
+            ?wal_durable:(Option.map (fun w () -> D_wal.acked_commits w) w)
+            ~seed ()
+        in
+        Option.iter D_wal.close w;
+        (r, Option.map D_wal.contents w)
       in
       run Sink.noop = run (live_sink ()))
 
