@@ -4,6 +4,9 @@
 open Cmdliner
 open Mvcc_core
 module T = Mvcc_classes.Topography
+module Engine = Mvcc_engine.Engine
+module D = Mvcc_durable
+module O = Mvcc_obs
 
 let schedule_arg =
   let doc =
@@ -15,18 +18,41 @@ let schedule_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
+(* The flag vocabulary. Each flag name is declared once: here when
+   commands share it, in its command otherwise. A flag whose commands
+   differ only in its default takes the default as an argument; one
+   whose commands differ in requiredness or in whether its file must
+   exist shares its [Arg.info]. *)
+
+(* Count flags: a value below [lo] is a usage error rather than an
+   exception deep inside the run. *)
+let at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d" lo))
+  in
+  Arg.conv (parse, Format.pp_print_int) ~docv:"N"
+
 let policy_conv =
   Arg.enum
     (List.map
-       (fun p -> (Mvcc_engine.Engine.policy_name p, p))
-       Mvcc_engine.Engine.all_policies)
+       (fun p -> (Engine.policy_name p, p))
+       Engine.all_policies)
 
-let policy_arg ~doc =
-  Arg.(value & opt policy_conv Mvcc_engine.Engine.Mvto & info [ "policy" ] ~doc)
+let policy_arg =
+  Arg.(
+    value
+    & opt policy_conv Engine.Mvto
+    & info [ "policy" ]
+        ~doc:
+          "Concurrency control policy: the run's, or the one the log was \
+           written under.")
 
 let cores_arg =
   Arg.(
-    value & opt int 1
+    value
+    & opt (at_least 1) 1
     & info [ "cores" ] ~docv:"N"
         ~doc:
           "Execution worker domains for the engine's sharded pipeline. 1 \
@@ -38,7 +64,8 @@ let cores_arg =
 
 let client_queues_arg =
   Arg.(
-    value & opt int 1
+    value
+    & opt (at_least 1) 1
     & info [ "client-queues" ] ~docv:"N"
         ~doc:
           "Partitioned intake: deal the workload round-robin into $(docv) \
@@ -49,15 +76,15 @@ let client_queues_arg =
 
 let batch_conv =
   let parse s =
-    if s = "auto" then Ok Mvcc_engine.Engine.Auto
+    if s = "auto" then Ok Engine.Auto
     else
       match int_of_string_opt s with
-      | Some n when n > 0 -> Ok (Mvcc_engine.Engine.Fixed n)
+      | Some n when n > 0 -> Ok (Engine.Fixed n)
       | _ -> Error (`Msg "expected a positive integer or 'auto'")
   in
   let print ppf = function
-    | Mvcc_engine.Engine.Auto -> Format.pp_print_string ppf "auto"
-    | Mvcc_engine.Engine.Fixed n -> Format.pp_print_int ppf n
+    | Engine.Auto -> Format.pp_print_string ppf "auto"
+    | Engine.Fixed n -> Format.pp_print_int ppf n
   in
   Arg.conv (parse, print) ~docv:"N|auto"
 
@@ -84,24 +111,105 @@ let ro_snapshot_arg =
            certification. Changes scheduling, so compare runs with the \
            flag to a $(b,--cores) 1 run with the same flag.")
 
+let readers_arg default =
+  Arg.(
+    value
+    & opt (at_least 0) default
+    & info [ "readers" ] ~doc:"Analytics transactions.")
+
+let writers_arg default =
+  Arg.(
+    value
+    & opt (at_least 0) default
+    & info [ "writers" ] ~doc:"Transfer transactions.")
+
+let group_commit_arg default =
+  Arg.(
+    value
+    & opt (some (at_least 1)) default
+    & info [ "group-commit" ] ~docv:"N"
+        ~doc:
+          "Group commit: force the log every $(docv) commits instead of \
+           after every record. Commits are acknowledged as durable only \
+           when their batch is forced, so the durability lag shows in the \
+           $(b,timeline) waterfall and $(b,crash) points land both at \
+           batch boundaries and mid-batch. $(docv)=1 reproduces the \
+           flush-per-record log byte for byte. In $(b,simulate) and \
+           $(b,replay) it needs a log file to group.")
+
+let snapshot_every_arg default =
+  Arg.(
+    value
+    & opt (some (at_least 0)) default
+    & info [ "snapshot-every" ] ~docv:"N"
+        ~doc:
+          "Snapshot the version chains every $(docv) commits and log a \
+           checkpoint, so recovery can replay only the log tail; 0 \
+           disables snapshots. $(b,simulate) needs a write-ahead log \
+           $(i,FILE) with it and writes the snapshots to $(i,FILE).snap.")
+
+(* simulate writes the log, recover reads it and follow tails one that
+   may not exist yet: each picks its converter and requiredness *)
+let wal_info =
+  Arg.info [ "wal" ] ~docv:"FILE"
+    ~doc:
+      "The CRC-framed write-ahead log: $(b,simulate) writes the run's log \
+       to $(docv), $(b,recover) rebuilds the committed state and history \
+       from it (or any crash-truncated prefix), and $(b,follow) ships it \
+       to a replica as it grows — typically while $(b,simulate) writes it \
+       with group commit, so the file only ever holds forced batches."
+
+(* simulate writes the trace, replay reads it *)
+let trace_info =
+  Arg.info [ "trace" ] ~docv:"FILE"
+    ~doc:
+      "The run's spans as JSON-lines (transactions, attempts with their \
+       abort reasons, op/commit/delay/certification points, provenance \
+       decisions, WAL appends and forces): $(b,simulate) records them to \
+       $(docv), and $(b,replay) rebuilds the run from the same engine and \
+       log flags and re-checks them (a recording made with \
+       $(b,--snapshot-every) cannot be replayed)."
+
+let metrics_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "metrics" ] ~docv:"FILE"
+        ~doc:
+          "Write an OpenMetrics exposition of the counters and gauges to \
+           $(docv), rewritten atomically: $(b,timeline) adds the three \
+           derived latency histograms, and $(b,follow) rewrites it after \
+           every poll that applied records as well as at exit, so a \
+           Prometheus-family scraper can watch the replica.")
+
+let dump_arg =
+  Arg.(
+    value & flag
+    & info [ "dump" ]
+        ~doc:"Also print the recovered version chains, one entity per line.")
+
+let txns_arg default =
+  Arg.(
+    value
+    & opt (at_least 0) default
+    & info [ "txns" ] ~doc:"Transactions per census schedule or crash run.")
+
+let entities_arg default =
+  Arg.(value & opt (at_least 1) default & info [ "entities" ] ~doc:"Entities.")
+
 (* the banking workload simulate and timeline share: 8 accounts of 100,
    [readers] read-all auditors plus [writers] ring transfers *)
-let banking_workload ~readers ~writers =
-  let accounts = List.init 8 (fun i -> Printf.sprintf "acct%d" i) in
-  let initial = List.map (fun a -> (a, 100)) accounts in
-  let programs =
-    List.init readers (fun i ->
-        Mvcc_engine.Program.read_all
-          ~label:(Printf.sprintf "audit%d" i)
-          accounts)
-    @ List.init writers (fun i ->
-          Mvcc_engine.Program.transfer
-            ~label:(Printf.sprintf "xfer%d" i)
-            ~from_:(List.nth accounts (i mod 8))
-            ~to_:(List.nth accounts ((i + 1) mod 8))
-            10)
-  in
-  (accounts, initial, programs)
+let accounts = List.init 8 (fun i -> Printf.sprintf "acct%d" i)
+
+let banking_programs ~readers ~writers =
+  List.init readers (fun i ->
+      Mvcc_engine.Program.read_all ~label:(Printf.sprintf "audit%d" i) accounts)
+  @ List.init writers (fun i ->
+        Mvcc_engine.Program.transfer
+          ~label:(Printf.sprintf "xfer%d" i)
+          ~from_:(List.nth accounts (i mod 8))
+          ~to_:(List.nth accounts ((i + 1) mod 8))
+          10)
 
 (* classify *)
 
@@ -116,30 +224,29 @@ let classify_cmd =
 
 (* dot export *)
 
+(* a (multiversion) conflict graph as DOT, its nodes named T1, T2, ... *)
+let print_dot ?edge_label name g =
+  print_string
+    (Mvcc_graph.Dot.to_dot ~name
+       ~node_label:(fun i -> "T" ^ string_of_int (i + 1))
+       ?edge_label g)
+
 let dot_cmd =
-  let kind_arg =
+  let graph_arg =
     Arg.(
       value
-      & opt (enum [ ("conflict", `Conflict); ("mvcg", `Mvcg) ]) `Mvcg
+      & opt (enum [ ("conflict", "conflict"); ("mvcg", "mvcg") ]) "mvcg"
       & info [ "graph" ] ~doc:"Which graph: 'conflict' or 'mvcg'.")
   in
-  let run kind text =
+  let run name text =
     let s = Schedule.of_string text in
-    let g =
-      match kind with
-      | `Conflict -> Conflict.graph s
-      | `Mvcg -> Conflict.mv_graph s
-    in
-    print_string
-      (Mvcc_graph.Dot.to_dot
-         ~name:(match kind with `Conflict -> "conflict" | `Mvcg -> "mvcg")
-         ~node_label:(fun i -> "T" ^ string_of_int (i + 1))
-         g)
+    print_dot name
+      ((if name = "conflict" then Conflict.graph else Conflict.mv_graph) s)
   in
   Cmd.v
     (Cmd.info "dot"
        ~doc:"Export a schedule's (multiversion) conflict graph as DOT")
-    Term.(const run $ kind_arg $ schedule_arg)
+    Term.(const run $ graph_arg $ schedule_arg)
 
 (* switching path (Theorem 2) *)
 
@@ -206,10 +313,16 @@ let ols_cmd =
 
 let reduction_cmd =
   let vars_arg =
-    Arg.(value & opt int 2 & info [ "vars" ] ~doc:"Number of variables.")
+    Arg.(
+      value
+      & opt (at_least 1) 2
+      & info [ "vars" ] ~doc:"Number of variables.")
   in
   let clauses_arg =
-    Arg.(value & opt int 2 & info [ "clauses" ] ~doc:"Number of clauses.")
+    Arg.(
+      value
+      & opt (at_least 0) 2
+      & info [ "clauses" ] ~doc:"Number of clauses.")
   in
   let run vars clauses seed =
     let rng = Random.State.make [| seed |] in
@@ -325,16 +438,10 @@ let explain_cmd =
         match w.P.Witness.evidence with
         | P.Witness.Reject_cycle arcs
           when dot && (name = "CSR" || name = "MVCSR") ->
-            let g =
-              if name = "CSR" then Ctx.conflict_graph c else Ctx.mv_graph c
-            in
-            print_string
-              (Mvcc_graph.Dot.to_dot
-                 ~name:(String.lowercase_ascii name)
-                 ~node_label:(fun i -> "T" ^ string_of_int (i + 1))
-                 ~edge_label:(fun u v ->
-                   if List.mem (u, v) arcs then Some "cycle" else None)
-                 g)
+            print_dot (String.lowercase_ascii name)
+              ~edge_label:(fun u v ->
+                if List.mem (u, v) arcs then Some "cycle" else None)
+              (if name = "CSR" then Ctx.conflict_graph c else Ctx.mv_graph c)
         | _ -> ())
       (deciders c);
     !all_confirmed
@@ -371,23 +478,22 @@ let explain_cmd =
 (* census *)
 
 let census_cmd =
-  let txns_arg =
-    Arg.(value & opt int 3 & info [ "txns" ] ~doc:"Transactions per schedule.")
-  in
-  let entities_arg =
-    Arg.(value & opt int 2 & info [ "entities" ] ~doc:"Entities.")
-  in
   let max_steps_arg =
     Arg.(
-      value & opt int 3
+      value
+      & opt (at_least 1) 3
       & info [ "max-steps" ] ~doc:"Maximum steps per transaction.")
   in
   let samples_arg =
-    Arg.(value & opt int 1000 & info [ "samples" ] ~doc:"Schedules to draw.")
+    Arg.(
+      value
+      & opt (at_least 0) 1000
+      & info [ "samples" ] ~doc:"Schedules to draw.")
   in
   let jobs_arg =
     Arg.(
-      value & opt int 1
+      value
+      & opt (at_least 1) 1
       & info [ "jobs" ] ~docv:"N"
           ~doc:
             "Worker domains for the classification sweep. The output is \
@@ -433,22 +539,23 @@ let census_cmd =
          "Classify a random sample of schedules into the Fig. 1 regions, \
           optionally across multiple domains ($(b,--jobs))")
     Term.(
-      const run $ txns_arg $ entities_arg $ max_steps_arg $ samples_arg
+      const run $ txns_arg 3 $ entities_arg 2 $ max_steps_arg $ samples_arg
       $ jobs_arg $ seed_arg)
 
 (* simulate and replay *)
 
 (* The engine and log flags of a banking run. [simulate] records a run
    from them and [replay] rebuilds it from the same flags, so both
-   commands parse one record and run it through one [run_banking].
+   commands parse one record and run it through one [run_banking];
+   [timeline] fills one in from its own flags.
    [--snapshot-every] is simulate's alone: a checkpoint record names the
    snapshot file, so a replayed log (written elsewhere) could not match
    the recorded one byte for byte. *)
 type banking = {
-  policy : Mvcc_engine.Engine.policy;
+  policy : Engine.policy;
   cores : int;
   client_queues : int;
-  batch : Mvcc_engine.Engine.batch option;
+  batch : Engine.batch option;
   ro_snapshot : bool;
   readers : int;
   writers : int;
@@ -459,12 +566,6 @@ type banking = {
 }
 
 let banking_term =
-  let readers_arg =
-    Arg.(value & opt int 6 & info [ "readers" ] ~doc:"Analytics transactions.")
-  in
-  let writers_arg =
-    Arg.(value & opt int 3 & info [ "writers" ] ~doc:"Transfer transactions.")
-  in
   let certify_arg =
     Arg.(
       value & flag
@@ -474,28 +575,6 @@ let banking_term =
              and re-verify it with the independent checker; exit non-zero \
              if the checker refutes it.")
   in
-  let wal_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "wal" ] ~docv:"FILE"
-          ~doc:
-            "Write a CRC-framed write-ahead log of the run to $(docv); \
-             $(b,recover) rebuilds the committed state and history from \
-             it (or any crash-truncated prefix).")
-  in
-  let group_commit_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "group-commit" ] ~docv:"N"
-          ~doc:
-            "With $(b,--wal FILE), group commit: force the log every \
-             $(docv) commits instead of after every record. Commits are \
-             acknowledged as durable only when their batch is forced; \
-             the run reports how many were acknowledged by the end. \
-             $(docv)=1 reproduces the flush-per-record log byte for byte.")
-  in
   let make policy cores client_queues batch ro_snapshot readers writers
       certify wal group_commit seed =
     {
@@ -504,66 +583,73 @@ let banking_term =
     }
   in
   Term.(
-    const make
-    $ policy_arg ~doc:"Concurrency control policy."
-    $ cores_arg $ client_queues_arg $ batch_arg $ ro_snapshot_arg
-    $ readers_arg $ writers_arg $ certify_arg $ wal_arg $ group_commit_arg
-    $ seed_arg)
+    const make $ policy_arg $ cores_arg $ client_queues_arg $ batch_arg
+    $ ro_snapshot_arg $ readers_arg 6 $ writers_arg 3 $ certify_arg
+    $ Arg.(value & opt (some string) None & wal_info)
+    $ group_commit_arg None $ seed_arg)
 
-(* Run [b]'s banking workload through [obs], logging to [wal_path] when
+(* Where a run's log goes: a file, with its snapshots beside it, or
+   memory alone (replay and timeline read the log's spans and bytes,
+   not a file). *)
+type log = File of string | Memory
+
+(* Run [b]'s banking workload through [obs], logging to [log] when
    given (the writer shares [obs], so --stats snapshots include the
-   durable counters and a --trace ring the wal.* spans). Returns the
-   accounts, the engine result, and the still-open writer with its
+   durable counters and a --trace ring the wal.* spans). A log knob
+   without a log would go unused, so it is an error. Returns the
+   programs, the engine result, and the still-open writer with its
    hook. *)
-let run_banking ?snapshot_every b ~obs ~wal_path =
-  let accounts, initial, programs =
-    banking_workload ~readers:b.readers ~writers:b.writers
+let run_banking ?snapshot_every ?log b ~obs =
+  let refuse flag =
+    Printf.eprintf "mvcc: %s needs --wal FILE\n" flag;
+    exit 2
   in
-  let prov =
-    if b.certify then Some (Mvcc_provenance.Log.create ()) else None
-  in
+  if log = None && b.group_commit <> None then refuse "--group-commit";
+  if log = None && snapshot_every <> None then refuse "--snapshot-every";
+  let programs = banking_programs ~readers:b.readers ~writers:b.writers in
+  let prov = if b.certify then Some (Mvcc_provenance.Log.create ()) else None in
   let window =
-    Option.map (fun n -> Mvcc_durable.Wal.window ~commits:n ()) b.group_commit
+    Option.map (fun n -> D.Wal.window ~commits:n ()) b.group_commit
   in
   let hook =
     Option.map
-      (fun file ->
-        let writer = Mvcc_durable.Wal.writer ~path:file ?window ~obs () in
-        ( writer,
-          Mvcc_durable.Hook.create ~snapshot_path:(file ^ ".snap") writer ))
-      wal_path
+      (fun log ->
+        let path = match log with File f -> Some f | Memory -> None in
+        let writer = D.Wal.writer ?path ?window ~obs () in
+        let snapshot_path = Option.map (fun f -> f ^ ".snap") path in
+        (writer, D.Hook.create ?snapshot_path writer))
+      log
   in
   let r =
-    Mvcc_engine.Engine.run ~policy:b.policy ~initial ~programs ~obs ?prov
-      ?wal:(Option.map (fun (_, h) -> Mvcc_durable.Hook.listener h) hook)
+    Engine.run ~policy:b.policy
+      ~initial:(List.map (fun a -> (a, 100)) accounts)
+      ~programs ~obs ?prov
+      ?wal:(Option.map (fun (_, h) -> D.Hook.listener h) hook)
       ?wal_durable:
-        (Option.map
-           (fun (writer, _) () -> Mvcc_durable.Wal.acked_commits writer)
-           hook)
-      ?snapshot_every ~cores:b.cores
-      ~client_queues:b.client_queues ?batch:b.batch ~ro_snapshot:b.ro_snapshot
-      ~seed:b.seed ()
+        (Option.map (fun (writer, _) () -> D.Wal.acked_commits writer) hook)
+      ?snapshot_every ~cores:b.cores ~client_queues:b.client_queues
+      ?batch:b.batch ~ro_snapshot:b.ro_snapshot ~seed:b.seed ()
   in
-  (accounts, r, hook)
+  (programs, r, hook)
+
+let print_stats b (r : Engine.result) =
+  Format.printf "policy=%s %a@." (Engine.policy_name b.policy) Engine.pp_stats
+    r.stats
+
+let write_spans file ring =
+  Out_channel.with_open_text file (fun oc -> O.Span.write_jsonl oc ring)
 
 (* The --trace ring. Its clock is a counter, so the recorded span lines
    are a pure function of the run and replay can compare them byte for
    byte. *)
 let trace_ring () =
-  Mvcc_obs.Span.create ~capacity:65536
-    ~clock:(Mvcc_obs.Span.counter_clock ()) ()
+  O.Span.create ~capacity:65536 ~clock:(O.Span.counter_clock ()) ()
+
+(* one "label   : value" line of a report *)
+let field ?(width = 8) label fmt =
+  Format.printf ("%-*s: " ^^ fmt ^^ "@.") width label
 
 let simulate_cmd =
-  let snapshot_every_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "snapshot-every" ] ~docv:"N"
-          ~doc:
-            "With $(b,--wal FILE), snapshot the version chains to \
-             $(i,FILE).snap every $(docv) commits and log a checkpoint, \
-             so recovery can replay only the log tail.")
-  in
   let stats_arg =
     Arg.(
       value & flag
@@ -573,34 +659,14 @@ let simulate_cmd =
              JSON object: commits, aborts by reason, delays, and (under \
              sgt) certification cost and latency quantiles.")
   in
-  let trace_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Record the run's spans (transactions, attempts with their \
-             abort reasons, op/commit/delay/certification points, \
-             provenance decisions, WAL appends and forces) and write them \
-             to $(docv) as JSON-lines; $(b,replay) re-checks them.")
-  in
   let run b snapshot_every stats trace_file =
-    let metrics =
-      if stats then Some (Mvcc_obs.Metrics.create ()) else None
-    in
+    let metrics = if stats then Some (O.Metrics.create ()) else None in
     let spans = Option.map (fun _ -> trace_ring ()) trace_file in
-    let obs =
-      if stats || trace_file <> None then
-        Mvcc_obs.Sink.create ?metrics ?spans ()
-      else Mvcc_obs.Sink.noop
-    in
-    let accounts, r, hook =
-      run_banking ?snapshot_every b ~obs ~wal_path:b.wal
-    in
-    Format.printf "policy=%s %a@."
-      (Mvcc_engine.Engine.policy_name b.policy)
-      Mvcc_engine.Engine.pp_stats r.Mvcc_engine.Engine.stats;
-    (match r.Mvcc_engine.Engine.provenance with
+    let obs = O.Sink.create ?metrics ?spans () in
+    let log = Option.map (fun f -> File f) b.wal in
+    let _, r, hook = run_banking ?snapshot_every ?log b ~obs in
+    print_stats b r;
+    (match r.provenance with
     | Some (history, w) ->
         Format.printf "history: %d committed steps@." (Schedule.length history);
         Format.printf "witness: %a@." Mvcc_provenance.Witness.pp w;
@@ -608,112 +674,79 @@ let simulate_cmd =
         Format.printf "checker: %s@." (Mvcc_provenance.Checker.outcome_name o);
         if o = Mvcc_provenance.Checker.Refuted then exit 1
     | None -> ());
-    let total =
-      List.fold_left (fun acc (_, v) -> acc + v) 0
-        r.Mvcc_engine.Engine.final_state
-    in
+    let total = List.fold_left (fun acc (_, v) -> acc + v) 0 r.final_state in
     Format.printf "total balance: %d (expected %d)@." total
       (100 * List.length accounts);
     (* the engine stops only when every program committed or the tick
        budget ran out, so a short commit count means the latter *)
-    let stats = r.Mvcc_engine.Engine.stats in
     let n = b.readers + b.writers in
-    if stats.Mvcc_engine.Engine.commits < n then
+    if r.stats.commits < n then
       Format.printf
         "truncated: %d of %d transactions uncommitted at max_ticks=%d@."
-        (n - stats.Mvcc_engine.Engine.commits)
-        n stats.Mvcc_engine.Engine.ticks;
-    (match (hook, b.wal) with
-    | Some (writer, h), Some file ->
-        (match (b.group_commit, r.Mvcc_engine.Engine.durable_commits) with
+        (n - r.stats.commits) n r.stats.ticks;
+    Option.iter
+      (fun (writer, h) ->
+        (match (b.group_commit, r.durable_commits) with
         | Some _, Some acked ->
             Format.printf
               "group commit: %d/%d commits acknowledged at run end (%d \
                forces); closing forces the open batch@."
-              acked r.Mvcc_engine.Engine.stats.Mvcc_engine.Engine.commits
-              (Mvcc_durable.Wal.forces writer)
+              acked r.stats.commits (D.Wal.forces writer)
         | _ -> ());
-        Mvcc_durable.Wal.close writer;
+        D.Wal.close writer;
+        let file = Option.get b.wal and snapshots = D.Hook.snapshots h in
         Format.printf "wal: %d records to %s (%d snapshot(s)%s)@."
-          (Mvcc_durable.Wal.next_lsn writer)
-          file
-          (List.length (Mvcc_durable.Hook.snapshots h))
-          (if Mvcc_durable.Hook.snapshots h <> [] then
-             " to " ^ file ^ ".snap"
-           else "")
-    | _ -> ());
+          (D.Wal.next_lsn writer) file (List.length snapshots)
+          (if snapshots <> [] then " to " ^ file ^ ".snap" else ""))
+      hook;
     (* after the close: the final force's counters belong in the snapshot *)
-    (match metrics with
-    | Some m -> print_endline (Mvcc_obs.Metrics.to_json m)
-    | None -> ());
+    Option.iter (fun m -> print_endline (O.Metrics.to_json m)) metrics;
     match (trace_file, spans) with
     | Some file, Some ring ->
-        let oc = open_out file in
-        Mvcc_obs.Span.write_jsonl oc ring;
-        close_out oc;
+        write_spans file ring;
         Format.printf "trace: %d spans to %s (%d dropped)@."
-          (List.length (Mvcc_obs.Span.to_list ring))
-          file
-          (Mvcc_obs.Span.dropped ring)
+          (List.length (O.Span.to_list ring))
+          file (O.Span.dropped ring)
     | _ -> ()
   in
   Cmd.v
     (Cmd.info "simulate"
        ~doc:"Run a banking workload through the storage engine")
     Term.(
-      const run $ banking_term $ snapshot_every_arg $ stats_arg $ trace_arg)
+      const run $ banking_term $ snapshot_every_arg None $ stats_arg
+      $ Arg.(value & opt (some string) None & trace_info))
 
 let replay_cmd =
-  let trace_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Span JSON-lines captured by $(b,simulate --trace); pass the \
-             same engine and log flags the recording was made with (a \
-             recording made with $(b,--snapshot-every) cannot be \
-             replayed).")
-  in
   let run b trace_file =
-    let ic = open_in trace_file in
-    let recorded, rstats = Mvcc_obs.Span.read_jsonl ic in
-    close_in ic;
-    (* rebuild the run: same flags, same seed, a fresh ring; a logged
-       run writes to a scratch file so the recorded log is left alone *)
-    let ring = trace_ring () in
-    let obs = Mvcc_obs.Sink.create ~spans:ring () in
-    let wal_path =
-      Option.map (fun _ -> Filename.temp_file "mvcc_replay" ".wal") b.wal
+    let recorded, rstats =
+      In_channel.with_open_text trace_file O.Span.read_jsonl
     in
-    let _, r, hook = run_banking b ~obs ~wal_path in
-    Option.iter (fun (writer, _) -> Mvcc_durable.Wal.close writer) hook;
-    Option.iter
-      (fun file ->
-        List.iter
-          (fun f -> if Sys.file_exists f then Sys.remove f)
-          [ file; file ^ ".snap" ])
-      wal_path;
-    let replayed = Mvcc_obs.Span.to_list ring in
-    let lines = List.map Mvcc_obs.Span.to_json in
+    (* rebuild the run: same flags, same seed, a fresh ring; a logged
+       run logs to memory so the recorded log is left alone *)
+    let ring = trace_ring () in
+    let obs = O.Sink.create ~spans:ring () in
+    let _, r, hook =
+      run_banking ?log:(Option.map (fun _ -> Memory) b.wal) b ~obs
+    in
+    Option.iter (fun (writer, _) -> D.Wal.close writer) hook;
+    let replayed = O.Span.to_list ring in
+    let lines = List.map O.Span.to_json in
     let rec_lines = lines recorded and rep_lines = lines replayed in
-    Format.printf "recorded: %d spans (%d unparseable line(s) skipped%s)@."
-      (List.length recorded) rstats.Mvcc_obs.Jsonl.skipped
-      (if rstats.Mvcc_obs.Jsonl.torn_tail then ", torn final line dropped"
-       else "");
-    Format.printf "replayed: %d spans@." (List.length replayed);
+    field "recorded" "%d spans (%d unparseable line(s) skipped%s)"
+      (List.length recorded) rstats.skipped
+      (if rstats.torn_tail then ", torn final line dropped" else "");
+    field "replayed" "%d spans" (List.length replayed);
     let spans_match = rec_lines = rep_lines in
-    if spans_match then Format.printf "spans   : byte-for-byte identical@."
+    if spans_match then field "spans" "byte-for-byte identical"
     else begin
-      Format.printf "spans   : MISMATCH@.";
+      field "spans" "MISMATCH";
       let rec first_diff i = function
-        | a :: tl, b :: tl' ->
-            if a <> b then
-              Format.printf
-                "  first divergence at span %d:@.  recorded: %s@.  \
-                 replayed: %s@."
-                i a b
-            else first_diff (i + 1) (tl, tl')
+        | a :: tl, b :: tl' when a = b -> first_diff (i + 1) (tl, tl')
+        | a :: _, b :: _ ->
+            Format.printf
+              "  first divergence at span %d:@.  recorded: %s@.  replayed: \
+               %s@."
+              i a b
         | a :: _, [] -> Format.printf "  recorded has extra span %d: %s@." i a
         | [], b :: _ -> Format.printf "  replayed has extra span %d: %s@." i b
         | [], [] -> ()
@@ -724,26 +757,22 @@ let replay_cmd =
        replayed run's stats: a "commit" point per commit, an attempt
        span closed with outcome "abort" per abort *)
     let count f =
-      List.length (List.filter (fun (s : Mvcc_obs.Span.span) -> f s) recorded)
+      List.length (List.filter (fun (s : O.Span.span) -> f s) recorded)
     in
     let commits_rec = count (fun s -> s.name = "commit")
     and aborts_rec =
       count (fun s ->
           s.name = "attempt"
-          && List.assoc_opt "outcome" s.attrs
-             = Some (Mvcc_obs.Json.Str "abort"))
+          && List.assoc_opt "outcome" s.attrs = Some (O.Json.Str "abort"))
     in
-    let st = r.Mvcc_engine.Engine.stats in
-    Format.printf "commits : recorded %d, replayed %d@." commits_rec
-      st.Mvcc_engine.Engine.commits;
-    Format.printf "aborts  : recorded %d, replayed %d@." aborts_rec
-      st.Mvcc_engine.Engine.aborts;
-    let ok =
-      spans_match
-      && commits_rec = st.Mvcc_engine.Engine.commits
-      && aborts_rec = st.Mvcc_engine.Engine.aborts
-    in
-    if not ok then begin
+    field "commits" "recorded %d, replayed %d" commits_rec r.stats.commits;
+    field "aborts" "recorded %d, replayed %d" aborts_rec r.stats.aborts;
+    if
+      not
+        (spans_match
+        && commits_rec = r.stats.commits
+        && aborts_rec = r.stats.aborts)
+    then begin
       prerr_endline "replay: reconstruction does not match the recorded trace";
       exit 1
     end
@@ -753,50 +782,61 @@ let replay_cmd =
        ~doc:
          "Rebuild an engine run from the flags it was recorded with and \
           verify the replayed spans match the recorded trace byte-for-byte")
-    Term.(const run $ banking_term $ trace_arg)
+    Term.(
+      const run $ banking_term
+      $ Arg.(required & opt (some file) None & trace_info))
 
-(* recover *)
+(* recover and follow *)
 
 (* Jsonl damage marker shared by the recover and follow state lines:
    mid-file skips are "suspicious anywhere" (they can hide a commit
    record), so the state a consumer scrapes carries the warning inline
    instead of only in the log summary line. Empty for a clean log, so
    follow-vs-recover state diffs still agree byte for byte. *)
-let suspicion (st : Mvcc_obs.Jsonl.stats) =
-  if st.Mvcc_obs.Jsonl.skipped = 0 && not st.Mvcc_obs.Jsonl.torn_tail then ""
+let suspicion (st : O.Jsonl.stats) =
+  if st.skipped = 0 && not st.torn_tail then ""
   else
-    Printf.sprintf " [suspect: %d mid-file skip(s)%s]"
-      st.Mvcc_obs.Jsonl.skipped
-      (if st.Mvcc_obs.Jsonl.torn_tail then ", torn tail" else "")
+    Printf.sprintf " [suspect: %d mid-file skip(s)%s]" st.skipped
+      (if st.torn_tail then ", torn tail" else "")
+
+(* "N what [t1 t2 ...]" over transaction ids *)
+let listed what ids =
+  Printf.sprintf "%d %s [%s]" (List.length ids) what
+    (String.concat " " (List.map string_of_int ids))
+
+(* The lines recover and follow share over a recovered view [r]: its
+   commit order, the [in_flight] lines, its state with [stats]'s damage
+   marker, the chains under [dump], the [notes], and the certificate (a
+   witness with the checker's verdict; none after a tail recovery). *)
+let print_recovered ?(in_flight = []) ?(notes = []) ~dump ~stats
+    (r : D.Recovery.t) certificate =
+  let lines = List.iter (fun (label, text) -> field label "%s" text) in
+  lines (("commits", listed "recovered" r.commit_order) :: in_flight);
+  field "state" "%s%s"
+    (String.concat ", "
+       (List.map (fun (e, v) -> Printf.sprintf "%s=%d" e v) r.state))
+    (suspicion stats);
+  if dump then
+    Format.printf "chains  :@.%s@." (D.Recovery.dump_string r.store);
+  lines notes;
+  match certificate with
+  | None -> field "witness" "none (tail recovery)"
+  | Some (w, verdict) ->
+      field "witness" "%a" Mvcc_provenance.Witness.pp w;
+      field "checker" "%s" verdict
 
 let recover_cmd =
-  let module D = Mvcc_durable in
-  let policy_arg =
-    policy_arg ~doc:"Concurrency control policy the log was written under."
-  in
-  let wal_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "wal" ] ~docv:"FILE"
-          ~doc:"Write-ahead log captured by $(b,simulate --wal).")
-  in
+  let module C = Mvcc_provenance.Checker in
   let snapshot_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some file) None
       & info [ "snapshot" ] ~docv:"FILE"
           ~doc:
             "Recover from this snapshot plus the log tail instead of \
              replaying the whole log. The recovered store is identical \
              either way; the history and witness cover only the tail, so \
              no certificate is issued.")
-  in
-  let dump_arg =
-    Arg.(
-      value & flag
-      & info [ "dump" ]
-          ~doc:"Also print the recovered version chains, one entity per line.")
   in
   let run policy wal_file snapshot_file dump =
     let read = D.Wal.read_file wal_file in
@@ -811,69 +851,37 @@ let recover_cmd =
         snapshot_file
     in
     let r = D.Recovery.recover ~policy ?snapshot read in
-    Format.printf "log     : %d valid records, %d skipped%s@."
-      (List.length read.D.Wal.records)
-      read.D.Wal.stats.Mvcc_obs.Jsonl.skipped
-      (if read.D.Wal.stats.Mvcc_obs.Jsonl.torn_tail then
-         ", torn final record dropped"
-       else "");
-    (match snapshot with
-    | Some s ->
-        Format.printf "snapshot: lsn %d (%d commits), tail replayed@."
-          s.D.Snapshot.lsn s.D.Snapshot.commits
-    | None -> ());
-    Format.printf "commits : %d recovered [%s]@."
-      (List.length r.D.Recovery.commit_order)
-      (String.concat " " (List.map string_of_int r.D.Recovery.commit_order));
-    Format.printf "undone  : %d in-flight [%s]@."
-      (List.length r.D.Recovery.undone)
-      (String.concat " " (List.map string_of_int r.D.Recovery.undone));
-    if r.D.Recovery.cascaded <> [] then
-      Format.printf "cascaded: %d committed-but-lost [%s]@."
-        (List.length r.D.Recovery.cascaded)
-        (String.concat " " (List.map string_of_int r.D.Recovery.cascaded));
-    Format.printf "state   : %s%s@."
-      (String.concat ", "
-         (List.map
-            (fun (e, v) -> Printf.sprintf "%s=%d" e v)
-            r.D.Recovery.state))
-      (suspicion read.D.Wal.stats);
-    if dump then
-      Format.printf "chains  :@.%s@." (D.Recovery.dump_string r.D.Recovery.store);
-    match r.D.Recovery.witness with
-    | None -> Format.printf "witness : none (tail recovery)@."
-    | Some w ->
-        Format.printf "history : %d committed steps@."
-          (Schedule.length r.D.Recovery.history);
-        Format.printf "witness : %a@." Mvcc_provenance.Witness.pp w;
-        let o = Mvcc_provenance.Checker.check r.D.Recovery.history w in
-        Format.printf "checker : %s@." (Mvcc_provenance.Checker.outcome_name o);
-        if o = Mvcc_provenance.Checker.Refuted then exit 1
+    field "log" "%d valid records, %d skipped%s"
+      (List.length read.records) read.stats.skipped
+      (if read.stats.torn_tail then ", torn final record dropped" else "");
+    Option.iter
+      (fun (s : D.Snapshot.t) ->
+        field "snapshot" "lsn %d (%d commits), tail replayed" s.lsn s.commits)
+      snapshot;
+    let checked = Option.map (fun w -> (w, C.check r.history w)) r.witness in
+    let history =
+      Printf.sprintf "%d committed steps" (Schedule.length r.history)
+    in
+    print_recovered ~dump ~stats:read.stats r
+      ~in_flight:
+        (("undone", listed "in-flight" r.undone)
+        :: (if r.cascaded = [] then []
+            else [ ("cascaded", listed "committed-but-lost" r.cascaded) ]))
+      ~notes:(if checked = None then [] else [ ("history", history) ])
+      (Option.map (fun (w, o) -> (w, C.outcome_name o)) checked);
+    if Option.map snd checked = Some C.Refuted then exit 1
   in
   Cmd.v
     (Cmd.info "recover"
        ~doc:
          "Rebuild committed state and history from a write-ahead log (or \
           snapshot + tail), certified by the independent checker")
-    Term.(const run $ policy_arg $ wal_arg $ snapshot_arg $ dump_arg)
-
-(* follow *)
+    Term.(
+      const run $ policy_arg
+      $ Arg.(required & opt (some file) None & wal_info)
+      $ snapshot_arg $ dump_arg)
 
 let follow_cmd =
-  let module D = Mvcc_durable in
-  let policy_arg =
-    policy_arg ~doc:"Concurrency control policy the log is written under."
-  in
-  let wal_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "wal" ] ~docv:"FILE"
-          ~doc:
-            "Write-ahead log to ship from — typically one being written \
-             by $(b,simulate --wal) with group commit, so the file only \
-             ever holds forced batches.")
-  in
   let once_arg =
     Arg.(
       value & flag
@@ -884,127 +892,78 @@ let follow_cmd =
   in
   let poll_arg =
     Arg.(
-      value & opt int 50
+      value
+      & opt (at_least 0) 50
       & info [ "poll-ms" ] ~docv:"MS" ~doc:"Polling interval while tailing.")
   in
   let idle_arg =
     Arg.(
-      value & opt int 20
+      value
+      & opt (at_least 0) 20
       & info [ "idle-polls" ] ~docv:"N"
           ~doc:
             "Stop after $(docv) consecutive polls with no new bytes — the \
              leader has gone quiet.")
   in
-  let dump_arg =
-    Arg.(
-      value & flag
-      & info [ "dump" ]
-          ~doc:"Also print the replica's version chains, one entity per line.")
-  in
-  let metrics_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:
-            "Keep an OpenMetrics exposition of the follower's counters \
-             and gauges (records/commits applied, snapshot ts, ingest \
-             latency) in $(docv), rewritten atomically — point a \
-             Prometheus-family scraper at it. Written at exit, and \
-             during tailing per $(b,--stats-every).")
-  in
-  let stats_every_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "stats-every" ] ~docv:"N"
-          ~doc:
-            "With $(b,--metrics FILE), also rewrite the exposition every \
-             $(docv) applied records while tailing (0 = only at exit).")
-  in
-  let run policy wal_file once poll_ms idle_polls dump metrics_file
-      stats_every =
-    let metrics = Option.map (fun _ -> Mvcc_obs.Metrics.create ()) metrics_file in
-    let obs =
-      match metrics with
-      | Some m -> Mvcc_obs.Sink.create ~metrics:m ()
-      | None -> Mvcc_obs.Sink.noop
+  let run policy wal_file once poll_ms idle_polls dump metrics_file =
+    let exposition =
+      Option.map (fun file -> (file, O.Metrics.create ())) metrics_file
     in
+    let obs = O.Sink.create ?metrics:(Option.map snd exposition) () in
     let f = D.Follower.create ~policy ~obs () in
-    let written_at = ref 0 in
     let write_metrics () =
-      match (metrics_file, metrics) with
-      | Some file, Some m ->
-          Mvcc_obs.Openmetrics.write_file file m;
-          written_at := D.Follower.records_applied f
-      | _ -> ()
+      Option.iter (fun (file, m) -> O.Openmetrics.write_file file m) exposition
     in
-    let maybe_write_metrics () =
-      if
-        stats_every > 0
-        && D.Follower.records_applied f - !written_at >= stats_every
-      then write_metrics ()
-    in
+    (* the exposition follows every poll that moved the replica, so a
+       scraper sees it advance while tailing *)
     let poll () =
       let n =
         if Sys.file_exists wal_file then D.Follower.catch_up_file f wal_file
         else 0
       in
-      maybe_write_metrics ();
+      if n > 0 then write_metrics ();
       n
+    in
+    let progress what n =
+      if n > 0 then
+        Format.printf "%s: %d records (%d commits, snapshot ts %d)@." what n
+          (D.Follower.commits_applied f)
+          (D.Follower.snapshot_ts f)
     in
     let applied = poll () in
     if not once then begin
-      if applied > 0 then
-        Format.printf "caught up: %d records (%d commits, snapshot ts %d)@."
-          applied
-          (D.Follower.commits_applied f)
-          (D.Follower.snapshot_ts f);
+      progress "caught up" applied;
       let idle = ref 0 in
       while !idle < idle_polls do
         Unix.sleepf (float_of_int poll_ms /. 1000.);
         let n = poll () in
-        if n > 0 then begin
-          idle := 0;
-          Format.printf "shipped: %d records (%d commits, snapshot ts %d)@."
-            n
-            (D.Follower.commits_applied f)
-            (D.Follower.snapshot_ts f)
-        end
-        else incr idle
+        progress "shipped" n;
+        if n > 0 then idle := 0 else incr idle
       done
     end;
     let st = D.Follower.stats f in
-    Format.printf "log     : %d records ingested, %d skipped%s@."
+    field "log" "%d records ingested, %d skipped%s"
       (D.Follower.records_applied f)
-      st.Mvcc_obs.Jsonl.skipped
-      (if st.Mvcc_obs.Jsonl.torn_tail then ", torn final record pending"
-       else "");
-    let r = D.Follower.state f in
-    Format.printf "commits : %d recovered [%s]@."
-      (List.length r.D.Recovery.commit_order)
-      (String.concat " " (List.map string_of_int r.D.Recovery.commit_order));
-    Format.printf "state   : %s%s@."
-      (String.concat ", "
-         (List.map
-            (fun (e, v) -> Printf.sprintf "%s=%d" e v)
-            (D.Follower.read_view f)))
-      (suspicion st);
-    if dump then
-      Format.printf "chains  :@.%s@."
-        (D.Recovery.dump_string (D.Follower.store f));
-    Format.printf "reads   : served at lagging snapshot ts %d (%d bytes \
-                   ingested)@."
-      (D.Follower.snapshot_ts f)
-      (D.Follower.ingested_bytes f);
+      st.skipped
+      (if st.torn_tail then ", torn final record pending" else "");
     let _, w, ok = D.Follower.certify f in
-    Format.printf "witness : %a@." Mvcc_provenance.Witness.pp w;
-    Format.printf "checker : %s@."
-      (if ok then "confirmed — replica reads are read-consistent"
-       else "REFUTED");
+    let reads =
+      Printf.sprintf "served at lagging snapshot ts %d (%d bytes ingested)"
+        (D.Follower.snapshot_ts f)
+        (D.Follower.ingested_bytes f)
+    in
+    (* the state and chains are what the replica serves, not a rebuild *)
+    let served =
+      { (D.Follower.state f) with
+        state = D.Follower.read_view f; store = D.Follower.store f }
+    in
+    print_recovered ~dump ~stats:st served ~notes:[ ("reads", reads) ]
+      (Some
+         ( w,
+           if ok then "confirmed — replica reads are read-consistent"
+           else "REFUTED" ));
     write_metrics ();
-    (match metrics_file with
-    | Some file -> Format.printf "metrics : OpenMetrics exposition in %s@." file
-    | None -> ());
+    Option.iter (field "metrics" "OpenMetrics exposition in %s") metrics_file;
     if not ok then exit 1
   in
   Cmd.v
@@ -1015,30 +974,13 @@ let follow_cmd =
           snapshot timestamp certified read-consistent by the independent \
           checker")
     Term.(
-      const run $ policy_arg $ wal_arg $ once_arg $ poll_arg $ idle_arg
-      $ dump_arg $ metrics_arg $ stats_every_arg)
+      const run $ policy_arg
+      $ Arg.(required & opt (some string) None & wal_info)
+      $ once_arg $ poll_arg $ idle_arg $ dump_arg $ metrics_arg)
 
 (* timeline *)
 
 let timeline_cmd =
-  let module D = Mvcc_durable in
-  let module O = Mvcc_obs in
-  let policy_arg = policy_arg ~doc:"Concurrency control policy." in
-  let readers_arg =
-    Arg.(value & opt int 4 & info [ "readers" ] ~doc:"Analytics transactions.")
-  in
-  let writers_arg =
-    Arg.(value & opt int 4 & info [ "writers" ] ~doc:"Transfer transactions.")
-  in
-  let group_commit_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "group-commit" ] ~docv:"N"
-          ~doc:
-            "Group-commit window: force the log every $(docv) commits, so \
-             the durability lag between commit and acknowledgement is \
-             visible in the waterfall.")
-  in
   let width_arg =
     Arg.(
       value & opt int 64
@@ -1062,15 +1004,6 @@ let timeline_cmd =
       & info [ "spans" ] ~docv:"FILE"
           ~doc:"Write the raw spans to $(docv) as JSON-lines.")
   in
-  let metrics_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:
-            "Write an OpenMetrics exposition of the run's counters, \
-             gauges, and the three derived latency histograms to $(docv).")
-  in
   let run policy cores readers writers group_commit width chrome_file
       spans_file metrics_file seed =
     let width = max 16 width in
@@ -1080,43 +1013,37 @@ let timeline_cmd =
        every replicated point lands after every durable ack and the
        waterfall shows the full submit -> commit -> durable -> replicated
        pipeline per transaction *)
-    let _accounts, initial, programs = banking_workload ~readers ~writers in
+    let b =
+      {
+        policy; cores; client_queues = 1; batch = None; ro_snapshot = false;
+        readers; writers; certify = false; wal = None; group_commit; seed;
+      }
+    in
     let metrics = O.Metrics.create () in
     let spans = O.Span.create ~capacity:65536 () in
     let obs = O.Sink.create ~metrics ~spans () in
-    let writer =
-      D.Wal.writer ~window:(D.Wal.window ~commits:group_commit ()) ~obs ()
-    in
-    let hook = D.Hook.create writer in
-    let r =
-      Mvcc_engine.Engine.run ~policy ~initial ~programs ~obs
-        ~wal:(D.Hook.listener hook)
-        ~wal_durable:(fun () -> D.Wal.acked_commits writer)
-        ~cores ~seed ()
-    in
+    let programs, r, hook = run_banking ~log:Memory b ~obs in
+    let writer, _ = Option.get hook in
     D.Wal.close writer;
     let f = D.Follower.create ~policy ~obs () in
     let log = D.Wal.contents writer in
     List.iter
       (fun (b : D.Wal.boundary) ->
-        ignore (D.Follower.catch_up f (String.sub log 0 b.D.Wal.b_bytes)))
+        ignore (D.Follower.catch_up f (String.sub log 0 b.b_bytes)))
       (D.Wal.force_boundaries writer);
     ignore (D.Follower.catch_up f log);
     let sl = O.Span.to_list spans in
     let txns = O.Latency.per_txn sl in
     O.Latency.observe metrics txns;
-    Format.printf "policy=%s %a@."
-      (Mvcc_engine.Engine.policy_name policy)
-      Mvcc_engine.Engine.pp_stats r.Mvcc_engine.Engine.stats;
-    (match r.Mvcc_engine.Engine.durable_commits with
-    | Some acked ->
+    print_stats b r;
+    Option.iter
+      (fun acked ->
         Format.printf
           "group commit: %d/%d acknowledged at run end, %d forces; follower \
            replayed %d commits@."
-          acked r.Mvcc_engine.Engine.stats.Mvcc_engine.Engine.commits
-          (D.Wal.forces writer)
-          (D.Follower.commits_applied f)
-    | None -> ());
+          acked r.stats.commits (D.Wal.forces writer)
+          (D.Follower.commits_applied f))
+      r.durable_commits;
     let pretty_ns ns =
       if ns >= 1_000_000 then Printf.sprintf "%.2fms" (float_of_int ns /. 1e6)
       else if ns >= 1_000 then Printf.sprintf "%.1fus" (float_of_int ns /. 1e3)
@@ -1127,13 +1054,13 @@ let timeline_cmd =
         txns
     in
     let t_max =
-      List.fold_left
-        (fun a (t : O.Latency.txn) ->
-          List.fold_left
-            (fun a p -> match p with Some x -> max a x | None -> a)
-            (max a t.t_submit)
-            [ t.t_commit; t.t_durable; t.t_replicated ])
-        0 txns
+      List.fold_left max 0
+        (List.concat_map
+           (fun (t : O.Latency.txn) ->
+             t.t_submit
+             :: List.filter_map Fun.id
+                  [ t.t_commit; t.t_durable; t.t_replicated ])
+           txns)
     in
     let col t =
       if t_max <= t_min then 0 else (t - t_min) * (width - 1) / (t_max - t_min)
@@ -1175,9 +1102,7 @@ let timeline_cmd =
                   match t.t_replicated with
                   | None -> ""
                   | Some tr ->
-                      (match t.t_durable with
-                      | Some td -> fill td tr '~'
-                      | None -> fill tc tr '~');
+                      fill (Option.value t.t_durable ~default:tc) tr '~';
                       Bytes.set bar (col tr) 'R';
                       Printf.sprintf "  +replica %s" (pretty_ns (tr - tc))
                 in
@@ -1190,41 +1115,30 @@ let timeline_cmd =
         txns
     end;
     Format.printf "@.";
+    let line label = field ~width:21 label in
     let pretty_s x = pretty_ns (int_of_float ((x *. 1e9) +. 0.5)) in
     List.iter
       (fun name ->
         match O.Metrics.summary metrics name with
         | Some s ->
-            Format.printf
-              "%-21s: count %d  p50 %s  p95 %s  p99 %s  max %s@." name
-              s.O.Metrics.count (pretty_s s.O.Metrics.p50)
-              (pretty_s s.O.Metrics.p95) (pretty_s s.O.Metrics.p99)
-              (pretty_s s.O.Metrics.max)
-        | None -> Format.printf "%-21s: no samples@." name)
+            line name "count %d  p50 %s  p95 %s  p99 %s  max %s" s.count
+              (pretty_s s.p50) (pretty_s s.p95) (pretty_s s.p99)
+              (pretty_s s.max)
+        | None -> line name "no samples")
       [ "txn.commit-latency_s"; "txn.durability-lag_s"; "txn.replication-lag_s" ];
-    Format.printf "spans                : %d recorded, %d dropped@."
-      (List.length sl) (O.Span.dropped spans);
-    (match O.Span.check sl with
-    | None -> ()
-    | Some reason -> Format.printf "spans                : MALFORMED — %s@." reason);
-    (match chrome_file with
-    | Some file ->
-        O.Chrome_trace.write_file file sl;
-        Format.printf "chrome trace         : %s@." file
-    | None -> ());
-    (match spans_file with
-    | Some file ->
-        let oc = open_out file in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> O.Span.write_jsonl oc spans);
-        Format.printf "span jsonl           : %s@." file
-    | None -> ());
-    match metrics_file with
-    | Some file ->
-        O.Openmetrics.write_file file metrics;
-        Format.printf "openmetrics          : %s@." file
-    | None -> ()
+    line "spans" "%d recorded, %d dropped" (List.length sl)
+      (O.Span.dropped spans);
+    Option.iter (line "spans" "MALFORMED — %s") (O.Span.check sl);
+    let export label write =
+      Option.iter (fun file ->
+          write file;
+          line label "%s" file)
+    in
+    export "chrome trace" (fun file -> O.Chrome_trace.write_file file sl)
+      chrome_file;
+    export "span jsonl" (fun file -> write_spans file spans) spans_file;
+    export "openmetrics" (fun file -> O.Openmetrics.write_file file metrics)
+      metrics_file
   in
   Cmd.v
     (Cmd.info "timeline"
@@ -1236,35 +1150,39 @@ let timeline_cmd =
           optionally export Chrome trace-event JSON, raw spans, and an \
           OpenMetrics exposition")
     Term.(
-      const run $ policy_arg $ cores_arg $ readers_arg $ writers_arg
-      $ group_commit_arg $ width_arg $ chrome_arg $ spans_arg $ metrics_arg
-      $ seed_arg)
+      const run $ policy_arg $ cores_arg $ readers_arg 4 $ writers_arg 4
+      $ group_commit_arg (Some 3) $ width_arg $ chrome_arg $ spans_arg
+      $ metrics_arg $ seed_arg)
 
 (* crash *)
 
 let crash_cmd =
-  let module D = Mvcc_durable in
-  let policy_arg = policy_arg ~doc:"Concurrency control policy." in
   let points_arg =
     Arg.(
-      value & opt int 100
+      value
+      & opt (at_least 0) 100
       & info [ "points" ] ~docv:"N" ~doc:"Crash points to inject.")
   in
   let point_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "point" ] ~docv:"K"
-          ~doc:
-            "Re-check only crash point $(docv) of the same seeded \
-             sequence — the one-command reproduction for a reported \
-             failure.")
-  in
-  let txns_arg =
-    Arg.(value & opt int 8 & info [ "txns" ] ~doc:"Concurrent transactions.")
-  in
-  let entities_arg =
-    Arg.(value & opt int 6 & info [ "entities" ] ~doc:"Entities.")
+    let point =
+      Arg.(
+        value
+        & opt (some (at_least 0)) None
+        & info [ "point" ] ~docv:"K"
+            ~doc:
+              "Re-check only crash point $(docv) of the same seeded \
+               sequence — the one-command reproduction for a reported \
+               failure. $(docv) must be below $(b,--points).")
+    in
+    (* a point outside the sequence would check nothing and pass *)
+    let within points = function
+      | Some k when k >= points ->
+          Error
+            (`Msg
+              (Printf.sprintf "--point %d is not below --points %d" k points))
+      | point -> Ok point
+    in
+    Term.(term_result ~usage:true (const within $ points_arg $ point))
   in
   let theta_arg =
     Arg.(
@@ -1272,29 +1190,15 @@ let crash_cmd =
       & info [ "theta" ] ~doc:"Zipfian skew of entity selection.")
   in
   let ops_arg =
-    Arg.(value & opt int 6 & info [ "ops" ] ~doc:"Operations per transaction.")
-  in
-  let snapshot_every_arg =
     Arg.(
       value
-      & opt (some int) (Some 3)
-      & info [ "snapshot-every" ] ~docv:"N"
-          ~doc:"Commits between snapshots (0 disables snapshots).")
-  in
-  let group_commit_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "group-commit" ] ~docv:"N"
-          ~doc:
-            "Group-commit window: force the log every $(docv) commits \
-             instead of every record, so crash points land both at batch \
-             boundaries and mid-batch.")
+      & opt (at_least 0) 6
+      & info [ "ops" ] ~doc:"Operations per transaction.")
   in
   let group_records_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (at_least 1)) None
       & info [ "group-records" ] ~docv:"N"
           ~doc:"Additional group-commit threshold: force every $(docv) records.")
   in
@@ -1334,7 +1238,7 @@ let crash_cmd =
               "reproduce: mvcc crash --policy %s --seed %d --txns %d \
                --entities %d --theta %g --ops %d --snapshot-every %d%s%s \
                --points %d --point %d\n"
-              (Mvcc_engine.Engine.policy_name policy)
+              (Engine.policy_name policy)
               seed txns entities theta ops
               (Option.value ~default:0 snapshot_every)
               (flag "group-commit" group_commit)
@@ -1352,9 +1256,9 @@ let crash_cmd =
           group-commit force boundaries, recover from each cut, and \
           property-check the result")
     Term.(
-      const run $ policy_arg $ points_arg $ point_arg $ txns_arg
-      $ entities_arg $ theta_arg $ ops_arg $ snapshot_every_arg
-      $ group_commit_arg $ group_records_arg $ seed_arg)
+      const run $ policy_arg $ points_arg $ point_arg $ txns_arg 8
+      $ entities_arg 6 $ theta_arg $ ops_arg $ snapshot_every_arg (Some 3)
+      $ group_commit_arg None $ group_records_arg $ seed_arg)
 
 let () =
   let info =
