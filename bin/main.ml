@@ -49,57 +49,6 @@ let policy_arg =
           "Concurrency control policy: the run's, or the one the log was \
            written under.")
 
-let cores_arg =
-  Arg.(
-    value
-    & opt (at_least 1) 1
-    & info [ "cores" ] ~docv:"N"
-        ~doc:
-          "Execution worker domains for the engine's sharded pipeline. 1 \
-           (the default) is the sequential reference; higher counts defer \
-           value computation to $(docv) worker domains replaying committed \
-           transactions in dependency waves at batch boundaries. The \
-           committed history, decisions, certificates, and WAL bytes are \
-           identical at every setting.")
-
-let client_queues_arg =
-  Arg.(
-    value
-    & opt (at_least 1) 1
-    & info [ "client-queues" ] ~docv:"N"
-        ~doc:
-          "Partitioned intake: deal the workload round-robin into $(docv) \
-           client queues, build each queue's client records independently, \
-           and merge deterministically back into submission order before \
-           admission. The admitted batch — and so the whole run — is \
-           identical at every queue count.")
-
-let batch_conv =
-  let parse s =
-    if s = "auto" then Ok Engine.Auto
-    else
-      match int_of_string_opt s with
-      | Some n when n > 0 -> Ok (Engine.Fixed n)
-      | _ -> Error (`Msg "expected a positive integer or 'auto'")
-  in
-  let print ppf = function
-    | Engine.Auto -> Format.pp_print_string ppf "auto"
-    | Engine.Fixed n -> Format.pp_print_int ppf n
-  in
-  Arg.conv (parse, print) ~docv:"N|auto"
-
-let batch_arg =
-  Arg.(
-    value
-    & opt (some batch_conv) None
-    & info [ "batch" ] ~docv:"N|auto"
-        ~doc:
-          "Execution-stage flush target with $(b,--cores) > 1: a fixed \
-           batch size, or $(b,auto) to steer the target adaptively from \
-           the observed batch shape (bounded, deterministic, exported as \
-           the engine.stage.batch-target gauge). Default: 8 x cores. \
-           Flush timing never changes decisions or WAL bytes.")
-
 let ro_snapshot_arg =
   Arg.(
     value & flag
@@ -108,8 +57,8 @@ let ro_snapshot_arg =
           "Route read-only transactions off the tick loop: each executes \
            atomically against a snapshot timestamp at a commit boundary \
            and commits on the spot, never blocking, aborting, or entering \
-           certification. Changes scheduling, so compare runs with the \
-           flag to a $(b,--cores) 1 run with the same flag.")
+           certification. Changes scheduling, so compare a run with the \
+           flag only to another run with it.")
 
 let readers_arg default =
   Arg.(
@@ -553,9 +502,6 @@ let census_cmd =
    the recorded one byte for byte. *)
 type banking = {
   policy : Engine.policy;
-  cores : int;
-  client_queues : int;
-  batch : Engine.batch option;
   ro_snapshot : bool;
   readers : int;
   writers : int;
@@ -575,16 +521,15 @@ let banking_term =
              and re-verify it with the independent checker; exit non-zero \
              if the checker refutes it.")
   in
-  let make policy cores client_queues batch ro_snapshot readers writers
-      certify wal group_commit seed =
+  let make policy ro_snapshot readers writers certify wal group_commit seed =
     {
-      policy; cores; client_queues; batch; ro_snapshot; readers; writers;
-      certify; wal; group_commit; seed;
+      policy; ro_snapshot; readers; writers; certify; wal; group_commit;
+      seed;
     }
   in
   Term.(
-    const make $ policy_arg $ cores_arg $ client_queues_arg $ batch_arg
-    $ ro_snapshot_arg $ readers_arg 6 $ writers_arg 3 $ certify_arg
+    const make $ policy_arg $ ro_snapshot_arg $ readers_arg 6 $ writers_arg 3
+    $ certify_arg
     $ Arg.(value & opt (some string) None & wal_info)
     $ group_commit_arg None $ seed_arg)
 
@@ -627,8 +572,7 @@ let run_banking ?snapshot_every ?log b ~obs =
       ?wal:(Option.map (fun (_, h) -> D.Hook.listener h) hook)
       ?wal_durable:
         (Option.map (fun (writer, _) () -> D.Wal.acked_commits writer) hook)
-      ?snapshot_every ~cores:b.cores ~client_queues:b.client_queues
-      ?batch:b.batch ~ro_snapshot:b.ro_snapshot ~seed:b.seed ()
+      ?snapshot_every ~ro_snapshot:b.ro_snapshot ~seed:b.seed ()
   in
   (programs, r, hook)
 
@@ -827,10 +771,22 @@ let print_recovered ?(in_flight = []) ?(notes = []) ~dump ~stats
 
 let recover_cmd =
   let module C = Mvcc_provenance.Checker in
+  (* the snapshot is parsed in its converter, so a file that is not one
+     (a directory included) is a usage error like a missing file *)
+  let snapshot_conv =
+    let parse f =
+      Result.bind (Arg.conv_parser Arg.file f) (fun f ->
+          match D.Snapshot.read_file f with
+          | Some s -> Ok (f, s)
+          | None | (exception Sys_error _) ->
+              Error (`Msg (f ^ " is not a valid snapshot")))
+    in
+    Arg.conv (parse, fun ppf (f, _) -> Format.pp_print_string ppf f)
+  in
   let snapshot_arg =
     Arg.(
       value
-      & opt (some file) None
+      & opt (some snapshot_conv) None
       & info [ "snapshot" ] ~docv:"FILE"
           ~doc:
             "Recover from this snapshot plus the log tail instead of \
@@ -838,18 +794,9 @@ let recover_cmd =
              either way; the history and witness cover only the tail, so \
              no certificate is issued.")
   in
-  let run policy wal_file snapshot_file dump =
+  let run policy wal_file snapshot dump =
     let read = D.Wal.read_file wal_file in
-    let snapshot =
-      Option.map
-        (fun f ->
-          match D.Snapshot.read_file f with
-          | Some s -> s
-          | None ->
-              Printf.eprintf "recover: %s is not a valid snapshot\n" f;
-              exit 2)
-        snapshot_file
-    in
+    let snapshot = Option.map snd snapshot in
     let r = D.Recovery.recover ~policy ?snapshot read in
     field "log" "%d valid records, %d skipped%s"
       (List.length read.records) read.stats.skipped
@@ -1004,7 +951,7 @@ let timeline_cmd =
       & info [ "spans" ] ~docv:"FILE"
           ~doc:"Write the raw spans to $(docv) as JSON-lines.")
   in
-  let run policy cores readers writers group_commit width chrome_file
+  let run policy readers writers group_commit width chrome_file
       spans_file metrics_file seed =
     let width = max 16 width in
     (* the simulate banking workload, instrumented end to end: engine
@@ -1015,8 +962,8 @@ let timeline_cmd =
        pipeline per transaction *)
     let b =
       {
-        policy; cores; client_queues = 1; batch = None; ro_snapshot = false;
-        readers; writers; certify = false; wal = None; group_commit; seed;
+        policy; ro_snapshot = false; readers; writers; certify = false;
+        wal = None; group_commit; seed;
       }
     in
     let metrics = O.Metrics.create () in
@@ -1150,7 +1097,7 @@ let timeline_cmd =
           optionally export Chrome trace-event JSON, raw spans, and an \
           OpenMetrics exposition")
     Term.(
-      const run $ policy_arg $ cores_arg $ readers_arg 4 $ writers_arg 4
+      const run $ policy_arg $ readers_arg 4 $ writers_arg 4
       $ group_commit_arg (Some 3) $ width_arg $ chrome_arg $ spans_arg
       $ metrics_arg $ seed_arg)
 

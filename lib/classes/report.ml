@@ -109,9 +109,6 @@ let of_ctx c =
 
 let make s = of_ctx (Ctx.make s)
 
-let make_batch ?(pool = Mvcc_exec.Pool.sequential) ss =
-  Mvcc_exec.Pool.map pool make ss
-
 let pp_verdict name ppf v =
   Format.fprintf ppf "%-6s: %s" name (if v.in_class then "yes" else "no ");
   (match v.witness with

@@ -32,11 +32,5 @@ val of_ctx : Mvcc_analysis.Ctx.t -> t
 (** {!make} over a caller-provided context (for callers that also need
     other analyses of the same schedule). *)
 
-val make_batch :
-  ?pool:Mvcc_exec.Pool.t -> Mvcc_core.Schedule.t list -> t list
-(** Reports for many schedules, optionally in parallel. Results are in
-    input order and identical to [List.map make] regardless of the
-    pool's job count (each domain builds its own contexts). *)
-
 val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable rendering. *)

@@ -38,7 +38,7 @@ let pp_stats ppf s =
     s.commits s.aborts s.ticks s.blocked_ticks s.reads s.writes
     s.max_version_chain s.gc_pruned
 
-type batch = Exec_stage.batch = Fixed of int | Auto
+type batch = Fixed of int | Auto
 
 type result = {
   stats : stats;
@@ -48,8 +48,8 @@ type result = {
   ro_reads : (int * int * (string * int) list) list;
 }
 
-(* the durability events live in {!Event} so the pipeline stages can
-   buffer them; re-exported here for source compatibility *)
+(* the durability events live in {!Event}, below {!Policy}; re-exported
+   here under their historical names *)
 
 type read_src = Event.read_src = From_init | From_self | From_txn of int
 
@@ -73,41 +73,21 @@ let final_bindings buffer =
     (fun acc (e, v) -> if List.mem_assoc e acc then acc else (e, v) :: acc)
     [] buffer
 
-(* The driver of the BOHM-style pipeline (Faleiro & Abadi): intake, the
-   serial tick loop asking the policy for every decision, the execution
-   stage ([cores > 1]) and the WAL. Decisions read metadata only, never
-   a tuple value, so deferring the arithmetic cannot change a verdict. *)
+(* The driver: intake, the serial tick loop asking the policy for every
+   decision, and the span and WAL streams. [cores], [client_queues] and
+   [batch] are accepted and ignored (see the interface). *)
 let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
     ?(crash_probability = 0.) ?deadlock ?(obs = Sink.noop) ?prov ?wal
-    ?wal_durable ?snapshot_every ?(cores = 1) ?(client_queues = 1) ?batch
+    ?wal_durable ?snapshot_every ?cores:_ ?client_queues:_ ?batch:_
     ?(ro_snapshot = false) ~seed () =
   let (module P) = Policy.of_engine ?deadlock policy in
-  let cores = max 1 cores in
   let rng = Random.State.make [| seed |] in
-  let store = Store.create_sharded ~shards:cores ~initial in
-  (* the committing client behind each installed write timestamp; also
-     how the execution stage finds same-batch dependencies *)
+  let store = Store.create ~initial in
+  (* the committing client behind each installed write timestamp *)
   let writer_of_wts : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let ex =
-    if cores = 1 then None
-    else
-      Some
-        (Exec_stage.create ~cores ~store ~n_clients:(List.length programs)
-           ~writer_of:(fun w -> Hashtbl.find_opt writer_of_wts w)
-           ?wal ~obs ?batch ())
-  in
-  let inline = Option.is_none ex in
   (* the event is only built when a log hook is attached, so durability
-     is free when off — the same thunking discipline as span attributes.
-     In pipeline mode metadata events are evaluated eagerly (their fields
-     are plain ints and strings) but buffered in the execution stage
-     until the next flush, keeping the byte stream identical. *)
-  let wal_emit ev =
-    match (wal, ex) with
-    | None, _ -> ()
-    | Some f, None -> f (ev ())
-    | Some _, Some x -> Exec_stage.buffer x (ev ())
-  in
+     is free when off — the same thunking discipline as span attributes *)
+  let wal_emit ev = match wal with None -> () | Some f -> f (ev ()) in
   let next_ts = ref 0 in
   let fresh_ts () =
     incr next_ts;
@@ -118,7 +98,7 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
     initial;
   let clients =
     Intake.admit ~policy_name:(policy_name policy) ~programs
-      ~queues:client_queues ~obs ~fresh_ts
+      ~obs ~fresh_ts
       ~wal_begin:(fun ~txn ~ts -> wal_emit (fun () -> Wal_begin { txn; ts }))
       ()
   in
@@ -209,10 +189,8 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
       }
   in
   let gc_pruned = ref 0 in
-  (* GC sweeps the store's partitions, serially or as per-shard tasks
-     on the execution stage's workers, at every commit in both modes:
-     dropped versions shrink the [max_rts] visibility later
-     [would_invalidate] decisions depend on. *)
+  (* GC sweeps every chain at every commit: dropped versions shrink the
+     [max_rts] visibility later [would_invalidate] decisions depend on. *)
   let collect_garbage () =
     if gc then begin
       let watermark =
@@ -226,16 +204,7 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
           max_int clients
       in
       let watermark = if watermark = max_int then !next_ts else watermark in
-      gc_pruned :=
-        !gc_pruned
-        + (match ex with
-          | Some x -> Exec_stage.prune x ~watermark
-          | None ->
-              let total = ref 0 in
-              for s = 0 to Store.shard_count store - 1 do
-                total := !total + Store.prune_shard store s ~watermark
-              done;
-              !total)
+      gc_pruned := !gc_pruned + Store.prune_all store ~watermark
     end
   in
   (* A transition into Waiting is a delay; retries of the same blocked
@@ -292,7 +261,6 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
     c.pc <- 0;
     c.regs <- [];
     c.buffer <- [];
-    c.plan <- Plan.create ();
     c.ts <- fresh_ts ();
     c.snapshot <- c.ts;
     wal_emit (fun () -> Wal_begin { txn = c.id; ts = c.ts });
@@ -306,43 +274,23 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
     P.cascade st c
   in
   abort_ref := abort;
-  (* In pipeline mode a read records its placement in the attempt's
-     plan; registers then only relay write tokens, which [From_self]
-     placements resolve. *)
-  let plan_read c e place =
-    match ex with Some _ -> Plan.read c.plan e place | None -> ()
-  in
-  (* Serve a read: the policy finds the version (or dirty write) that
-     answers it, and the value is returned (inline mode) or left as a
-     hole for the execution stage (pipeline mode). *)
+  (* Serve a read: the own write buffer, else the version (or dirty
+     write) the policy finds to answer it. *)
   let read_value c id e =
     match List.assoc_opt e c.buffer with
     | Some v ->
         last_src_kind := 0;
-        plan_read c e (Plan.From_self v);
         v
     | None -> (
         match P.serve st c id e with
         | Version v ->
             last_src_kind := 1;
             last_src_arg := v.Store.wts;
-            plan_read c e (Plan.From_version v);
-            if inline then v.Store.value else 0
+            v.Store.value
         | Dirty { writer; value } ->
             last_src_kind := 2;
             last_src_arg := writer;
-            (* commit-waits order the writer's execution before ours, so
-               its token is resolvable by then *)
-            plan_read c e (Plan.From_writer (writer, value));
-            if inline then value else 0)
-  in
-  (* Evaluate a write inline, or defer it: the plan's token flows
-     through the write buffer (and SGT dirty lists) exactly as the value
-     would — decisions never test the integer itself. *)
-  let eval_write c e expr =
-    match ex with
-    | None -> Program.eval (fun r -> List.assoc r c.regs) expr
-    | Some _ -> Plan.write c.plan e expr
+            value)
   in
   let rw_commits = ref 0 in
   let record_commit c =
@@ -361,25 +309,12 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
           ("attempts", J.Int (attempts.(c.id) + 1));
         ]);
     if Option.is_some wal_durable then
-      Queue.push (c.id, !ticks) commit_ticks;
-    match ex with
-    | Some x -> Exec_stage.submit x c.id c.plan
-    | None -> ()
+      Queue.push (c.id, !ticks) commit_ticks
   in
   let install_for c e ~value ~wts =
-    (match ex with
-    | None ->
-        (* write-ahead: the install record precedes the store mutation *)
-        wal_emit (fun () -> Wal_install { txn = c.id; entity = e; value; wts });
-        Store.install store e ~value ~wts
-    | Some x ->
-        (* claim the version slot now — its metadata (wts, max_rts) is
-           decision-live immediately — and bind it to the write token;
-           the execution stage fills the value and emits the install
-           record, value included, at the next flush *)
-        let record = Store.place store e ~wts in
-        Exec_stage.buffer_install x ~txn:c.id ~entity:e ~record ~wts;
-        Plan.install c.plan record value);
+    (* write-ahead: the install record precedes the store mutation *)
+    wal_emit (fun () -> Wal_install { txn = c.id; entity = e; value; wts });
+    Store.install store e ~value ~wts;
     Hashtbl.replace writer_of_wts wts c.id;
     Sink.span_event obs ~parent:c.sp_attempt "install" ~attrs:(fun () ->
         [ ("txn", J.Int c.id); ("entity", J.Str e); ("wts", J.Int wts) ])
@@ -407,7 +342,6 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
             P.ro_read st c (Store.intern store e) v;
             last_src_kind := 1;
             last_src_arg := v.Store.wts;
-            plan_read c e (Plan.From_version v);
             views := (e, v.Store.wts) :: !views;
             record_op ~ro:true c e ~write:false
         | Program.Write _ -> assert false (* is_ro guarantees reads only *))
@@ -491,7 +425,7 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
           match P.write st c id e with
           | Go ->
               record_op c e ~write:true;
-              let v = eval_write c e expr in
+              let v = Program.eval (fun r -> List.assoc r c.regs) expr in
               c.buffer <- (e, v) :: c.buffer;
               P.wrote st c id v;
               advance c
@@ -528,22 +462,12 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
          launch_ready_ro ~force:false ();
          collect_garbage ();
          (* checkpoints sit on commit boundaries: every install of the
-            just-committed transaction is already logged and applied. In
-            pipeline mode the stage flushes first, so the offered store
-            is value-complete and the buffered events drain up to this
-            commit; otherwise a batch flushes when it reaches target
-            size. *)
+            just-committed transaction is already logged and applied *)
          match snapshot_every with
          | Some n when n > 0 && !commits mod n = 0 ->
-             (match ex with Some x -> Exec_stage.flush x | None -> ());
-             (* bypassing the buffer: the listener dumps the live store *)
-             Option.iter
-               (fun f -> f (Wal_checkpoint { store; commits = !commits }))
-               wal
-         | _ -> (
-             match ex with
-             | Some x when Exec_stage.due x -> Exec_stage.flush x
-             | _ -> ())
+             wal_emit (fun () ->
+                 Wal_checkpoint { store; commits = !commits })
+         | _ -> ()
        end);
       poll_acks ();
       loop ()
@@ -552,13 +476,6 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
   launch_ready_ro ~force:false ();
   loop ();
   launch_ready_ro ~force:true ();
-  (* drain the pipeline: execute the final partial batch, emit its
-     buffered events, and join the worker domains *)
-  (match ex with
-  | Some x ->
-      Exec_stage.flush x;
-      Exec_stage.shutdown x
-  | None -> ());
   poll_acks ();
   (* a run cut off by [max_ticks] leaves transactions mid-flight; close
      their spans so every exported span tree is complete *)

@@ -5,11 +5,11 @@
 
     [run] is a policy-blind driver: intake ({!Intake}), a serial tick
     loop running one operation or commit attempt of a pseudo-randomly
-    chosen client per tick, the execution stage ({!Exec_stage}) and the
-    trace, span and WAL streams. Every decision is the policy's module
-    ({!Policy.S}). Writes are buffered and installed at commit; reads
-    see committed versions (or, under SGT, dirty writes) plus the
-    transaction's own buffer. *)
+    chosen client per tick, and the span and WAL streams. Every decision
+    is the policy's module ({!Policy.S}). Values are computed inline, on
+    the tick that executes the operation. Writes are buffered and
+    installed at commit; reads see committed versions (or, under SGT,
+    dirty writes) plus the transaction's own buffer. *)
 
 type policy = Policy.policy =
   | S2pl  (** strict two-phase locking: blocking + deadlock victims *)
@@ -96,9 +96,8 @@ type stats = {
 
 val pp_stats : Format.formatter -> stats -> unit
 
-type batch = Exec_stage.batch =
-  | Fixed of int  (** flush the execution stage every N committed plans *)
-  | Auto  (** adaptive flush target (see {!Exec_stage.batch}) *)
+type batch = Fixed of int | Auto
+(** The type of {!run}'s inert [batch] argument; removed with it. *)
 
 type result = {
   stats : stats;
@@ -193,19 +192,11 @@ val run :
     ["engine.ack-lag-ticks"]) and reports the final count as
     [result.durable_commits]; the engine never waits on it.
 
-    [cores] (default 1) sizes the BOHM-style execution stage: with
-    [cores > 1] decisions, version placement and commit order stay on
-    the serial tick loop, while value computation is deferred into
-    per-attempt plans that [cores] worker domains replay in dependency
-    waves at batch boundaries ({!Exec_stage}). Decisions read metadata
-    only, so history, stats, final state, witnesses and WAL bytes are
-    identical at every [cores] setting; [cores = 1] evaluates inline
-    and is the reference. The store is partitioned into [cores] shards
-    by interned entity id, and GC sweeps run per shard on the workers.
-    [client_queues] (default 1) partitions intake ({!Intake.admit});
-    [batch] (default [Fixed (8 * cores)]) sets the stage's flush target,
-    [Auto] steering it from the observed batch shape (gauge
-    [engine.stage.batch-target]). Neither changes the run.
+    [cores], [client_queues] and [batch] have no effect: the run is
+    the same whatever they are set to. They are accepted only because
+    the benchmark harness ([perfbench/]) still passes them, and will be
+    removed once a benchmark change drops its [cores]/[trace_cores]/
+    [client_queues]/[batch] workload-shape fields.
 
     [ro_snapshot] (default [false]) routes all-read programs off the
     tick loop: each launches at a commit boundary once every read/write
@@ -214,5 +205,5 @@ val run :
     committed version of each entity at a snapshot timestamp, and
     commits on the spot, never blocking, aborting, or entering the
     certification graph. Served reads are reported in
-    [result.ro_reads]. The fast path changes scheduling, so its
-    reference is the [cores = 1] run with the same flag. *)
+    [result.ro_reads]. The fast path changes scheduling, so a run with
+    it is compared only to another run with it. *)

@@ -1,10 +1,11 @@
 (** The durability events the engine streams to a WAL listener, and the
     read-source vocabulary they share with recovery.
 
-    Hoisted out of {!Engine} (which re-exports the constructors under
-    their historical names) so the pipeline stage modules can buffer and
-    emit events without depending on the engine itself. See
-    {!Engine.wal_event} for the per-constructor contracts. *)
+    Kept out of {!Engine} (which re-exports the constructors under
+    their historical names) because {!Policy}, which the engine is
+    built on, names abort {!reason}s and builds witnesses from read
+    sources. See {!Engine.wal_event} for the per-constructor
+    contracts. *)
 
 type read_src =
   | From_init  (** the entity's initial version (write timestamp 0) *)

@@ -1,14 +1,14 @@
 (** The intake stage: batch admission of a run's transaction programs.
 
-    Intake owns the machine-level client state the downstream stages
-    share — program counters, register and write-buffer bindings,
-    timestamps, open spans, and the current attempt's execution {!Plan}
-    (each policy keeps its own footprints, see {!Policy}) — and
-    performs the batch work that happens once per run: begin timestamps
-    are assigned to the whole batch up front (Faleiro–Abadi's batched
-    timestamp allocation; the clock is the caller's, so restarts draw
-    from the same sequence), and the per-txn begin events land in the
-    trace, the span ring, and the WAL before the first tick. *)
+    Intake owns the machine-level client state the engine's tick loop
+    drives — program counters, register and write-buffer bindings,
+    timestamps and open spans (each policy keeps its own footprints, see
+    {!Policy}) — and performs the batch work that happens once per run:
+    begin timestamps are assigned to the whole batch up front
+    (Faleiro–Abadi's batched timestamp allocation; the clock is the
+    caller's, so restarts draw from the same sequence), and the per-txn
+    begin events land in the span ring and the WAL before the first
+    tick. *)
 
 type status = Ready | Waiting of string | Backoff of int | Committed
 
@@ -24,13 +24,11 @@ type client = {
   mutable status : status;
   mutable sp_txn : int;
   mutable sp_attempt : int;
-  mutable plan : Plan.t;
 }
 
 val admit :
   policy_name:string ->
   programs:Program.t list ->
-  ?queues:int ->
   obs:Mvcc_obs.Sink.t ->
   fresh_ts:(unit -> int) ->
   wal_begin:(txn:int -> ts:int -> unit) ->
@@ -38,16 +36,4 @@ val admit :
   client array
 (** Build the client array for one run: ids in program order, one begin
     timestamp each (drawn from [fresh_ts], in id order), [txn]/[attempt]
-    spans opened, and [wal_begin] called
-    per client — exactly the admission the sequential engine performed
-    inline.
-
-    With [queues = n] (default 1) admission is partitioned: programs
-    are dealt round-robin into [n] client queues by submission index
-    (queue [q] models the [q]-th client connection), each queue builds
-    its client records independently of the others — no timestamp
-    draws, no events — and a deterministic merge by submission index
-    then restores exactly the submission order before the serial clock
-    stamps the batch. The admitted array — ids, timestamps, begin
-    events, WAL bytes — is therefore identical at every queue count; a
-    test pins this. *)
+    spans opened, and [wal_begin] called per client. *)

@@ -23,8 +23,7 @@ type verdict =
 type source =
   | Version of Store.version
   | Dirty of { writer : int; value : int }
-      (** an uncommitted write (SGT): its writer and buffered value (or,
-          with [cores > 1], write token) *)
+      (** an uncommitted write (SGT): its writer and buffered value *)
 
 type stamp = Fresh_each | At of int  (** timestamps of a commit's installs *)
 
@@ -52,7 +51,7 @@ module type S = sig
   (** The version for an admitted read the own write buffer misses. *)
 
   val wrote : t -> Intake.client -> int -> int -> unit
-  (** An admitted write was buffered with this value (or token). *)
+  (** An admitted write was buffered with this value. *)
 
   val validate : t -> Intake.client -> verdict
   (** Commit validation; [Wait] is a commit-wait. *)

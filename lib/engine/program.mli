@@ -15,9 +15,8 @@ type expr =
       (** [Mix (rounds, e)]: evaluate [e], then apply [rounds] iterations
           of a fixed integer mixing permutation. Pure and deterministic,
           but deliberately CPU-heavy — it models the transaction logic
-          between a transaction's reads and its writes, which is the work
-          the engine's parallel execution stage takes off the decision
-          path (the scaling experiments lean on it). *)
+          between a transaction's reads and its writes (the benchmark's
+          engine workloads lean on it). *)
 
 type op = Read of string | Write of string * expr
 

@@ -1,28 +1,17 @@
-type version = {
-  mutable value : int;
-  wts : int;
-  mutable max_rts : int;
-  mutable filled : bool;
-      (* [place] leaves a hole; exactly one [fill] may write it. Initial
-         and [install]ed/restored versions are born filled. *)
-}
+type version = { value : int; wts : int; mutable max_rts : int }
 
-(* Entities are interned to dense ids on first touch; chains live in
-   [shards.(id mod n_shards)], so the placement of an entity's versions
-   is a pure function of its interned id and the shard count. The
-   partitioning is physical only: every string-keyed operation below
-   behaves identically at any shard count. *)
+(* Entities are interned to dense ids on first touch; [chains] maps an
+   id to its version chain. *)
 type t = {
-  shards : (int, version list ref) Hashtbl.t array;
+  chains : (int, version list ref) Hashtbl.t;
   ids : (string, int) Hashtbl.t;
   mutable names : string array; (* dense id -> entity name *)
   mutable n : int;
 }
 
-let make ~shards =
-  let shards = max 1 shards in
+let make () =
   {
-    shards = Array.init shards (fun _ -> Hashtbl.create 16);
+    chains = Hashtbl.create 16;
     ids = Hashtbl.create 16;
     names = Array.make 16 "";
     n = 0;
@@ -44,36 +33,27 @@ let intern t e =
       id
 
 let name t id = t.names.(id)
-let shard_count t = Array.length t.shards
-let shard_of t e = intern t e mod Array.length t.shards
 
 let chain_of_id t id =
-  let tbl = t.shards.(id mod Array.length t.shards) in
-  match Hashtbl.find_opt tbl id with
+  match Hashtbl.find_opt t.chains id with
   | Some c -> c
   | None ->
-      let c = ref [ { value = 0; wts = 0; max_rts = 0; filled = true } ] in
-      Hashtbl.replace tbl id c;
+      let c = ref [ { value = 0; wts = 0; max_rts = 0 } ] in
+      Hashtbl.replace t.chains id c;
       c
 
 let chain t e = chain_of_id t (intern t e)
+let set_initial t e v = chain t e := [ { value = v; wts = 0; max_rts = 0 } ]
 
-let set_initial t e v =
-  chain t e := [ { value = v; wts = 0; max_rts = 0; filled = true } ]
-
-let create_sharded ~shards ~initial =
-  let t = make ~shards in
+let create ~initial =
+  let t = make () in
   List.iter (fun (e, v) -> set_initial t e v) initial;
   t
-
-let create ~initial = create_sharded ~shards:1 ~initial
 
 (* the entities with a chain: interning alone (the engine interns on an
    operation's first touch) does not make an entity present *)
 let entities t =
-  Array.fold_left
-    (fun acc tbl -> Hashtbl.fold (fun id _ acc -> t.names.(id) :: acc) tbl acc)
-    [] t.shards
+  Hashtbl.fold (fun id _ acc -> t.names.(id) :: acc) t.chains []
   |> List.sort compare
 
 let latest t e =
@@ -95,22 +75,12 @@ let read_at t e ts =
   (* the initial version (wts 0) always qualifies for ts >= 0 *)
   Option.get !best
 
-let place t e ~wts =
+let install t e ~value ~wts =
   if wts <= 0 then invalid_arg "Store.install: timestamp must be positive";
   let c = chain t e in
   if List.exists (fun v -> v.wts = wts) !c then
     invalid_arg "Store.install: duplicate version timestamp";
-  let v = { value = 0; wts; max_rts = wts; filled = false } in
-  c := v :: !c;
-  v
-
-let fill v value =
-  (* a second fill would silently corrupt the chain: the first value may
-     already have been read by a later wave or dumped by a checkpoint *)
-  if v.filled then invalid_arg "Store.fill: version already filled";
-  v.filled <- true;
-  v.value <- value
-let install t e ~value ~wts = fill (place t e ~wts) value
+  c := { value; wts; max_rts = wts } :: !c
 
 let would_invalidate t e ~wts =
   let c = !(chain t e) in
@@ -139,12 +109,8 @@ let prune_chain c ~watermark =
 
 let prune t e ~watermark = prune_chain (chain t e) ~watermark
 
-let prune_shard t s ~watermark =
-  let dropped = ref 0 in
-  Hashtbl.iter
-    (fun _ c -> dropped := !dropped + prune_chain c ~watermark)
-    t.shards.(s);
-  !dropped
+let prune_all t ~watermark =
+  Hashtbl.fold (fun _ c acc -> acc + prune_chain c ~watermark) t.chains 0
 
 let value_map t =
   entities t |> List.map (fun e -> (e, (latest t e).value))
@@ -156,14 +122,13 @@ let dump t =
            List.map (fun v -> (v.wts, v.value)) !(chain t e)
            |> List.sort (fun (a, _) (b, _) -> compare a b) ))
 
-let of_dump ?(shards = 1) chains =
-  let t = make ~shards in
+let of_dump chains =
+  let t = make () in
   List.iter
     (fun (e, versions) ->
-      let c = chain t e in
-      c :=
+      chain t e :=
         List.rev_map
-          (fun (wts, value) -> { value; wts; max_rts = wts; filled = true })
+          (fun (wts, value) -> { value; wts; max_rts = wts })
           versions)
     chains;
   t

@@ -2,7 +2,6 @@ type t = { jobs : int }
 
 let create ~jobs = { jobs = max 1 jobs }
 let sequential = { jobs = 1 }
-let jobs t = t.jobs
 
 (* Work is split by stride: domain [d] of [j] handles indices [d, d + j,
    d + 2j, ...]. Each slot of [results] is written by exactly one domain,
@@ -36,5 +35,3 @@ let map_array t f xs =
   end
 
 let map t f xs = Array.to_list (map_array t f (Array.of_list xs))
-let iter t f xs = ignore (map t f xs)
-let map_seq t f seq = map t f (List.of_seq seq)

@@ -1,10 +1,9 @@
 (** Domain pools for data-parallel sweeps.
 
-    The census experiments and batch classification runs map a pure
-    decision procedure over a universe of schedules; this module fans the
-    map out over OCaml 5 domains while keeping the result {e order} (and
-    therefore every downstream verdict, count and printed row) identical
-    to a sequential run.
+    The census experiments map a pure decision procedure over a universe
+    of schedules; this module fans the map out over OCaml 5 domains
+    while keeping the result {e order} (and therefore every downstream
+    verdict, count and printed row) identical to a sequential run.
 
     Determinism contract: [map pool f xs] returns exactly
     [List.map f xs] — items are partitioned by index, each result slot is
@@ -21,26 +20,13 @@ type t
     per call, not kept alive). *)
 
 val sequential : t
-(** The [jobs = 1] pool: plain [List.map] / [List.iter]. *)
+(** The [jobs = 1] pool: plain [List.map]. *)
 
 val create : jobs:int -> t
 (** A pool running at most [jobs] domains per call ([jobs] is clamped to
     at least 1). *)
 
-val jobs : t -> int
-
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map t f xs = List.map f xs], computed on up to [jobs t] domains.
+(** [map t f xs = List.map f xs], computed on up to [jobs] domains.
     If [f] raises on some items, the exception of the smallest failing
     index is re-raised after every domain has been joined. *)
-
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-
-val iter : t -> ('a -> unit) -> 'a list -> unit
-(** Like {!map} for effects. With [jobs > 1] the side effects of [f] run
-    concurrently (unordered); use only with per-item-independent
-    effects. *)
-
-val map_seq : t -> ('a -> 'b) -> 'a Seq.t -> 'b list
-(** Materializes the (bounded) sequence, then {!map}s it. The order of
-    the result follows the order of the sequence. *)

@@ -54,43 +54,6 @@ let test_store_value_map () =
   check "map reflects latest" true
     (S.value_map st = [ ("a", 9); ("b", 2) ])
 
-let test_store_sharded () =
-  let build mk =
-    let st = mk ~initial:[ ("x", 1); ("y", 2); ("z", 3) ] in
-    S.install st "x" ~value:5 ~wts:2;
-    S.install st "q" ~value:7 ~wts:4;
-    st
-  in
-  let a = build S.create and b = build (S.create_sharded ~shards:3) in
-  check "dumps agree across shard counts" true (S.dump a = S.dump b);
-  check "value maps agree" true (S.value_map a = S.value_map b);
-  check_int "shard count" 3 (S.shard_count b);
-  check "placement is id mod shards" true
-    (List.for_all
-       (fun e -> S.shard_of b e = S.intern b e mod 3)
-       (S.entities b));
-  check_int "prune over shards = prune over entities"
-    (List.fold_left (fun acc e -> acc + S.prune a e ~watermark:10) 0
-       (S.entities a))
-    (List.init 3 Fun.id
-    |> List.fold_left (fun acc s -> acc + S.prune_shard b s ~watermark:10) 0)
-
-let test_store_double_fill () =
-  let st = S.create ~initial:[ ("x", 1) ] in
-  check "fill on an installed version rejected" true
-    (try
-       S.fill (S.latest st "x") 9;
-       false
-     with Invalid_argument _ -> true);
-  let v = S.place st "x" ~wts:2 in
-  S.fill v 5;
-  check_int "placed hole filled" 5 v.S.value;
-  check "second fill on the same slot rejected" true
-    (try
-       S.fill v 6;
-       false
-     with Invalid_argument _ -> true)
-
 (* -- Program -- *)
 
 let test_program_eval () =
@@ -562,204 +525,6 @@ let prop_conservation =
       let r = E.run ~policy ~initial ~programs ~seed () in
       r.E.stats.E.commits = n_transfers && total r.E.final_state = 600)
 
-(* The tentpole invariant of the sharded pipeline: at every [cores]
-   setting a run is indistinguishable from the sequential reference —
-   same stats, same final state, same witness over the same committed
-   history, and the same WAL event stream (checkpoints compared as the
-   store dump they would persist). *)
-
-let wal_line e =
-  match e with
-  | E.Wal_state { entity; value } -> Printf.sprintf "state %s=%d" entity value
-  | E.Wal_begin { txn; ts } -> Printf.sprintf "begin %d@%d" txn ts
-  | E.Wal_op { txn; entity; write; src } ->
-      Printf.sprintf "op %d %s %b %s" txn entity write
-        (match src with
-        | None -> "-"
-        | Some E.From_init -> "init"
-        | Some E.From_self -> "self"
-        | Some (E.From_txn w) -> string_of_int w)
-  | E.Wal_install { txn; entity; value; wts } ->
-      Printf.sprintf "install %d %s=%d@%d" txn entity value wts
-  | E.Wal_commit { txn } -> Printf.sprintf "commit %d" txn
-  | E.Wal_abort { txn; reason } ->
-      Printf.sprintf "abort %d %s" txn (Event.reason_name reason)
-  | E.Wal_checkpoint { store; commits } ->
-      (* materialize the dump now: the engine hands over the live store *)
-      S.dump store
-      |> List.map (fun (en, vs) ->
-             en ^ ":"
-             ^ String.concat ","
-                 (List.map (fun (w, v) -> Printf.sprintf "%d=%d" w v) vs))
-      |> String.concat ";"
-      |> Printf.sprintf "checkpoint %d %s" commits
-
-let run_logged ?(queues = 1) ?batch ?(ro = false) ~cores ~policy ~programs ~gc
-    ~snapshot_every ~crash ~seed () =
-  let wal = ref [] in
-  let prov = Mvcc_provenance.Log.create () in
-  let r =
-    E.run ~policy ~initial ~programs ~gc ~crash_probability:crash ~prov
-      ~wal:(fun e -> wal := wal_line e :: !wal)
-      ?snapshot_every ~cores ~client_queues:queues ?batch ~ro_snapshot:ro
-      ~seed ()
-  in
-  (r, List.rev !wal)
-
-let same_run (ra, wa) (rb, wb) =
-  ra.E.stats = rb.E.stats
-  && ra.E.final_state = rb.E.final_state
-  && ra.E.ro_reads = rb.E.ro_reads
-  && wa = wb
-  &&
-  match (ra.E.provenance, rb.E.provenance) with
-  | Some (ha, pa), Some (hb, pb) -> Mvcc_core.Schedule.equal ha hb && pa = pb
-  | None, None -> true
-  | _ -> false
-
-let prop_cores_identity =
-  QCheck2.Test.make
-    ~name:"sharded pipeline is indistinguishable from the sequential engine"
-    ~count:60
-    QCheck2.Gen.(
-      let* seed = int_range 0 100_000 in
-      let* policy = oneofl E.all_policies in
-      let* cores = int_range 2 4 in
-      let* n_transfers = int_range 1 5 in
-      let* n_readers = int_range 0 3 in
-      let* gc = bool in
-      let* snapshot_every = oneofl [ None; Some 2; Some 3 ] in
-      let* crash = oneofl [ 0.; 0.05 ] in
-      return
-        (seed, policy, cores, n_transfers, n_readers, gc, snapshot_every, crash))
-    (fun (seed, policy, cores, n_transfers, n_readers, gc, snapshot_every, crash)
-       ->
-      let programs =
-        List.init n_transfers (fun i ->
-            P.transfer
-              ~label:(Printf.sprintf "t%d" i)
-              ~from_:(List.nth accounts (i mod 6))
-              ~to_:(List.nth accounts ((i + 1) mod 6))
-              (1 + i))
-        @ List.init n_readers (fun i ->
-              P.read_all ~label:(Printf.sprintf "r%d" i) accounts)
-      in
-      let reference =
-        run_logged ~cores:1 ~policy ~programs ~gc ~snapshot_every ~crash ~seed
-          ()
-      in
-      let sharded =
-        run_logged ~cores ~policy ~programs ~gc ~snapshot_every ~crash ~seed ()
-      in
-      same_run reference sharded)
-
-let test_sharded_identity_fixed () =
-  (* the banking workload, every policy, cores 1-4, gc + checkpoints on:
-     the deterministic-run test extended across the pipeline width *)
-  List.iter
-    (fun policy ->
-      let at cores =
-        run_logged ~cores ~policy ~programs:bank_workload ~gc:true
-          ~snapshot_every:(Some 2) ~crash:0. ~seed:5 ()
-      in
-      let reference = at 1 in
-      List.iter
-        (fun cores ->
-          check
-            (Printf.sprintf "%s cores=%d matches sequential"
-               (E.policy_name policy) cores)
-            true
-            (same_run reference (at cores)))
-        [ 2; 3; 4 ])
-    E.all_policies
-
-(* -- partitioned intake -- *)
-
-let test_intake_merge_order () =
-  (* the deal/merge round-trip reproduces the submission order — ids,
-     timestamps, begin events — at every queue count, including counts
-     that do not divide the batch and counts exceeding it *)
-  let programs =
-    List.init 13 (fun i -> P.read_all ~label:(string_of_int i) [ "x" ])
-  in
-  let admit queues =
-    let ts = ref 0 in
-    let begins = ref [] in
-    let cs =
-      Mvcc_engine.Intake.admit ~policy_name:"s2pl" ~programs ~queues
-        ~obs:Sink.noop
-        ~fresh_ts:(fun () ->
-          incr ts;
-          !ts)
-        ~wal_begin:(fun ~txn ~ts -> begins := (txn, ts) :: !begins)
-        ()
-    in
-    ( Array.to_list
-        (Array.map
-           (fun c -> (c.Mvcc_engine.Intake.id, c.Mvcc_engine.Intake.ts))
-           cs),
-      List.rev !begins )
-  in
-  let reference = admit 1 in
-  List.iter
-    (fun q ->
-      check
-        (Printf.sprintf "queues=%d admission = single-queue admission" q)
-        true
-        (admit q = reference))
-    [ 2; 3; 4; 7; 13; 20 ]
-
-let prop_pipeline_identity =
-  QCheck2.Test.make
-    ~name:
-      "client queues, batch mode, and the ro fast path preserve the cores=1 \
-       identity"
-    ~count:50
-    QCheck2.Gen.(
-      let* seed = int_range 0 100_000 in
-      let* policy = oneofl E.all_policies in
-      let* cores = int_range 1 4 in
-      let* queues = oneofl [ 1; 2; 4 ] in
-      let* batch = oneofl [ None; Some E.Auto; Some (E.Fixed 3) ] in
-      let* ro = bool in
-      let* n_transfers = int_range 1 4 in
-      let* n_readers = int_range 0 3 in
-      let* gc = bool in
-      let* snapshot_every = oneofl [ None; Some 3 ] in
-      let* crash = oneofl [ 0.; 0.05 ] in
-      return
-        ( seed,
-          policy,
-          (cores, queues, batch, ro),
-          (n_transfers, n_readers, gc, snapshot_every, crash) ))
-    (fun
-      ( seed,
-        policy,
-        (cores, queues, batch, ro),
-        (n_transfers, n_readers, gc, snapshot_every, crash) )
-    ->
-      let programs =
-        List.init n_transfers (fun i ->
-            P.transfer
-              ~label:(Printf.sprintf "t%d" i)
-              ~from_:(List.nth accounts (i mod 6))
-              ~to_:(List.nth accounts ((i + 1) mod 6))
-              (1 + i))
-        @ List.init n_readers (fun i ->
-              P.read_all ~label:(Printf.sprintf "r%d" i) accounts)
-      in
-      (* the ro fast path changes scheduling, so its reference is the
-         cores=1 run with the same flag — never the all-in-loop run *)
-      let reference =
-        run_logged ~ro ~cores:1 ~policy ~programs ~gc ~snapshot_every ~crash
-          ~seed ()
-      in
-      let variant =
-        run_logged ~queues ?batch ~ro ~cores ~policy ~programs ~gc
-          ~snapshot_every ~crash ~seed ()
-      in
-      same_run reference variant)
-
 (* -- the off-loop snapshot-read version function -- *)
 
 module W = Mvcc_provenance.Witness
@@ -781,10 +546,9 @@ let prop_ro_snapshot_version_fn =
     QCheck2.Gen.(
       let* seed = int_range 0 100_000 in
       let* policy = oneofl E.all_policies in
-      let* cores = int_range 1 4 in
       let* n_txns = int_range 4 12 in
-      return (seed, policy, cores, n_txns))
-    (fun (seed, policy, cores, n_txns) ->
+      return (seed, policy, n_txns))
+    (fun (seed, policy, n_txns) ->
       let initial, programs =
         Mvcc_workload.Program_gen.mixed ~n_entities:6 ~theta:0.5
           ~read_fraction:0.5 ~reads_per_txn:3 ~writes_per_txn:2 ~mix_rounds:0
@@ -799,7 +563,7 @@ let prop_ro_snapshot_version_fn =
             | E.Wal_install { entity; wts; txn; _ } ->
                 installs := (entity, wts, txn) :: !installs
             | _ -> ())
-          ~cores ~ro_snapshot:true ~seed ()
+          ~ro_snapshot:true ~seed ()
       in
       let installs = List.rev !installs in
       let n_ro = List.length (List.filter P.read_only programs) in
@@ -867,8 +631,8 @@ let prop_ro_snapshot_version_fn =
 
 (* -- the frozen golden grid -- *)
 
-(* One line per run over policy x cores x gc x crash x ro_snapshot x
-   seed (plus the S2PL deadlock-prevention modes and, per policy, two
+(* One line per run over policy x gc x crash x ro_snapshot x seed
+   (plus the S2PL deadlock-prevention modes and, per policy, two
    max_ticks-cut runs): the run's stats and durable count, and MD5s of the
    final state, the off-loop reads, the committed history with its
    printed witness, and the bytes a [Hook] writes (group commit every 3
@@ -910,8 +674,8 @@ let grid_programs seed =
   in
   (initial, programs @ extra)
 
-let grid_line ~policy ?deadlock ?max_ticks ?(tag = "") ?programs ~cores ~gc
-    ~crash ~ro ~seed () =
+let grid_line ~policy ?deadlock ?max_ticks ?(tag = "") ?programs ~gc ~crash
+    ~ro ~seed () =
   let initial, programs =
     match programs with
     | None -> grid_programs seed
@@ -924,7 +688,7 @@ let grid_line ~policy ?deadlock ?max_ticks ?(tag = "") ?programs ~cores ~gc
     E.run ~policy ~initial ~programs ?max_ticks ~gc ~crash_probability:crash
       ?deadlock ~prov ~wal:(Hook.listener hook)
       ~wal_durable:(fun () -> Wal.acked_commits w)
-      ~snapshot_every:4 ~cores ~ro_snapshot:ro ~seed ()
+      ~snapshot_every:4 ~ro_snapshot:ro ~seed ()
   in
   let md5 s = Digest.to_hex (Digest.string s) in
   let final =
@@ -946,14 +710,16 @@ let grid_line ~policy ?deadlock ?max_ticks ?(tag = "") ?programs ~cores ~gc
     | Some (h, wit) ->
         Format.asprintf "%s | %a" (Mvcc_core.Schedule.to_string h) W.pp wit
   in
+  (* the literal "c1" keeps each line byte-identical to the frozen
+     golden file *)
   Format.asprintf
-    "%s%s c%d gc%d crash%g ro%d seed%d%s: %a durable=%s final=%s ro=%s \
+    "%s%s c1 gc%d crash%g ro%d seed%d%s: %a durable=%s final=%s ro=%s \
      witness=%s wal=%s"
     (E.policy_name policy)
     (match deadlock with
     | None -> ""
     | Some d -> "/" ^ E.deadlock_policy_name d)
-    cores (Bool.to_int gc) crash (Bool.to_int ro) seed
+    (Bool.to_int gc) crash (Bool.to_int ro) seed
     ((match max_ticks with None -> "" | Some t -> Printf.sprintf " max%d" t)
     ^ tag)
     E.pp_stats r.E.stats
@@ -966,37 +732,31 @@ let engine_grid () =
   let add l = lines := l :: !lines in
   let dims f =
     List.iter
-      (fun cores ->
+      (fun gc ->
         List.iter
-          (fun gc ->
+          (fun crash ->
             List.iter
-              (fun crash ->
-                List.iter
-                  (fun ro ->
-                    List.iter (fun seed -> f ~cores ~gc ~crash ~ro ~seed)
-                      [ 1; 2; 3 ])
-                  [ false; true ])
-              [ 0.; 0.05 ])
-          [ false; true ])
-      [ 1; 2 ]
+              (fun ro ->
+                List.iter (fun seed -> f ~gc ~crash ~ro ~seed) [ 1; 2; 3 ])
+              [ false; true ])
+          [ 0.; 0.05 ])
+      [ false; true ]
   in
   List.iter
     (fun policy ->
-      dims (fun ~cores ~gc ~crash ~ro ~seed ->
-          add (grid_line ~policy ~cores ~gc ~crash ~ro ~seed ())))
+      dims (fun ~gc ~crash ~ro ~seed ->
+          add (grid_line ~policy ~gc ~crash ~ro ~seed ())))
     E.all_policies;
   List.iter
     (fun deadlock ->
-      dims (fun ~cores ~gc ~crash ~ro ~seed ->
-          add
-            (grid_line ~policy:E.S2pl ~deadlock ~cores ~gc ~crash ~ro ~seed
-               ())))
+      dims (fun ~gc ~crash ~ro ~seed ->
+          add (grid_line ~policy:E.S2pl ~deadlock ~gc ~crash ~ro ~seed ())))
     [ E.Wait_die; E.Wound_wait ];
   List.iter
     (fun policy ->
       add
-        (grid_line ~policy ~max_ticks:25 ~cores:1 ~gc:true ~crash:0.05
-           ~ro:true ~seed:1 ()))
+        (grid_line ~policy ~max_ticks:25 ~gc:true ~crash:0.05 ~ro:true
+           ~seed:1 ()))
     E.all_policies;
   (* cut after one tick, mid-attempt: a write of an entity outside the
      initial state has executed but not committed — which entities the
@@ -1012,7 +772,7 @@ let engine_grid () =
                  ops = [ P.Write ("n1", P.Const 5); P.Read "e0" ];
                };
              ]
-           ~cores:1 ~gc:false ~crash:0. ~ro:false ~seed:1 ()))
+           ~gc:false ~crash:0. ~ro:false ~seed:1 ()))
     E.all_policies;
   String.concat "\n" (List.rev !lines) ^ "\n"
 
@@ -1050,11 +810,10 @@ let prop_class_oracle =
     QCheck2.Gen.(
       let* seed = int_range 0 100_000 in
       let* policy = oneofl [ E.S2pl; E.To; E.Mvto; E.Sgt ] in
-      let* cores = oneofl [ 1; 2 ] in
       let* ro = bool in
       let* n_txns = int_range 2 7 in
-      return (seed, policy, cores, ro, n_txns))
-    (fun (seed, policy, cores, ro, n_txns) ->
+      return (seed, policy, ro, n_txns))
+    (fun (seed, policy, ro, n_txns) ->
       let initial, programs =
         Mvcc_workload.Program_gen.mixed ~n_entities:4 ~theta:0.6
           ~read_fraction:0.4 ~reads_per_txn:3 ~writes_per_txn:2 ~mix_rounds:0
@@ -1063,7 +822,7 @@ let prop_class_oracle =
       let r =
         E.run ~policy ~initial ~programs
           ~prov:(Mvcc_provenance.Log.create ())
-          ~cores ~ro_snapshot:ro ~seed ()
+          ~ro_snapshot:ro ~seed ()
       in
       match r.E.provenance with
       | None -> false
@@ -1091,9 +850,6 @@ let () =
           Alcotest.test_case "validation" `Quick test_store_validation;
           Alcotest.test_case "invalidation rule" `Quick test_store_invalidation;
           Alcotest.test_case "value map" `Quick test_store_value_map;
-          Alcotest.test_case "sharded partitioning" `Quick test_store_sharded;
-          Alcotest.test_case "double fill rejected" `Quick
-            test_store_double_fill;
         ] );
       ( "program",
         [
@@ -1139,21 +895,12 @@ let () =
           Alcotest.test_case "spans reconcile under every policy" `Quick
             test_spans_reconcile_all_policies;
         ] );
-      ( "sharded",
-        [
-          Alcotest.test_case "cores identity, fixed workload" `Quick
-            test_sharded_identity_fixed;
-          Alcotest.test_case "intake merge order" `Quick
-            test_intake_merge_order;
-        ] );
       ( "golden",
         [ Alcotest.test_case "engine grid" `Quick test_engine_grid ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_conservation;
-            prop_cores_identity;
-            prop_pipeline_identity;
             prop_ro_snapshot_version_fn;
             prop_class_oracle;
           ] );
