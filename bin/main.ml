@@ -34,6 +34,18 @@ let at_least lo =
   in
   Arg.conv (parse, Format.pp_print_int) ~docv:"N"
 
+(* Input files: [Arg.file]'s check, with its message for a missing
+   path, and a directory is a usage error too rather than a [Sys_error]
+   on the first read. *)
+let input_file =
+  let parse f =
+    Result.bind (Arg.conv_parser Arg.file f) (fun f ->
+        if Sys.is_directory f then
+          Error (`Msg ("'" ^ f ^ "' is a directory"))
+        else Ok f)
+  in
+  Arg.conv (parse, Format.pp_print_string) ~docv:"FILE"
+
 let policy_conv =
   Arg.enum
     (List.map
@@ -728,7 +740,7 @@ let replay_cmd =
           verify the replayed spans match the recorded trace byte-for-byte")
     Term.(
       const run $ banking_term
-      $ Arg.(required & opt (some file) None & trace_info))
+      $ Arg.(required & opt (some input_file) None & trace_info))
 
 (* recover and follow *)
 
@@ -825,7 +837,7 @@ let recover_cmd =
           snapshot + tail), certified by the independent checker")
     Term.(
       const run $ policy_arg
-      $ Arg.(required & opt (some file) None & wal_info)
+      $ Arg.(required & opt (some input_file) None & wal_info)
       $ snapshot_arg $ dump_arg)
 
 let follow_cmd =

@@ -321,11 +321,21 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
   in
   (* ---- the off-loop read-only snapshot path ([ro_snapshot]) ---- *)
   let ro_views = ref [] in
-  let pending_ro =
-    ref
-      (List.filter (fun i -> is_ro.(i))
-         (List.init (Array.length clients) Fun.id))
+  (* the clients in id order, split once: the off-loop read-only ones
+     launch at commit boundaries via [launch_ready_ro], the rest make up
+     the tick loop's runnable set *)
+  let ro_clients, runnable =
+    let ro, rw =
+      List.partition (fun c -> is_ro.(c.id)) (Array.to_list clients)
+    in
+    (Array.of_list ro, Array.of_list rw)
   in
+  (* The pending read-only clients split at the [!rw_commits] threshold,
+     since [rw_before] never decreases with the id: [ro_deferred] holds
+     those that have arrived but failed [P.ro_safe], in id order, and
+     [ro_next] indexes the first of [ro_clients] that has not arrived. *)
+  let ro_next = ref 0 in
+  let ro_deferred = ref [] in
   let launch_ro c =
     (* a re-begun reader (TO/MVTO) is logged like any attempt begin *)
     let ts0 = c.ts in
@@ -355,22 +365,30 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
      read/write commits have landed and the policy's position-safety
      test passes. [~force] is the end-of-run drain — every committed
      operation has executed by then, so position safety holds
-     vacuously. *)
+     vacuously. Only the deferred clients and those arrived since the
+     last scan are visited, in id order. *)
   let launch_ready_ro ~force () =
-    if ro_snapshot then
-      pending_ro :=
-        List.filter
-          (fun id ->
-            let arrived = !rw_commits >= rw_before.(id) in
-            if force || (arrived && P.ro_safe st ro_entities.(id)) then begin
-              launch_ro clients.(id);
-              false
-            end
-            else begin
-              if arrived then Sink.incr obs "engine.ro.deferred";
-              true
-            end)
-          !pending_ro
+    let deferred c =
+      if force || P.ro_safe st ro_entities.(c.id) then begin
+        launch_ro c;
+        false
+      end
+      else begin
+        Sink.incr obs "engine.ro.deferred";
+        true
+      end
+    in
+    let kept = List.filter deferred !ro_deferred in
+    let fresh = ref [] in
+    while
+      !ro_next < Array.length ro_clients
+      && (force || rw_before.(ro_clients.(!ro_next).id) <= !rw_commits)
+    do
+      let c = ro_clients.(!ro_next) in
+      incr ro_next;
+      if deferred c then fresh := c :: !fresh
+    done;
+    ro_deferred := kept @ List.rev !fresh
   in
   let commit c =
     match P.validate st c with
@@ -431,21 +449,21 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
               advance c
           | v -> refuse c e v)
   in
-  let runnable () =
-    (* read-only clients on the snapshot path never enter the tick loop:
-       they launch at commit boundaries via [launch_ready_ro] *)
-    Array.to_list clients
-    |> List.filter (fun c -> c.status <> Committed && not is_ro.(c.id))
-  in
+  (* The runnable set is the first [!n_runnable] entries of [runnable],
+     in id order. Only the client a tick picks can commit on that tick,
+     and [Committed] is terminal (cascades, wound-wait and crash
+     injection skip committed clients), so the set loses exactly that
+     client at a commit and changes at no other time: a tick picks by
+     one draw and one array index. *)
+  let n_runnable = ref (Array.length runnable) in
   let rec loop () =
-    let pending = runnable () in
-    if pending <> [] && !ticks < max_ticks then begin
+    if !n_runnable > 0 && !ticks < max_ticks then begin
       incr ticks;
-      let c = List.nth pending (Random.State.int rng (List.length pending)) in
+      let i = Random.State.int rng !n_runnable in
+      let c = runnable.(i) in
       (match c.status with
       | _
         when crash_probability > 0.
-             && c.status <> Committed
              && Random.State.float rng 1. < crash_probability ->
           (* injected failure: the transaction crashes and restarts *)
           abort ~reason:Event.Crash c
@@ -457,8 +475,10 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
         end
       | Backoff k -> c.status <- (if k <= 1 then Ready else Backoff (k - 1))
       | Ready -> step c
-      | Committed -> ());
+      | Committed -> assert false (* never in the runnable set *));
       (if c.status = Committed then begin
+         Array.blit runnable (i + 1) runnable i (!n_runnable - i - 1);
+         decr n_runnable;
          launch_ready_ro ~force:false ();
          collect_garbage ();
          (* checkpoints sit on commit boundaries: every install of the

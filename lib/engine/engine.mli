@@ -5,7 +5,9 @@
 
     [run] is a policy-blind driver: intake ({!Intake}), a serial tick
     loop running one operation or commit attempt of a pseudo-randomly
-    chosen client per tick, and the span and WAL streams. Every decision
+    chosen client per tick (the pick is O(1) in the client count: the
+    set it draws from changes only at commits), and the span and WAL
+    streams. Every decision
     is the policy's module ({!Policy.S}). Values are computed inline, on
     the tick that executes the operation. Writes are buffered and
     installed at commit; reads see committed versions (or, under SGT,

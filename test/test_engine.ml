@@ -127,6 +127,28 @@ let test_mvto_no_blocking_ever () =
   let r = E.run ~policy:E.Mvto ~initial ~programs:bank_workload ~seed:4 () in
   check_int "mvto never blocks" 0 r.E.stats.E.blocked_ticks
 
+(* Both runs start with an empty runnable set: one has no clients, the
+   other only read-only ones, which the snapshot path launches off the
+   tick loop. *)
+let test_empty_runnable_set () =
+  let readers =
+    List.init 5 (fun i -> P.read_all ~label:(string_of_int i) accounts)
+  in
+  List.iter
+    (fun policy ->
+      let name = E.policy_name policy in
+      let r = E.run ~policy ~initial ~programs:[] ~seed:1 () in
+      check_int (name ^ " no clients: ticks") 0 r.E.stats.E.ticks;
+      check_int (name ^ " no clients: commits") 0 r.E.stats.E.commits;
+      let r =
+        E.run ~policy ~initial ~programs:readers ~ro_snapshot:true ~seed:1 ()
+      in
+      check_int (name ^ " read-only: ticks") 0 r.E.stats.E.ticks;
+      check_int (name ^ " read-only: commits") 5 r.E.stats.E.commits;
+      check_int (name ^ " read-only: snapshot reads") 5
+        (List.length r.E.ro_reads))
+    E.all_policies
+
 let test_s2pl_deadlock_resolved () =
   (* two transfers in opposite directions force lock cycles eventually *)
   let programs =
@@ -883,6 +905,8 @@ let () =
             test_wound_wait_preempts;
           Alcotest.test_case "store prune" `Quick test_store_prune;
           Alcotest.test_case "policy names" `Quick test_policy_names;
+          Alcotest.test_case "empty runnable set" `Quick
+            test_empty_runnable_set;
         ] );
       ( "observability",
         [
