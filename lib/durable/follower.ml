@@ -212,7 +212,7 @@ let read t e = List.assoc_opt e (read_view t)
 let certify t =
   let r = state t in
   let h = r.Recovery.history in
-  let n = r.Recovery.n_txns in
+  let n = Schedule.n_txns h in
   let entities = Store.entities t.store in
   let hsteps = Array.to_list (Schedule.steps h) in
   let base = List.length hsteps in

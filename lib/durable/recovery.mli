@@ -25,8 +25,8 @@
     undo records, no compensation log records, no second log pass.
 
     Full-log recovery also rebuilds the committed history as a
-    {!Mvcc_core.Schedule.t} and issues the same witness the live engine
-    would ([Member Csr]/[Member Mvsr]/[Read_consistent] per policy), so
+    {!Mvcc_core.Schedule.t} and issues the witness the live engine did
+    (both come from {!Mvcc_engine.Certificate}), so
     the independent {!Mvcc_provenance.Checker} can certify the
     recovered state with no trust in this module. Snapshot recovery
     sees only the log tail, which cannot carry the full history; it
@@ -34,7 +34,6 @@
     and reports [witness = None]. *)
 
 type t = {
-  n_txns : int;  (** one more than the largest transaction id logged *)
   commit_order : int list;
       (** transactions recovered as committed, in commit order *)
   undone : int list;
@@ -72,8 +71,8 @@ val recover :
     path to trust (their equivalence is qcheck-pinned anyway). *)
 
 type analysis
-(** Accumulated analysis state: attempt numbers, timestamps, operations
-    with read sources, installs, commit sequence, initial state. *)
+(** Accumulated analysis state: a {!Mvcc_engine.Certificate.t} fold,
+    installs, initial state. *)
 
 val analysis : unit -> analysis
 
@@ -86,9 +85,9 @@ val assemble :
   stats:Mvcc_obs.Jsonl.stats ->
   analysis ->
   t
-(** The cascade fixpoint, redo, history and witness over the analysis
-    so far. Pure in [analysis]: calling it never perturbs later
-    [observe]/[assemble] rounds. *)
+(** The cascade fixpoint, redo, and the surviving set's certificate
+    over the analysis so far. Pure in [analysis]: calling it never
+    perturbs later [observe]/[assemble] rounds. *)
 
 val dump_string : Mvcc_engine.Store.t -> string
 (** Canonical printable rendering of {!Mvcc_engine.Store.dump} — one

@@ -85,9 +85,17 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
   let store = Store.create ~initial in
   (* the committing client behind each installed write timestamp *)
   let writer_of_wts : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  (* the event is only built when a log hook is attached, so durability
-     is free when off — the same thunking discipline as span attributes *)
-  let wal_emit ev = match wal with None -> () | Some f -> f (ev ()) in
+  (* the run certificate folds the events the log hook sees; an event
+     is only built when one of the two is attached, the same thunking
+     discipline as span attributes *)
+  let cert = Option.map (fun _ -> Certificate.create ()) prov in
+  let wal_emit ev =
+    if Option.is_some wal || Option.is_some cert then begin
+      let ev = ev () in
+      Option.iter (fun f -> f ev) wal;
+      Option.iter (fun c -> Certificate.observe c ev) cert
+    end
+  in
   let next_ts = ref 0 in
   let fresh_ts () =
     incr next_ts;
@@ -119,10 +127,7 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
   for i = 1 to Array.length clients - 1 do
     rw_before.(i) <- rw_before.(i - 1) + Bool.to_int (not is_ro.(i - 1))
   done;
-  (* Provenance bookkeeping (pure accounting): every attempt's
-     (client, attempt, step, read source), newest first, and each
-     client's attempt counter. *)
-  let prov_ops = ref [] in
+  (* each client's attempt counter, for its span *)
   let attempts = Array.make (Array.length clients) 0 in
   (* The source of the last read, stashed by [read_value] for
      [record_op]: kind 0 = own buffer, 1 = committed version with wts
@@ -138,7 +143,6 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
         if !last_src_arg = 0 then From_init
         else From_txn (Hashtbl.find writer_of_wts !last_src_arg)
   in
-  let commit_seq = ref [] in
   let commits = ref 0
   and aborts = ref 0
   and ticks = ref 0
@@ -217,26 +221,11 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
     end;
     c.status <- Waiting e
   in
-  let record_op ?(ro = false) c e ~write =
+  let record_op c e ~write =
     incr (if write then writes else reads);
-    (match prov with
-    | None -> ()
-    | Some _ ->
-        (* off-loop snapshot reads ([ro]) record their source under
-           every policy: the qcheck oracle compares their version
-           function against the committed prefix *)
-        let src =
-          if (not write) && (P.records_src || ro) then Some (last_src ())
-          else None
-        in
-        let st =
-          if write then Mvcc_core.Step.write c.id e
-          else Mvcc_core.Step.read c.id e
-        in
-        prov_ops := (c.id, attempts.(c.id), st, src) :: !prov_ops);
     (* the read's source under every policy: recovery re-derives the
        read-from edges (and so cascading aborts across a crash) from
-       these *)
+       these, and the certificate the version function *)
     wal_emit (fun () ->
         let src = if write then None else Some (last_src ()) in
         Wal_op { txn = c.id; entity = e; write; src });
@@ -296,7 +285,6 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
   let record_commit c =
     incr commits;
     if not is_ro.(c.id) then incr rw_commits;
-    commit_seq := c.id :: !commit_seq;
     Sink.incr obs "engine.commits";
     wal_emit (fun () -> Wal_commit { txn = c.id });
     Sink.span_event obs ~parent:c.sp_attempt "commit" ~attrs:(fun () ->
@@ -353,7 +341,7 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
             last_src_kind := 1;
             last_src_arg := v.Store.wts;
             views := (e, v.Store.wts) :: !views;
-            record_op ~ro:true c e ~write:false
+            record_op c e ~write:false
         | Program.Write _ -> assert false (* is_ro guarantees reads only *))
       c.ops;
     ro_views := (c.id, snap, List.rev !views) :: !ro_views;
@@ -520,45 +508,21 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
   Sink.set_gauge obs "engine.max-version-chain" max_chain;
   Sink.set_gauge obs "engine.ticks" !ticks;
   Sink.set_gauge obs "engine.blocked-ticks" !blocked_ticks;
-  (* Issue the run's certificate: the committed final attempts, in
-     operation order, form the history; the policy supplies the witness
-     its own invariant guarantees. *)
+  (* Issue the run's certificate from the event fold: the committed
+     final attempts, in operation order, and the policy's witness. *)
   let provenance =
-    match prov with
-    | None -> None
-    | Some log ->
-        let final_ops =
-          List.filter
-            (fun (id, att, _, _) ->
-              clients.(id).status = Committed && att = attempts.(id))
-            (List.rev !prov_ops)
-        in
-        let history =
-          Mvcc_core.Schedule.of_steps ~n_txns:(Array.length clients)
-            (List.map (fun (_, _, st, _) -> st) final_ops)
-        in
-        let read_srcs =
-          List.mapi
-            (fun pos (_, _, _, src) -> Option.map (fun s -> (pos, s)) src)
-            final_ops
-          |> List.filter_map Fun.id
-        in
-        let witness =
-          P.witness st
-            {
-              Policy.history;
-              commit_order = List.rev !commit_seq;
-              read_srcs;
-              offloop = !ro_views <> [];
-            }
-        in
+    match (prov, cert) with
+    | Some log, Some cert ->
+        let h = Certificate.assemble cert in
+        let witness = Certificate.witness ~policy h in
         let id = Mvcc_provenance.Log.register log witness in
         Sink.span_event obs "decision" ~attrs:(fun () ->
             [
               ("site", J.Str ("engine." ^ policy_name policy));
               ("id", J.Int id); ("ok", J.Bool true);
             ]);
-        Some (history, witness)
+        Some (h.history, witness)
+    | _ -> None
   in
   {
     stats =

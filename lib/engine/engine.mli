@@ -174,20 +174,22 @@ val run :
     [prov] (default off) makes the run issue a certificate: the
     committed history and a witness of the policy's guarantee —
     [Member Csr] with the commit order (S2PL), the timestamp order (TO)
-    or the certification graph's topological order (SGT); [Member Mvsr]
-    with the timestamp order and the served version function (MVTO);
-    [Read_consistent] with the served version function (SI, which is
-    {e not} serializable in general). The witness is registered in
-    [prov] and a root ["decision"] span point carries its id ([site],
-    [id], [ok]).
+    or a topological order of the history's own conflict graph (SGT);
+    [Member Mvsr] with the timestamp order and the served version
+    function (MVTO); [Read_consistent] with the served version function
+    (SI, which is {e not} serializable in general). {!Certificate}
+    builds it from the {!wal_event}s the run streams, so recovering the
+    run's log issues the same one. The witness is registered in [prov]
+    and a root ["decision"] span point carries its id ([site], [id],
+    [ok]).
 
     [wal] (default off) streams {!wal_event}s to a durability listener;
     [lib/durable] turns them into a CRC-framed write-ahead log and
     recovers committed state and history from any prefix of it. With
     [snapshot_every = Some n] a [Wal_checkpoint] carrying the live
     store is also offered every [n] commits. Both are pure accounting:
-    the run is bit-for-bit identical with or without them, and when
-    absent no event is constructed. [wal_durable] (default off) polls
+    the run is bit-for-bit identical with or without them, and with
+    neither [wal] nor [prov] no event is built. [wal_durable] (default off) polls
     how many commit records the log has forced (e.g.
     [Wal.acked_commits]) each tick, matches acknowledgements to commits
     in commit order (counter ["engine.acks"], histogram

@@ -79,8 +79,3 @@ let version_fn history srcs =
       | None -> ())
     !from_txn;
   !vf
-
-let append_missing n order =
-  let seen = Array.make n false in
-  List.iter (fun i -> if i >= 0 && i < n then seen.(i) <- true) order;
-  order @ List.filter (fun i -> not seen.(i)) (List.init n Fun.id)

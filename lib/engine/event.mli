@@ -3,9 +3,8 @@
 
     Kept out of {!Engine} (which re-exports the constructors under
     their historical names) because {!Policy}, which the engine is
-    built on, names abort {!reason}s and builds witnesses from read
-    sources. See {!Engine.wal_event} for the per-constructor
-    contracts. *)
+    built on, names abort {!reason}s. See {!Engine.wal_event} for the
+    per-constructor contracts. *)
 
 type read_src =
   | From_init  (** the entity's initial version (write timestamp 0) *)
@@ -49,7 +48,3 @@ val version_fn :
     reader's latest earlier write of the entity ([-1] if none),
     [From_txn j] → [j]'s last write of the entity (no entry if none).
     Every witness and certified read built from read sources uses it. *)
-
-val append_missing : int -> int list -> int list
-(** [append_missing n order] is [order], then every id in [0 .. n-1] it
-    does not mention, ascending: a witness order over all [n]. *)

@@ -3,7 +3,6 @@ module J = Mvcc_obs.Json
 module Ic = Mvcc_online.Incr_conflict
 module Ig = Mvcc_online.Incr_digraph
 module Step = Mvcc_core.Step
-module W = Mvcc_provenance.Witness
 open Intake
 
 include Policy_intf
@@ -21,7 +20,6 @@ module Defaults = struct
   let ro_safe _ _ = true
   let ro_read _ _ _ _ = ()
   let gc_ts c = c.ts
-  let records_src = false
 end
 
 (* an attempt's footprint is its own read and write sets *)
@@ -31,16 +29,6 @@ let iter_ids ctx f bindings =
 let for_all_ids ctx p es =
   List.for_all (fun e -> p (Store.intern ctx.store e)) es
 let latest ctx e = Version (Store.latest ctx.store e)
-let csr order = { W.claim = Member Csr; evidence = Accept_topo order }
-
-(* Committed clients by timestamp, completed with the rest: the
-   serialization order of the timestamp policies. *)
-let ts_order ctx =
-  Array.to_list ctx.clients
-  |> List.filter (fun c -> c.status = Committed)
-  |> List.sort (fun a b -> compare a.ts b.ts)
-  |> List.map (fun c -> c.id)
-  |> Event.append_missing (Array.length ctx.clients)
 
 (* Strict two-phase locking. Readers of an entity are kept newest first
    and wound-wait wounds blockers in that order, so the lists' order is
@@ -55,6 +43,8 @@ struct
     ctx : ctx;
     readers : int list array;  (** per entity *)
     writer : int array;  (** per entity; -1 = unlocked *)
+    visited : int array;  (** per client: the last query that reached it *)
+    mutable query : int;
   }
 
   let create ctx =
@@ -62,6 +52,8 @@ struct
       ctx;
       readers = Array.make ctx.capacity [];
       writer = Array.make ctx.capacity (-1);
+      visited = Array.make (Array.length ctx.clients) 0;
+      query = 0;
     }
 
   (* who currently blocks client [c] from accessing entity [id] *)
@@ -71,28 +63,34 @@ struct
     if write then from_writer @ List.filter (fun r -> r <> c) t.readers.(id)
     else from_writer
 
-  (* does some blocker (transitively) wait on [target]? *)
-  let rec waits_on t seen who target =
-    who = target
-    || (not (List.mem who seen))
-       &&
-       let c' = t.ctx.clients.(who) in
-       match c'.status with
-       | Waiting e ->
-           let write =
-             c'.pc < Array.length c'.ops
-             && match c'.ops.(c'.pc) with Program.Write _ -> true | _ -> false
-           in
-           List.exists
-             (fun b -> waits_on t (who :: seen) b target)
-             (blockers t who (Store.intern t.ctx.store e) ~write)
-       | _ -> false
+  (* Does some blocker in [bs] (transitively) wait on [target]? Each
+     query visits a client at most once: one already searched either
+     reached [target] or cannot. *)
+  let waits_on t bs target =
+    t.query <- t.query + 1;
+    let rec reaches who =
+      who = target
+      || t.visited.(who) <> t.query
+         &&
+         let c' = t.ctx.clients.(who) in
+         t.visited.(who) <- t.query;
+         match c'.status with
+         | Waiting e ->
+             let write =
+               c'.pc < Array.length c'.ops
+               && match c'.ops.(c'.pc) with Program.Write _ -> true | _ -> false
+             in
+             List.exists reaches
+               (blockers t who (Store.intern t.ctx.store e) ~write)
+         | _ -> false
+    in
+    List.exists reaches bs
 
   let resolve t c bs =
     let clients = t.ctx.clients in
     match D.deadlock with
     | Detect ->
-        if List.exists (fun b -> waits_on t [ c.id ] b c.id) bs then
+        if waits_on t bs c.id then
           Abort Event.Deadlock
         else Wait
     | Wait_die ->
@@ -141,9 +139,6 @@ struct
   (* a snapshot read may not pass an executed (write-locked) write *)
   let ro_safe t = for_all_ids t.ctx (fun id -> t.writer.(id) < 0)
   let ro_stamp t _ = t.ctx.clock ()
-
-  let witness t o =
-    csr (Event.append_missing (Array.length t.ctx.clients) o.commit_order)
 end
 
 (* Single-version timestamp ordering. An uncommitted write reserves its
@@ -201,7 +196,6 @@ module To = struct
     c.ts
 
   let ro_read t c id _ = t.rts.(id) <- max c.ts t.rts.(id)
-  let witness t _ = csr (ts_order t.ctx)
 end
 
 (* Multiversion timestamp ordering: reads never block nor abort; a write
@@ -235,15 +229,6 @@ module Mvto = struct
     c.ts
 
   let ro_read _ c _ v = v.Store.max_rts <- max v.Store.max_rts c.ts
-  let records_src = true
-
-  let witness ctx o =
-    {
-      W.claim = Member Mvsr;
-      evidence =
-        Accept_version_fn
-          (ts_order ctx, Event.version_fn o.history o.read_srcs);
-    }
 end
 
 (* Snapshot isolation: reads at the attempt's start snapshot,
@@ -271,13 +256,6 @@ module Si = struct
     c.snapshot
 
   let gc_ts c = c.snapshot
-  let records_src = true
-
-  let witness _ o =
-    {
-      W.claim = Read_consistent;
-      evidence = Accept_version_fn ([], Event.version_fn o.history o.read_srcs);
-    }
 end
 
 (* Serialization-graph testing: every operation is certified against
@@ -392,20 +370,6 @@ module Sgt = struct
      read rule serves the dirty one *)
   let ro_safe t = for_all_ids t.ctx (fun id -> t.dirty.(id) = [])
   let ro_stamp t _ = t.ctx.clock ()
-
-  let witness t o =
-    let n = Array.length t.ctx.clients in
-    if o.offloop then
-      (* off-loop readers are not in the certification graph; the
-         committed history's own conflict graph orders them (as
-         recovery does) *)
-      match Mvcc_graph.Topo.sort (Mvcc_core.Conflict.graph o.history) with
-      | Some order -> csr order
-      | None -> csr (Event.append_missing n o.commit_order)
-    else
-      Ig.topological_order (Ic.graph t.cert)
-      |> List.filter (fun i -> i < n && t.ctx.clients.(i).status = Committed)
-      |> Event.append_missing n |> csr
 end
 
 let of_engine ?(deadlock = Detect) = function

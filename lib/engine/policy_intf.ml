@@ -27,13 +27,6 @@ type source =
 
 type stamp = Fresh_each | At of int  (** timestamps of a commit's installs *)
 
-type outcome = {
-  history : Mvcc_core.Schedule.t;  (** the committed final attempts *)
-  commit_order : int list;  (** oldest commit first *)
-  read_srcs : (int * Event.read_src) list;  (** recorded read sources *)
-  offloop : bool;  (** some read-only client ran off the tick loop *)
-}
-
 module type S = sig
   type t
 
@@ -82,9 +75,4 @@ module type S = sig
 
   val gc_ts : Intake.client -> int
   (** The oldest timestamp an active client may still read at. *)
-
-  val records_src : bool
-  (** Whether in-loop read sources are recorded for {!witness}. *)
-
-  val witness : t -> outcome -> Mvcc_provenance.Witness.t
 end

@@ -455,6 +455,49 @@ let test_midlog_commit_loss_cascades () =
   check "intact log commits both" true (intact.commit_order = [ 0; 1 ]);
   check "intact final value" true (intact.state = [ ("x", 6) ])
 
+(* A run's certificate is a function of its event stream alone, so the
+   engine's own [~prov] certificate and full-log recovery of the bytes
+   its hook wrote must agree: the same committed steps and the same
+   printed witness, under every policy, with and without off-loop
+   readers, injected aborts and GC, and under S2PL's deadlock-prevention
+   modes. *)
+let prop_live_certificate_is_recovered =
+  QCheck2.Test.make
+    ~name:"engine certificate = recovered certificate of its own log"
+    ~count:200
+    QCheck2.Gen.(
+      let* policy =
+        oneofl
+          (List.map (fun p -> (p, None)) E.all_policies
+          @ [ (E.S2pl, Some E.Wait_die); (E.S2pl, Some E.Wound_wait) ])
+      and* ro = bool
+      and* crash = oneofl [ 0.; 0.05 ]
+      and* gc = bool
+      and* seed = int_range 0 10_000 in
+      return (policy, ro, crash, gc, seed))
+    (fun ((policy, deadlock), ro, crash, gc, seed) ->
+      let initial, programs =
+        Mvcc_workload.Program_gen.mixed ~n_entities:6 ~theta:0.6
+          ~read_fraction:0.4 ~reads_per_txn:3 ~writes_per_txn:2 ~mix_rounds:0
+          ~n_txns:10 ~seed ()
+      in
+      let w = Wal.writer ~window:(Wal.window ~commits:3 ()) () in
+      let hook = Hook.create w in
+      let r =
+        E.run ~policy ?deadlock ~initial ~programs ~gc ~crash_probability:crash
+          ~prov:(Mvcc_provenance.Log.create ()) ~wal:(Hook.listener hook)
+          ~snapshot_every:4 ~ro_snapshot:ro ~seed ()
+      in
+      Wal.close w;
+      let rec_ = Recovery.recover ~policy (Wal.read_string (Wal.contents w)) in
+      let pp = Format.asprintf "%a" Mvcc_provenance.Witness.pp in
+      match (r.E.provenance, rec_.Recovery.witness) with
+      | Some (h, live), Some recovered ->
+          Mvcc_core.Schedule.steps h
+          = Mvcc_core.Schedule.steps rec_.Recovery.history
+          && pp live = pp recovered
+      | _ -> false)
+
 (* -- Crash injection: the tentpole property -- *)
 
 let crash_points_per_policy = 120
@@ -796,5 +839,6 @@ let () =
             prop_obs_writer_byte_invariance;
             prop_wal_off_invariance;
             prop_follower_equiv_recovery;
+            prop_live_certificate_is_recovered;
           ] );
     ]
