@@ -19,11 +19,11 @@ let schedulers =
        schedulers: decision-equivalent (the containment checks below
        still compare them against the CSR / MVCSR testers) but cheap
        enough to keep E9's sample counts high *)
-    ("sgt", Mvcc_online.Sgt_inc.scheduler);
+    ("sgt", Mvcc_online.Certifier.(scheduler Conflict));
     ("2v2pl", Mvcc_sched.Two_v2pl.scheduler);
     ("mvto", Mvcc_sched.Mvto.scheduler);
     ("si", Mvcc_sched.Si.scheduler);
-    ("mvcg", Mvcc_online.Mvcg_inc.scheduler);
+    ("mvcg", Mvcc_online.Certifier.(scheduler Mv_conflict));
     ("max-mvcsr", Mvcc_ols.Maximal.mvcsr_maximal);
     ("max-mvsr", Mvcc_ols.Maximal.mvsr_maximal);
   ]

@@ -76,12 +76,14 @@ let tests =
       Test.make ~name:"sgt-batch-run-6txn" (Staged.stage (fun () ->
           Mvcc_sched.Driver.run Mvcc_sched.Sgt.scheduler medium_schedule));
       Test.make ~name:"sgt-inc-run-6txn" (Staged.stage (fun () ->
-          Mvcc_sched.Driver.run Mvcc_online.Sgt_inc.scheduler medium_schedule));
+          Mvcc_sched.Driver.run
+            Mvcc_online.Certifier.(scheduler Conflict)
+            medium_schedule));
       Test.make ~name:"mvcg-batch-run-6txn" (Staged.stage (fun () ->
           Mvcc_sched.Driver.run Mvcc_sched.Mvcg_sched.scheduler
             medium_schedule));
       Test.make ~name:"mvcg-inc-run-6txn" (Staged.stage (fun () ->
-          Mvcc_sched.Driver.run Mvcc_online.Mvcg_inc.scheduler
+          Mvcc_sched.Driver.run Mvcc_online.Certifier.(scheduler Mv_conflict)
             medium_schedule));
       Test.make ~name:"mvto-run-6txn" (Staged.stage (fun () ->
           Mvcc_sched.Driver.run Mvcc_sched.Mvto.scheduler medium_schedule));

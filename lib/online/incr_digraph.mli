@@ -11,7 +11,7 @@
     Edge removal never invalidates a topological order, so {!remove_edge}
     is O(1); a caller that inserted a batch of edges and then changed its
     mind rolls back by removing exactly the edges that were newly added
-    (see {!Incr_conflict} and {!Incr_mvcg}). *)
+    (see {!Certifier}). *)
 
 type t
 (** A mutable, always-acyclic digraph. Nodes are [0 .. n_nodes - 1] and

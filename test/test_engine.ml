@@ -853,6 +853,70 @@ let prop_class_oracle =
             (if policy = E.Mvto then mvsr else csr)
             h)
 
+(* The engine's SGT certifier against the batch conflict-graph test. The
+   run's event stream is replayed into the live steps: a transaction's
+   [Wal_begin] drops the steps of its earlier attempt (the certifier
+   forgot them at the abort), committed steps stay. After every logged
+   operation the batch conflict graph of the live steps must be acyclic,
+   and at every certification abort the live steps plus the refused
+   operation — the attempt's next program op — must close a cycle. *)
+let prop_sgt_matches_batch_conflict_graph =
+  QCheck2.Test.make
+    ~name:"engine sgt accepts exactly what the batch conflict graph allows"
+    ~count:60
+    QCheck2.Gen.(
+      let* seed = int_range 0 100_000 in
+      let* crash = oneofl [ 0.; 0.05 ] in
+      let* n_txns = int_range 3 12 in
+      return (seed, crash, n_txns))
+    (fun (seed, crash, n_txns) ->
+      let initial, programs =
+        Mvcc_workload.Program_gen.mixed ~n_entities:6 ~theta:0.6
+          ~read_fraction:0.4 ~reads_per_txn:3 ~writes_per_txn:2 ~mix_rounds:0
+          ~n_txns ~seed ()
+      in
+      (* mixed programs read every entity before writing it; a blind
+         write puts an entity in an attempt's write set only *)
+      let programs =
+        Array.of_list (programs @ [ P.blind_write ~label:"blind" "e0" 7 ])
+      in
+      let events = ref [] in
+      ignore
+        (E.run ~policy:E.Sgt ~initial ~programs:(Array.to_list programs)
+           ~crash_probability:crash
+           ~wal:(fun e -> events := e :: !events)
+           ~seed ());
+      let module Step = Mvcc_core.Step in
+      let acyclic steps =
+        Mvcc_graph.Cycle.is_acyclic
+          (Mvcc_core.Conflict.graph
+             (Mvcc_core.Schedule.of_steps ~n_txns:(Array.length programs)
+                (List.rev steps)))
+      in
+      (* live steps newest first, and each attempt's logged op count *)
+      let live = ref [] and done_ops = Array.make (Array.length programs) 0 in
+      List.for_all
+        (function
+          | E.Wal_begin { txn; _ } ->
+              live := List.filter (fun (st : Step.t) -> st.txn <> txn) !live;
+              done_ops.(txn) <- 0;
+              true
+          | E.Wal_op { txn; entity; write; _ } ->
+              live :=
+                (if write then Step.write txn entity else Step.read txn entity)
+                :: !live;
+              done_ops.(txn) <- done_ops.(txn) + 1;
+              acyclic !live
+          | E.Wal_abort { txn; reason = Event.Certification } ->
+              let refused =
+                match List.nth programs.(txn).P.ops done_ops.(txn) with
+                | P.Read e -> Step.read txn e
+                | P.Write (e, _) -> Step.write txn e
+              in
+              not (acyclic (refused :: !live))
+          | _ -> true)
+        (List.rev !events))
+
 let test_policy_names () =
   List.iter
     (fun p ->
@@ -927,5 +991,6 @@ let () =
             prop_conservation;
             prop_ro_snapshot_version_fn;
             prop_class_oracle;
+            prop_sgt_matches_batch_conflict_graph;
           ] );
     ]

@@ -581,7 +581,7 @@ let schedulers =
     Mvcc_sched.Tso.scheduler; Mvcc_sched.Sgt.scheduler;
     Mvcc_sched.Two_v2pl.scheduler; Mvcc_sched.Mvto.scheduler;
     Mvcc_sched.Si.scheduler; Mvcc_sched.Mvcg_sched.scheduler;
-    Mvcc_online.Sgt_inc.scheduler; Mvcc_online.Mvcg_inc.scheduler;
+    Certifier.(scheduler Conflict); Certifier.(scheduler Mv_conflict);
   ]
 
 let same_outcome (a : Driver.outcome) (b : Driver.outcome) =

@@ -173,8 +173,8 @@ let same_outcome (a : Driver.outcome) (b : Driver.outcome) =
 
 let pairs =
   [
-    ("sgt", Mvcc_sched.Sgt.scheduler, Mvcc_online.Sgt_inc.scheduler);
-    ("mvcg", Mvcc_sched.Mvcg_sched.scheduler, Mvcc_online.Mvcg_inc.scheduler);
+    ("sgt", Mvcc_sched.Sgt.scheduler, Certifier.(scheduler Conflict));
+    ("mvcg", Mvcc_sched.Mvcg_sched.scheduler, Certifier.(scheduler Mv_conflict));
   ]
 
 let test_equivalence_exhaustive () =

@@ -76,6 +76,12 @@ let prop_zipf_monotone =
           <= float_of_int counts.(k) +. slack)
         (List.init (n - 1) Fun.id))
 
+(* Upper 1e-6 quantiles of the chi-square distribution with 1 .. 7
+   degrees of freedom. One chi-square test per draw at that false-alarm
+   rate keeps a correct sampler's odds of failing a 40-draw run below
+   4e-5. *)
+let chi2_crit_1e6 = [| 23.928; 27.631; 30.665; 33.377; 35.888; 38.258; 40.522 |]
+
 let prop_zipf_theta_zero_uniform =
   QCheck2.Test.make ~name:"zipf at theta=0 is uniform" ~count:40
     QCheck2.Gen.(
@@ -86,10 +92,14 @@ let prop_zipf_theta_zero_uniform =
       let samples = 20_000 in
       let counts = zipf_counts ~n ~theta:0. ~samples seed in
       let expect = float_of_int samples /. float_of_int n in
-      let slack = 4. *. sqrt expect in
-      Array.for_all
-        (fun c -> Float.abs (float_of_int c -. expect) <= slack)
-        counts)
+      let chi2 =
+        Array.fold_left
+          (fun acc c ->
+            let d = float_of_int c -. expect in
+            acc +. (d *. d /. expect))
+          0. counts
+      in
+      chi2 <= chi2_crit_1e6.(n - 2))
 
 (* -- schedule generation -- *)
 
