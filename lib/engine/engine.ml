@@ -240,7 +240,7 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
     incr aborts;
     attempts.(c.id) <- attempts.(c.id) + 1;
     Sink.incr obs "engine.aborts";
-    Sink.incr obs ("engine.abort." ^ Event.reason_name reason);
+    Sink.incr obs (Event.reason_counter reason);
     wal_emit (fun () -> Wal_abort { txn = c.id; reason });
     Sink.span_finish obs c.sp_attempt ~attrs:(fun () ->
         [
@@ -499,12 +499,7 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
             ])
       end)
     clients;
-  let max_chain =
-    List.fold_left
-      (fun acc e -> max acc (Store.version_count store e))
-      1
-      (Store.entities store)
-  in
+  let max_chain = max 1 (Store.longest_chain store) in
   Sink.set_gauge obs "engine.max-version-chain" max_chain;
   Sink.set_gauge obs "engine.ticks" !ticks;
   Sink.set_gauge obs "engine.blocked-ticks" !blocked_ticks;

@@ -25,6 +25,18 @@ let reason_name = function
   | Cascade -> "cascade"
   | Crash -> "crash"
 
+(* literal constants, so counting an abort allocates nothing *)
+let reason_counter = function
+  | Deadlock -> "engine.abort.deadlock"
+  | Wait_die -> "engine.abort.wait-die"
+  | Wound -> "engine.abort.wound"
+  | Ts_order -> "engine.abort.ts-order"
+  | Write_invalidated -> "engine.abort.write-invalidated"
+  | First_committer -> "engine.abort.first-committer"
+  | Certification -> "engine.abort.certification"
+  | Cascade -> "engine.abort.cascade"
+  | Crash -> "engine.abort.crash"
+
 let all_reasons =
   [
     Deadlock; Wait_die; Wound; Ts_order; Write_invalidated; First_committer;

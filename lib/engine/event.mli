@@ -12,7 +12,8 @@ type read_src =
   | From_txn of int  (** the writing transaction *)
 
 (** Why an attempt aborted. {!reason_name} is the string WAL abort
-    records and the [engine.abort.<reason>] counters are written from. *)
+    records are written with, and {!reason_counter} the
+    [engine.abort.<reason>] counter. *)
 type reason =
   | Deadlock  (** S2PL waits-for cycle, requester is the victim *)
   | Wait_die  (** wait-die: younger requester dies *)
@@ -25,6 +26,11 @@ type reason =
   | Crash  (** injected failure *)
 
 val reason_name : reason -> string
+
+val reason_counter : reason -> string
+(** ["engine.abort." ^ reason_name r], as a constant: the counter an
+    abort for [r] increments. *)
+
 val all_reasons : reason list
 
 type t =

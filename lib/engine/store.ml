@@ -1,69 +1,89 @@
 type version = { value : int; wts : int; mutable max_rts : int }
 
-(* Entities are interned to dense ids on first touch; [chains] maps an
-   id to its version chain. *)
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+(* Entities are interned to dense ids on first touch; [names] and
+   [chains] are indexed by that id. An empty chain means interned but
+   not present: the engine interns on an operation's first touch, and
+   only a chain access makes the entity present. *)
 type t = {
-  chains : (int, version list ref) Hashtbl.t;
-  ids : (string, int) Hashtbl.t;
-  mutable names : string array; (* dense id -> entity name *)
+  ids : int Names.t;
+  mutable names : string array;
+  mutable chains : version list array;
   mutable n : int;
 }
 
-let make () =
+let make size =
+  let size = max 16 size in
   {
-    chains = Hashtbl.create 16;
-    ids = Hashtbl.create 16;
-    names = Array.make 16 "";
+    ids = Names.create size;
+    names = Array.make size "";
+    chains = Array.make size [];
     n = 0;
   }
 
 let intern t e =
-  match Hashtbl.find_opt t.ids e with
-  | Some id -> id
-  | None ->
+  match Names.find t.ids e with
+  | id -> id
+  | exception Not_found ->
       let id = t.n in
       if id = Array.length t.names then begin
-        let bigger = Array.make (2 * id) "" in
-        Array.blit t.names 0 bigger 0 id;
-        t.names <- bigger
+        let grow a fill =
+          let bigger = Array.make (2 * id) fill in
+          Array.blit a 0 bigger 0 id;
+          bigger
+        in
+        t.names <- grow t.names "";
+        t.chains <- grow t.chains []
       end;
       t.names.(id) <- e;
       t.n <- id + 1;
-      Hashtbl.replace t.ids e id;
+      Names.replace t.ids e id;
       id
 
 let name t id = t.names.(id)
 
-let chain_of_id t id =
-  match Hashtbl.find_opt t.chains id with
-  | Some c -> c
-  | None ->
-      let c = ref [ { value = 0; wts = 0; max_rts = 0 } ] in
-      Hashtbl.replace t.chains id c;
-      c
+(* [e]'s id, its chain made present at initial value 0 on first access *)
+let present_id t e =
+  let id = intern t e in
+  (match t.chains.(id) with
+  | [] -> t.chains.(id) <- [ { value = 0; wts = 0; max_rts = 0 } ]
+  | _ -> ());
+  id
 
-let chain t e = chain_of_id t (intern t e)
-let set_initial t e v = chain t e := [ { value = v; wts = 0; max_rts = 0 } ]
+let chain t e = t.chains.(present_id t e)
+
+let set_initial t e v =
+  t.chains.(intern t e) <- [ { value = v; wts = 0; max_rts = 0 } ]
 
 let create ~initial =
-  let t = make () in
+  let t = make (List.length initial) in
   List.iter (fun (e, v) -> set_initial t e v) initial;
   t
 
-(* the entities with a chain: interning alone (the engine interns on an
-   operation's first touch) does not make an entity present *)
-let entities t =
-  Hashtbl.fold (fun id _ acc -> t.names.(id) :: acc) t.chains []
-  |> List.sort compare
+(* the present ids, sorted by name *)
+let present t =
+  let ids = ref [] in
+  for id = t.n - 1 downto 0 do
+    match t.chains.(id) with [] -> () | _ -> ids := id :: !ids
+  done;
+  List.sort (fun a b -> String.compare t.names.(a) t.names.(b)) !ids
 
-let latest t e =
-  let c = !(chain t e) in
+let entities t = List.map (name t) (present t)
+
+let newest c =
   List.fold_left
     (fun best v -> if v.wts > best.wts then v else best)
     (List.hd c) c
 
+let latest t e = newest (chain t e)
+
 let read_at t e ts =
-  let c = !(chain t e) in
   let best = ref None in
   List.iter
     (fun v ->
@@ -71,24 +91,29 @@ let read_at t e ts =
         match !best with
         | Some b when b.wts >= v.wts -> ()
         | _ -> best := Some v)
-    c;
+    (chain t e);
   (* the initial version (wts 0) always qualifies for ts >= 0 *)
   Option.get !best
 
 let install t e ~value ~wts =
   if wts <= 0 then invalid_arg "Store.install: timestamp must be positive";
-  let c = chain t e in
-  if List.exists (fun v -> v.wts = wts) !c then
+  let id = present_id t e in
+  let c = t.chains.(id) in
+  if List.exists (fun v -> v.wts = wts) c then
     invalid_arg "Store.install: duplicate version timestamp";
-  c := { value; wts; max_rts = wts } :: !c
+  t.chains.(id) <- { value; wts; max_rts = wts } :: c
 
 let would_invalidate t e ~wts =
-  let c = !(chain t e) in
-  List.exists (fun v -> v.wts < wts && v.max_rts > wts) c
+  List.exists (fun v -> v.wts < wts && v.max_rts > wts) (chain t e)
 
-let version_count t e = List.length !(chain t e)
+let version_count t e = List.length (chain t e)
 
-let prune_chain c ~watermark =
+let longest_chain t =
+  Array.fold_left (fun acc c -> max acc (List.length c)) 0 t.chains
+
+(* prunes the chain of [id]; returns the versions discarded *)
+let prune_id t id ~watermark =
+  let c = t.chains.(id) in
   (* newest version visible at the watermark: the snapshot base *)
   let base =
     List.fold_left
@@ -98,35 +123,42 @@ let prune_chain c ~watermark =
           | Some b when b.wts >= v.wts -> acc
           | _ -> Some v
         else acc)
-      None !c
+      None c
   in
   match base with
   | None -> 0
   | Some base ->
-      let keep, drop = List.partition (fun v -> v.wts >= base.wts) !c in
-      c := keep;
+      let keep, drop = List.partition (fun v -> v.wts >= base.wts) c in
+      t.chains.(id) <- keep;
       List.length drop
 
-let prune t e ~watermark = prune_chain (chain t e) ~watermark
+let prune t e ~watermark = prune_id t (present_id t e) ~watermark
 
 let prune_all t ~watermark =
-  Hashtbl.fold (fun _ c acc -> acc + prune_chain c ~watermark) t.chains 0
+  let pruned = ref 0 in
+  for id = 0 to t.n - 1 do
+    pruned := !pruned + prune_id t id ~watermark
+  done;
+  !pruned
 
 let value_map t =
-  entities t |> List.map (fun e -> (e, (latest t e).value))
+  List.map
+    (fun id -> (t.names.(id), (newest t.chains.(id)).value))
+    (present t)
 
 let dump t =
-  entities t
-  |> List.map (fun e ->
-         ( e,
-           List.map (fun v -> (v.wts, v.value)) !(chain t e)
-           |> List.sort (fun (a, _) (b, _) -> compare a b) ))
+  List.map
+    (fun id ->
+      ( t.names.(id),
+        List.map (fun v -> (v.wts, v.value)) t.chains.(id)
+        |> List.sort (fun (a, _) (b, _) -> compare a b) ))
+    (present t)
 
 let of_dump chains =
-  let t = make () in
+  let t = make (List.length chains) in
   List.iter
     (fun (e, versions) ->
-      chain t e :=
+      t.chains.(intern t e) <-
         List.rev_map
           (fun (wts, value) -> { value; wts; max_rts = wts })
           versions)

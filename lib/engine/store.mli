@@ -3,8 +3,16 @@
     Each entity carries an ordered chain of committed versions; the
     initial version of every entity has write timestamp 0 and the entity's
     initial value. Single-version policies simply confine themselves to
-    the newest version. Entities are interned to dense ids on first
-    touch; the policies index their metadata arrays by that id. *)
+    the newest version.
+
+    Entities are interned to dense ids on first touch, in first-touch
+    order, through one name table; the policies index their metadata
+    arrays by that id. The names and the version chains are arrays
+    indexed by the same id, so once a name is hashed, reaching its chain
+    is an array index. Interning is not presence: an entity that was
+    only interned has no chain and is not in {!entities}, {!value_map}
+    or {!dump} until a read, install or other chain access creates its
+    initial version. *)
 
 type version = {
   value : int;
@@ -36,7 +44,8 @@ val name : t -> int -> string
 (** Inverse of {!intern}. *)
 
 val entities : t -> string list
-(** Entities currently present (with a version chain), sorted. *)
+(** Entities currently present (with a version chain), sorted by
+    [String.compare]. *)
 
 val latest : t -> string -> version
 (** The newest committed version. *)
@@ -57,6 +66,11 @@ val would_invalidate : t -> string -> wts:int -> bool
     by some transaction younger than [wts]? *)
 
 val version_count : t -> string -> int
+
+val longest_chain : t -> int
+(** The largest {!version_count} over the present entities, 0 when none
+    is present. One pass over the chain array: no name is sorted or
+    hashed. *)
 
 val prune : t -> string -> watermark:int -> int
 (** [prune store e ~watermark] discards versions no active transaction can
@@ -83,4 +97,5 @@ val dump : t -> (string * (int * int) list) list
 val of_dump : (string * (int * int) list) list -> t
 (** Rebuild a store from {!dump} output (or a recovered subset of it).
     Each restored version gets [max_rts = wts], exactly as a fresh
-    {!install} would. [of_dump (dump t)] and [t] agree on every read. *)
+    {!install} would. [of_dump (dump t)] and [t] agree on every read.
+    An entity listed with no versions is interned but not present. *)

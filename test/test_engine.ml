@@ -54,6 +54,222 @@ let test_store_value_map () =
   check "map reflects latest" true
     (S.value_map st = [ ("a", 9); ("b", 2) ])
 
+(* The store against a naive model: the interned names in first-touch
+   order, and each present entity's versions as (wts, value, max_rts)
+   triples in an assoc list. *)
+type store_op =
+  | Set_initial of string * int
+  | Intern of string
+  | Install of string * int * int  (* entity, value, wts *)
+  | Read_at of string * int * bool  (* bump [max_rts] to the ts *)
+  | Latest of string
+  | Would_invalidate of string * int
+  | Prune of string * int
+  | Prune_all of int
+  | Version_count of string
+
+let show_store_op = function
+  | Set_initial (e, v) -> Printf.sprintf "set_initial %s %d" e v
+  | Intern e -> "intern " ^ e
+  | Install (e, v, w) -> Printf.sprintf "install %s ~value:%d ~wts:%d" e v w
+  | Read_at (e, ts, bump) ->
+      Printf.sprintf "read_at %s %d%s" e ts (if bump then " (bump)" else "")
+  | Latest e -> "latest " ^ e
+  | Would_invalidate (e, w) ->
+      Printf.sprintf "would_invalidate %s ~wts:%d" e w
+  | Prune (e, w) -> Printf.sprintf "prune %s ~watermark:%d" e w
+  | Prune_all w -> Printf.sprintf "prune_all ~watermark:%d" w
+  | Version_count e -> "version_count " ^ e
+
+type store_model = {
+  mutable interned : string list;  (* first-touch order *)
+  mutable chains : (string * (int * int * int) list) list;
+}
+
+let m_intern m e =
+  if not (List.mem e m.interned) then m.interned <- m.interned @ [ e ]
+
+let m_set m e c =
+  m.chains <- (e, c) :: List.remove_assoc e m.chains
+
+(* a chain access: makes the entity present at initial value 0 *)
+let m_chain m e =
+  m_intern m e;
+  match List.assoc_opt e m.chains with
+  | Some c -> c
+  | None ->
+      m_set m e [ (0, 0, 0) ];
+      [ (0, 0, 0) ]
+
+(* the newest version satisfying [p], as (wts, value, max_rts) *)
+let m_newest p c =
+  List.fold_left
+    (fun best ((w, _, _) as v) ->
+      match best with
+      | Some (bw, _, _) when bw >= w -> best
+      | _ when p w -> Some v
+      | _ -> best)
+    None c
+
+let m_latest c = Option.get (m_newest (fun _ -> true) c)
+
+let m_prune m e watermark =
+  let c = m_chain m e in
+  match m_newest (fun w -> w <= watermark) c with
+  | None -> 0
+  | Some (base, _, _) ->
+      let keep = List.filter (fun (w, _, _) -> w >= base) c in
+      m_set m e keep;
+      List.length c - List.length keep
+
+let m_present m = List.sort compare (List.map fst m.chains)
+let m_versions c = List.sort compare (List.map (fun (w, v, _) -> (w, v)) c)
+
+let store_entities = List.init 20 (Printf.sprintf "e%d")
+
+let gen_store_op =
+  QCheck2.Gen.(
+    let entity = oneofl store_entities in
+    let small = int_range 0 99 in
+    let ts = int_range 0 14 in
+    frequency
+      [
+        (1, map2 (fun e v -> Set_initial (e, v)) entity small);
+        (2, map (fun e -> Intern e) entity);
+        ( 4,
+          map3
+            (fun e v w -> Install (e, v, w))
+            entity small (int_range (-1) 12) );
+        (3, map3 (fun e t b -> Read_at (e, t, b)) entity ts bool);
+        (1, map (fun e -> Latest e) entity);
+        (2, map2 (fun e w -> Would_invalidate (e, w)) entity ts);
+        (1, map2 (fun e w -> Prune (e, w)) entity ts);
+        (1, map (fun w -> Prune_all w) ts);
+        (1, map (fun e -> Version_count e) entity);
+      ])
+
+let prop_store_model =
+  QCheck2.Test.make ~name:"store agrees with an assoc-list model" ~count:300
+    ~print:(fun (initial, ops) ->
+      Printf.sprintf "initial [%s]\n%s"
+        (String.concat "; "
+           (List.map (fun (e, v) -> Printf.sprintf "%s=%d" e v) initial))
+        (String.concat "\n" (List.map show_store_op ops)))
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 0 4)
+           (pair (oneofl store_entities) (int_range 0 99)))
+        (list_size (int_range 0 80) gen_store_op))
+    (fun (initial, ops) ->
+      let t = S.create ~initial in
+      let m = { interned = []; chains = [] } in
+      let m_set_initial e v =
+        m_intern m e;
+        m_set m e [ (0, v, 0) ]
+      in
+      List.iter (fun (e, v) -> m_set_initial e v) initial;
+      let fail fmt = QCheck2.Test.fail_reportf fmt in
+      let raises f =
+        match f () with () -> false | exception Invalid_argument _ -> true
+      in
+      let step op =
+        match op with
+        | Set_initial (e, v) ->
+            S.set_initial t e v;
+            m_set_initial e v
+        | Intern e ->
+            ignore (S.intern t e);
+            m_intern m e
+        | Install (e, value, wts) ->
+            (* a non-positive wts is refused before the chain is touched *)
+            let refused =
+              wts <= 0
+              || List.exists (fun (w, _, _) -> w = wts) (m_chain m e)
+            in
+            if raises (fun () -> S.install t e ~value ~wts) <> refused then
+              fail "install %s ~wts:%d: Invalid_argument expected %b" e wts
+                refused;
+            if not refused then m_set m e ((wts, value, wts) :: m_chain m e)
+        | Read_at (e, ts, bump) -> (
+            (* after a prune no version may lie at or below [ts] *)
+            let expect = m_newest (fun w -> w <= ts) (m_chain m e) in
+            match (S.read_at t e ts, expect) with
+            | exception Invalid_argument _ ->
+                if expect <> None then fail "read_at %s %d raised" e ts
+            | _, None -> fail "read_at %s %d: model has no version" e ts
+            | v, Some (w, value, rts) ->
+                if (v.S.wts, v.S.value) <> (w, value) then
+                  fail "read_at %s %d: (%d, %d), model (%d, %d)" e ts v.S.wts
+                    v.S.value w value;
+                if bump then begin
+                  v.S.max_rts <- max v.S.max_rts ts;
+                  m_set m e
+                    (List.map
+                       (fun ((w', _, _) as x) ->
+                         if w' = w then (w, value, max rts ts) else x)
+                       (m_chain m e))
+                end)
+        | Latest e ->
+            let v = S.latest t e in
+            let w, value, _ = m_latest (m_chain m e) in
+            if (v.S.wts, v.S.value) <> (w, value) then fail "latest %s" e
+        | Would_invalidate (e, wts) ->
+            let expect =
+              List.exists (fun (w, _, r) -> w < wts && r > wts) (m_chain m e)
+            in
+            if S.would_invalidate t e ~wts <> expect then
+              fail "would_invalidate %s ~wts:%d: expected %b" e wts expect
+        | Prune (e, watermark) ->
+            let n = S.prune t e ~watermark in
+            if n <> m_prune m e watermark then fail "prune %s" e
+        | Prune_all watermark ->
+            let n = S.prune_all t ~watermark in
+            let expect =
+              List.fold_left
+                (fun acc e -> acc + m_prune m e watermark)
+                0 (m_present m)
+            in
+            if n <> expect then fail "prune_all: %d, model %d" n expect
+        | Version_count e ->
+            if S.version_count t e <> List.length (m_chain m e) then
+              fail "version_count %s" e
+      in
+      let agrees () =
+        let present = m_present m in
+        if S.entities t <> present then fail "entities differ";
+        List.iter
+          (fun e ->
+            if (not (List.mem e present)) && List.mem e (S.entities t) then
+              fail "intern-only %s is listed" e)
+          m.interned;
+        List.iteri
+          (fun id e ->
+            if S.intern t e <> id || S.name t id <> e then
+              fail "%s is not id %d" e id)
+          m.interned;
+        let expect f = List.map (fun e -> (e, f (List.assoc e m.chains))) in
+        let value c = match m_latest c with _, v, _ -> v in
+        if S.value_map t <> expect value present then
+          fail "value_map differs";
+        if S.dump t <> expect m_versions present then fail "dump differs"
+      in
+      List.iter (fun op -> step op; agrees ()) ops;
+      let read t e ts =
+        match S.read_at t e ts with
+        | v -> Some (v.S.wts, v.S.value)
+        | exception Invalid_argument _ -> None
+      in
+      let restored = S.of_dump (S.dump t) in
+      if S.entities restored <> S.entities t then fail "of_dump: entities";
+      List.iter
+        (fun e ->
+          for ts = 0 to 14 do
+            if read t e ts <> read restored e ts then
+              fail "of_dump: read_at %s %d" e ts
+          done)
+        (m_present m);
+      true)
+
 (* -- Program -- *)
 
 let test_program_eval () =
@@ -490,6 +706,13 @@ let test_abort_reason_counters () =
   check "no certification aborts under TO" false
     (reason_hit E.To "certification");
   check "no ts-order aborts under S2PL" false (reason_hit E.S2pl "ts-order");
+  (* the counter constants spell [engine.abort.<reason_name>] *)
+  List.iter
+    (fun r ->
+      Alcotest.(check string)
+        "counter name" ("engine.abort." ^ Event.reason_name r)
+        (Event.reason_counter r))
+    Event.all_reasons;
   (* crash injection surfaces as the crash reason under every policy *)
   List.iter
     (fun policy ->
@@ -992,5 +1215,6 @@ let () =
             prop_ro_snapshot_version_fn;
             prop_class_oracle;
             prop_sgt_matches_batch_conflict_graph;
+            prop_store_model;
           ] );
     ]
