@@ -70,7 +70,8 @@ type wal_event = Event.t =
 (* newest binding per entity wins; the buffer is newest-first *)
 let final_bindings buffer =
   List.fold_left
-    (fun acc (e, v) -> if List.mem_assoc e acc then acc else (e, v) :: acc)
+    (fun acc b ->
+      if List.exists (fun b' -> b'.eid = b.eid) acc then acc else b :: acc)
     [] buffer
 
 (* The driver: intake, the serial tick loop asking the policy for every
@@ -83,8 +84,18 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
   let (module P) = Policy.of_engine ?deadlock policy in
   let rng = Random.State.make [| seed |] in
   let store = Store.create ~initial in
-  (* the committing client behind each installed write timestamp *)
-  let writer_of_wts : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  (* the committing client behind each installed write timestamp; every
+     timestamp is drawn from [fresh_ts], so they are dense *)
+  let writer_of_wts = ref (Array.make 64 (-1)) in
+  let set_writer wts txn =
+    let len = Array.length !writer_of_wts in
+    if wts >= len then begin
+      let bigger = Array.make (max (wts + 1) (2 * len)) (-1) in
+      Array.blit !writer_of_wts 0 bigger 0 len;
+      writer_of_wts := bigger
+    end;
+    !writer_of_wts.(wts) <- txn
+  in
   (* the run certificate folds the events the log hook sees; an event
      is only built when one of the two is attached, the same thunking
      discipline as span attributes *)
@@ -106,7 +117,7 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
     initial;
   let clients =
     Intake.admit ~policy_name:(policy_name policy) ~programs
-      ~obs ~fresh_ts
+      ~intern:(Store.intern store) ~obs ~fresh_ts
       ~wal_begin:(fun ~txn ~ts -> wal_emit (fun () -> Wal_begin { txn; ts }))
       ()
   in
@@ -120,7 +131,9 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
   in
   let ro_entities =
     Array.mapi
-      (fun i c -> if is_ro.(i) then Program.entities c.program else [])
+      (fun i c ->
+        if is_ro.(i) then List.sort_uniq Int.compare (Array.to_list c.ids)
+        else [])
       clients
   in
   let rw_before = Array.make (Array.length clients) 0 in
@@ -141,7 +154,7 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
     | 2 -> From_txn !last_src_arg
     | _ ->
         if !last_src_arg = 0 then From_init
-        else From_txn (Hashtbl.find writer_of_wts !last_src_arg)
+        else From_txn !writer_of_wts.(!last_src_arg)
   in
   let commits = ref 0
   and aborts = ref 0
@@ -265,13 +278,13 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
   abort_ref := abort;
   (* Serve a read: the own write buffer, else the version (or dirty
      write) the policy finds to answer it. *)
-  let read_value c id e =
-    match List.assoc_opt e c.buffer with
-    | Some v ->
+  let read_value c id =
+    match List.find_opt (fun b -> b.eid = id) c.buffer with
+    | Some b ->
         last_src_kind := 0;
-        v
+        b.value
     | None -> (
-        match P.serve st c id e with
+        match P.serve st c id with
         | Version v ->
             last_src_kind := 1;
             last_src_arg := v.Store.wts;
@@ -299,13 +312,13 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
     if Option.is_some wal_durable then
       Queue.push (c.id, !ticks) commit_ticks
   in
-  let install_for c e ~value ~wts =
+  let install_for c { entity; eid; value } ~wts =
     (* write-ahead: the install record precedes the store mutation *)
-    wal_emit (fun () -> Wal_install { txn = c.id; entity = e; value; wts });
-    Store.install store e ~value ~wts;
-    Hashtbl.replace writer_of_wts wts c.id;
+    wal_emit (fun () -> Wal_install { txn = c.id; entity; value; wts });
+    Store.install_id store eid ~value ~wts;
+    set_writer wts c.id;
     Sink.span_event obs ~parent:c.sp_attempt "install" ~attrs:(fun () ->
-        [ ("txn", J.Int c.id); ("entity", J.Str e); ("wts", J.Int wts) ])
+        [ ("txn", J.Int c.id); ("entity", J.Str entity); ("wts", J.Int wts) ])
   in
   (* ---- the off-loop read-only snapshot path ([ro_snapshot]) ---- *)
   let ro_views = ref [] in
@@ -332,12 +345,13 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
       wal_emit (fun () -> Wal_begin { txn = c.id; ts = c.ts });
     Sink.incr obs "engine.ro.offloop";
     let views = ref [] in
-    Array.iter
-      (fun op ->
+    Array.iteri
+      (fun i op ->
         match op with
         | Program.Read e ->
-            let v = Store.read_at store e snap in
-            P.ro_read st c (Store.intern store e) v;
+            let id = c.ids.(i) in
+            let v = Store.read_at_id store id snap in
+            P.ro_read st c id v;
             last_src_kind := 1;
             last_src_arg := v.Store.wts;
             views := (e, v.Store.wts) :: !views;
@@ -383,11 +397,11 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
     | Policy.Go ->
         let stamp = P.stamp st c in
         List.iter
-          (fun (e, v) ->
+          (fun b ->
             let wts =
               match stamp with Fresh_each -> fresh_ts () | At ts -> ts
             in
-            install_for c e ~value:v ~wts)
+            install_for c b ~wts)
           (final_bindings c.buffer);
         P.finish st c ~committed:true;
         c.status <- Committed;
@@ -408,6 +422,10 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
     c.pc <- c.pc + 1;
     c.status <- Ready
   in
+  (* a [Reg] names an entity; its value is the newest read of it *)
+  let register c r =
+    (List.find (fun b -> String.equal b.entity r) c.regs).value
+  in
   let refuse c e = function
     | Policy.Wait -> delay c e
     | Abort reason -> abort ~reason c
@@ -419,21 +437,22 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
     else
       match c.ops.(c.pc) with
       | Program.Read e -> (
-          let id = Store.intern store e in
-          match P.read st c id e with
+          let id = c.ids.(c.pc) in
+          match P.read st c id with
           | Go ->
-              c.regs <- (e, read_value c id e) :: c.regs;
+              c.regs <-
+                { entity = e; eid = id; value = read_value c id } :: c.regs;
               record_op c e ~write:false;
               advance c
           | v -> refuse c e v)
       | Program.Write (e, expr) -> (
-          let id = Store.intern store e in
-          match P.write st c id e with
+          let id = c.ids.(c.pc) in
+          match P.write st c id with
           | Go ->
               record_op c e ~write:true;
-              let v = Program.eval (fun r -> List.assoc r c.regs) expr in
-              c.buffer <- (e, v) :: c.buffer;
-              P.wrote st c id v;
+              let value = Program.eval (register c) expr in
+              c.buffer <- { entity = e; eid = id; value } :: c.buffer;
+              P.wrote st c id value;
               advance c
           | v -> refuse c e v)
   in

@@ -3,13 +3,16 @@ module J = Mvcc_obs.Json
 
 type status = Ready | Waiting of string | Backoff of int | Committed
 
+type binding = { entity : string; eid : int; value : int }
+
 type client = {
   id : int;
   program : Program.t;
   ops : Program.op array; (* the program, dense — O(1) pc dispatch *)
+  ids : int array; (* the store id of each op's entity *)
   mutable pc : int;
-  mutable regs : (string * int) list;
-  mutable buffer : (string * int) list; (* newest binding first *)
+  mutable regs : binding list;
+  mutable buffer : binding list; (* newest binding first *)
   mutable ts : int;
   mutable snapshot : int; (* commit clock at attempt start, for SI *)
   mutable status : status;
@@ -19,15 +22,20 @@ type client = {
   mutable sp_attempt : int;
 }
 
-let admit ~policy_name ~programs ~obs ~fresh_ts ~wal_begin () =
+let admit ~policy_name ~programs ~intern ~obs ~fresh_ts ~wal_begin () =
   let clients =
     Array.of_list
       (List.mapi
          (fun id program ->
+           let ops = Array.of_list program.Program.ops in
            {
              id;
              program;
-             ops = Array.of_list program.Program.ops;
+             ops;
+             ids =
+               Array.map
+                 (function Program.Read e | Write (e, _) -> intern e)
+                 ops;
              pc = 0;
              regs = [];
              buffer = [];

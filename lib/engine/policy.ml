@@ -6,8 +6,8 @@ include Policy_intf
 (* The hooks most policies leave alone. *)
 module Defaults = struct
   let on_begin _ _ = ()
-  let read _ _ _ _ = Go
-  let write _ _ _ _ = Go
+  let read _ _ _ = Go
+  let write _ _ _ = Go
   let wrote _ _ _ _ = ()
   let validate _ _ = Go
   let stamp _ _ = Fresh_each
@@ -18,13 +18,7 @@ module Defaults = struct
   let gc_ts c = c.ts
 end
 
-(* an attempt's footprint is its own read and write sets *)
-let iter_ids ctx f bindings =
-  List.iter (fun (e, _) -> f (Store.intern ctx.store e)) bindings
-
-let for_all_ids ctx p es =
-  List.for_all (fun e -> p (Store.intern ctx.store e)) es
-let latest ctx e = Version (Store.latest ctx.store e)
+let latest ctx id = Version (Store.latest_id ctx.store id)
 
 (* Strict two-phase locking. Readers of an entity are kept newest first
    and wound-wait wounds blockers in that order, so the lists' order is
@@ -81,13 +75,11 @@ struct
          let c' = t.ctx.clients.(who) in
          t.visited.(who) <- t.query;
          match c'.status with
-         | Waiting e ->
+         | Waiting _ when c'.pc < Array.length c'.ops ->
              let write =
-               c'.pc < Array.length c'.ops
-               && match c'.ops.(c'.pc) with Program.Write _ -> true | _ -> false
+               match c'.ops.(c'.pc) with Program.Write _ -> true | _ -> false
              in
-             List.exists reaches
-               (blockers t who (Store.intern t.ctx.store e) ~write)
+             List.exists reaches (blockers t who c'.ids.(c'.pc) ~write)
          | _ -> false
     in
     List.exists reaches bs
@@ -118,7 +110,7 @@ struct
           bs;
         if !wounded then Retry else Wait
 
-  let read t c id _ =
+  let read t c id =
     if blocked t c.id id ~write:false then resolve t c id ~write:false
     else begin
       if not (List.mem c.id t.readers.(id)) then
@@ -126,25 +118,27 @@ struct
       Go
     end
 
-  let write t c id _ =
+  let write t c id =
     if blocked t c.id id ~write:true then resolve t c id ~write:true
     else begin
       t.writer.(id) <- c.id;
       Go
     end
 
-  let serve t _ _ e = latest t.ctx e
+  let serve t _ id = latest t.ctx id
 
+  (* an attempt's footprint is its own read and write sets *)
   let finish t c ~committed:_ =
-    iter_ids t.ctx
-      (fun id -> t.readers.(id) <- List.filter (( <> ) c.id) t.readers.(id))
+    List.iter
+      (fun { eid; _ } ->
+        t.readers.(eid) <- List.filter (( <> ) c.id) t.readers.(eid))
       c.regs;
-    iter_ids t.ctx
-      (fun id -> if t.writer.(id) = c.id then t.writer.(id) <- -1)
+    List.iter
+      (fun b -> if t.writer.(b.eid) = c.id then t.writer.(b.eid) <- -1)
       c.buffer
 
   (* a snapshot read may not pass an executed (write-locked) write *)
-  let ro_safe t = for_all_ids t.ctx (fun id -> t.writer.(id) < 0)
+  let ro_safe t = List.for_all (fun id -> t.writer.(id) < 0)
   let ro_stamp t _ = t.ctx.clock ()
 end
 
@@ -170,7 +164,7 @@ module To = struct
       pending = Array.make ctx.capacity [];
     }
 
-  let read t c id _ =
+  let read t c id =
     if c.ts < t.wts.(id) then Abort Event.Ts_order
     else if List.exists (fun ts -> ts < c.ts) t.pending.(id) then Wait
     else begin
@@ -178,7 +172,7 @@ module To = struct
       Go
     end
 
-  let write t c id _ =
+  let write t c id =
     if c.ts < t.rts.(id) || c.ts < t.wts.(id) then Abort Event.Ts_order
     else begin
       t.wts.(id) <- c.ts;
@@ -187,16 +181,17 @@ module To = struct
       Go
     end
 
-  let serve t _ _ e = latest t.ctx e
+  let serve t _ id = latest t.ctx id
 
   let finish t c ~committed:_ =
-    iter_ids t.ctx
-      (fun id -> t.pending.(id) <- List.filter (( <> ) c.ts) t.pending.(id))
+    List.iter
+      (fun { eid; _ } ->
+        t.pending.(eid) <- List.filter (( <> ) c.ts) t.pending.(eid))
       c.buffer
 
   (* the snapshot timestamp is fresher than every reservation, so this
      is TO's own older-pending-writer read rule *)
-  let ro_safe t = for_all_ids t.ctx (fun id -> t.pending.(id) = [])
+  let ro_safe t = List.for_all (fun id -> t.pending.(id) = [])
 
   let ro_stamp t c =
     c.ts <- t.ctx.fresh_ts ();
@@ -214,18 +209,18 @@ module Mvto = struct
 
   let create ctx = ctx
 
-  let invalidates ctx c e = Store.would_invalidate ctx.store e ~wts:c.ts
+  let invalidates ctx c id = Store.would_invalidate_id ctx.store id ~wts:c.ts
 
-  let write ctx c _ e =
-    if invalidates ctx c e then Abort Event.Write_invalidated else Go
+  let write ctx c id =
+    if invalidates ctx c id then Abort Event.Write_invalidated else Go
 
-  let serve ctx c _ e =
-    let v = Store.read_at ctx.store e c.ts in
+  let serve ctx c id =
+    let v = Store.read_at_id ctx.store id c.ts in
     v.Store.max_rts <- max v.Store.max_rts c.ts;
     Version v
 
   let validate ctx c =
-    if List.exists (fun (e, _) -> invalidates ctx c e) c.buffer then
+    if List.exists (fun b -> invalidates ctx c b.eid) c.buffer then
       Abort Event.Write_invalidated
     else Go
 
@@ -247,12 +242,12 @@ module Si = struct
 
   let create ctx = ctx
   let on_begin ctx c = c.snapshot <- ctx.clock ()
-  let serve ctx c _ e = Version (Store.read_at ctx.store e c.snapshot)
+  let serve ctx c id = Version (Store.read_at_id ctx.store id c.snapshot)
 
   (* a version of a written entity committed after our snapshot means a
      concurrent writer beat us *)
   let validate ctx c =
-    let beaten (e, _) = (Store.latest ctx.store e).Store.wts > c.snapshot in
+    let beaten b = (Store.latest_id ctx.store b.eid).Store.wts > c.snapshot in
     if List.exists beaten c.buffer then Abort Event.First_committer
     else Go
 
@@ -305,16 +300,16 @@ module Sgt = struct
     if w <> c.id && not (List.mem w t.deps.(c.id)) then
       t.deps.(c.id) <- w :: t.deps.(c.id)
 
-  let read t c id _ = feed t c id ~write:false
-  let write t c id _ = feed t c id ~write:true
+  let read t c id = feed t c id ~write:false
+  let write t c id = feed t c id ~write:true
 
   (* reading another transaction's dirty write makes us depend on it *)
-  let serve t c id e =
+  let serve t c id =
     match t.dirty.(id) with
     | (w, v) :: _ ->
         depend t c w;
         Dirty { writer = w; value = v }
-    | [] -> latest t.ctx e
+    | [] -> latest t.ctx id
 
   (* overwriting an uncommitted write orders our commit after the
      earlier writer's (ww arc), via the same dependency set *)
@@ -332,13 +327,11 @@ module Sgt = struct
     if List.exists active t.deps.(c.id) then Wait else Go
 
   let finish t c ~committed =
-    iter_ids t.ctx
-      (fun id -> t.dirty.(id) <- others c t.dirty.(id))
-      c.buffer;
+    List.iter (fun b -> t.dirty.(b.eid) <- others c t.dirty.(b.eid)) c.buffer;
     if not committed then
       Certifier.forget_txn t.cert c.id ~footprint:(fun f ->
-          iter_ids t.ctx f c.regs;
-          iter_ids t.ctx f c.buffer);
+          List.iter (fun b -> f b.eid) c.regs;
+          List.iter (fun b -> f b.eid) c.buffer);
     t.deps.(c.id) <- []
 
   (* terminates: each round clears a victim's dependencies *)
@@ -351,7 +344,7 @@ module Sgt = struct
 
   (* a snapshot read would serve the committed version where SGT's own
      read rule serves the dirty one *)
-  let ro_safe t = for_all_ids t.ctx (fun id -> t.dirty.(id) = [])
+  let ro_safe t = List.for_all (fun id -> t.dirty.(id) = [])
   let ro_stamp t _ = t.ctx.clock ()
 end
 

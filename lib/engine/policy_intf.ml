@@ -35,12 +35,12 @@ module type S = sig
   val on_begin : t -> Intake.client -> unit
   (** The attempt's first step, before its first operation. *)
 
-  val read : t -> Intake.client -> int -> string -> verdict
-  (** Admit a read of entity (id, name). *)
+  val read : t -> Intake.client -> int -> verdict
+  (** Admit a read of the entity with this store id. *)
 
-  val write : t -> Intake.client -> int -> string -> verdict
+  val write : t -> Intake.client -> int -> verdict
 
-  val serve : t -> Intake.client -> int -> string -> source
+  val serve : t -> Intake.client -> int -> source
   (** The version for an admitted read the own write buffer misses. *)
 
   val wrote : t -> Intake.client -> int -> int -> unit
@@ -58,13 +58,13 @@ module type S = sig
   val cascade : t -> Intake.client -> unit
   (** After an abort, abort whoever depended on it. *)
 
-  val ro_safe : t -> string list -> bool
-  (** May an off-loop reader of these entities launch now? Policies
-      witnessed by a multiversion order (MVTO, SI) always say yes. The
-      single-version ones (S2PL, TO, SGT) say no while an active
-      transaction has executed a write of one of them (write lock,
-      reservation, dirty write): that write precedes the snapshot read
-      in the history, yet the read serves the older version. *)
+  val ro_safe : t -> int list -> bool
+  (** May an off-loop reader of the entities with these store ids launch
+      now? Policies witnessed by a multiversion order (MVTO, SI) always
+      say yes. The single-version ones (S2PL, TO, SGT) say no while an
+      active transaction has executed a write of one of them (write
+      lock, reservation, dirty write): that write precedes the snapshot
+      read in the history, yet the read serves the older version. *)
 
   val ro_stamp : t -> Intake.client -> int
   (** An off-loop reader's snapshot timestamp; TO and MVTO re-begin the

@@ -47,9 +47,5 @@ let increment ~label entity amount =
 let blind_write ~label entity value =
   { label; ops = [ Write (entity, Const value) ] }
 
-let entities t =
-  List.map (function Read e -> e | Write (e, _) -> e) t.ops
-  |> List.sort_uniq compare
-
 let read_only t =
   t.ops <> [] && List.for_all (function Read _ -> true | Write _ -> false) t.ops

@@ -38,9 +38,6 @@ val increment : label:string -> string -> int -> t
 val blind_write : label:string -> string -> int -> t
 (** Write a constant without reading. *)
 
-val entities : t -> string list
-(** Distinct entities the program touches, sorted. *)
-
 val read_only : t -> bool
 (** Does the program consist of reads only (and at least one)? Read-only
     programs are the ones the engine's [ro_snapshot] fast path may

@@ -48,15 +48,14 @@ let intern t e =
 
 let name t id = t.names.(id)
 
-(* [e]'s id, its chain made present at initial value 0 on first access *)
-let present_id t e =
-  let id = intern t e in
-  (match t.chains.(id) with
-  | [] -> t.chains.(id) <- [ { value = 0; wts = 0; max_rts = 0 } ]
-  | _ -> ());
-  id
-
-let chain t e = t.chains.(present_id t e)
+(* [id]'s chain, made present at initial value 0 on first access *)
+let chain t id =
+  match t.chains.(id) with
+  | [] ->
+      let c = [ { value = 0; wts = 0; max_rts = 0 } ] in
+      t.chains.(id) <- c;
+      c
+  | c -> c
 
 let set_initial t e v =
   t.chains.(intern t e) <- [ { value = v; wts = 0; max_rts = 0 } ]
@@ -81,9 +80,10 @@ let newest c =
     (fun best v -> if v.wts > best.wts then v else best)
     (List.hd c) c
 
-let latest t e = newest (chain t e)
+let latest_id t id = newest (chain t id)
+let latest t e = latest_id t (intern t e)
 
-let read_at t e ts =
+let read_at_id t id ts =
   let best = ref None in
   List.iter
     (fun v ->
@@ -91,29 +91,38 @@ let read_at t e ts =
         match !best with
         | Some b when b.wts >= v.wts -> ()
         | _ -> best := Some v)
-    (chain t e);
+    (chain t id);
   (* the initial version (wts 0) always qualifies for ts >= 0 *)
   Option.get !best
 
-let install t e ~value ~wts =
-  if wts <= 0 then invalid_arg "Store.install: timestamp must be positive";
-  let id = present_id t e in
-  let c = t.chains.(id) in
+let read_at t e ts = read_at_id t (intern t e) ts
+
+let positive wts =
+  if wts <= 0 then invalid_arg "Store.install: timestamp must be positive"
+
+let install_id t id ~value ~wts =
+  positive wts;
+  let c = chain t id in
   if List.exists (fun v -> v.wts = wts) c then
     invalid_arg "Store.install: duplicate version timestamp";
   t.chains.(id) <- { value; wts; max_rts = wts } :: c
 
-let would_invalidate t e ~wts =
-  List.exists (fun v -> v.wts < wts && v.max_rts > wts) (chain t e)
+(* a refused timestamp interns nothing *)
+let install t e ~value ~wts =
+  positive wts;
+  install_id t (intern t e) ~value ~wts
 
-let version_count t e = List.length (chain t e)
+let would_invalidate_id t id ~wts =
+  List.exists (fun v -> v.wts < wts && v.max_rts > wts) (chain t id)
+
+let would_invalidate t e ~wts = would_invalidate_id t (intern t e) ~wts
+let version_count t e = List.length (chain t (intern t e))
 
 let longest_chain t =
   Array.fold_left (fun acc c -> max acc (List.length c)) 0 t.chains
 
-(* prunes the chain of [id]; returns the versions discarded *)
-let prune_id t id ~watermark =
-  let c = t.chains.(id) in
+(* prunes [c], the chain of [id]; returns the versions discarded *)
+let prune_chain t id c ~watermark =
   (* newest version visible at the watermark: the snapshot base *)
   let base =
     List.fold_left
@@ -132,12 +141,14 @@ let prune_id t id ~watermark =
       t.chains.(id) <- keep;
       List.length drop
 
-let prune t e ~watermark = prune_id t (present_id t e) ~watermark
+let prune t e ~watermark =
+  let id = intern t e in
+  prune_chain t id (chain t id) ~watermark
 
 let prune_all t ~watermark =
   let pruned = ref 0 in
   for id = 0 to t.n - 1 do
-    pruned := !pruned + prune_id t id ~watermark
+    pruned := !pruned + prune_chain t id t.chains.(id) ~watermark
   done;
   !pruned
 

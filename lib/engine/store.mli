@@ -6,13 +6,19 @@
     the newest version.
 
     Entities are interned to dense ids on first touch, in first-touch
-    order, through one name table; the policies index their metadata
-    arrays by that id. The names and the version chains are arrays
-    indexed by the same id, so once a name is hashed, reaching its chain
-    is an array index. Interning is not presence: an entity that was
-    only interned has no chain and is not in {!entities}, {!value_map}
-    or {!dump} until a read, install or other chain access creates its
-    initial version. *)
+    order, through one name table. The names and the version chains are
+    arrays indexed by the same id. The engine resolves every entity of a
+    run once, at admission, and from then on reaches chains only through
+    the id forms ({!latest_id}, {!read_at_id}, {!install_id},
+    {!would_invalidate_id}): an array index, no hashing. The policies
+    index their metadata arrays by the same id. The name forms are
+    one-line wrappers that intern first, for recovery, replicas,
+    snapshots and tests. Ids carry no meaning beyond identity: which id
+    an entity gets changes no decision.
+
+    Interning is not presence: an entity that was only interned has no
+    chain and is not in {!entities}, {!value_map} or {!dump} until a
+    read, install or other chain access creates its initial version. *)
 
 type version = {
   value : int;
@@ -50,20 +56,31 @@ val entities : t -> string list
 val latest : t -> string -> version
 (** The newest committed version. *)
 
+val latest_id : t -> int -> version
+(** {!latest} of the entity with this interned id. Every [_id] form
+    takes an id {!intern} returned and makes the entity present, like
+    its name form. *)
+
 val read_at : t -> string -> int -> version
 (** [read_at store e ts] is the version of [e] with the largest write
     timestamp [<= ts] — the MVTO read rule. *)
 
+val read_at_id : t -> int -> int -> version
+
 val install : t -> string -> value:int -> wts:int -> unit
 (** Commit a new version. Versions must be installed with strictly
-    positive timestamps.
+    positive timestamps; a refused [wts <= 0] interns nothing.
     @raise Invalid_argument if a version with the same [wts] exists or
     [wts <= 0]. *)
+
+val install_id : t -> int -> value:int -> wts:int -> unit
 
 val would_invalidate : t -> string -> wts:int -> bool
 (** The MVTO write rule: would a new version of [e] at [wts] invalidate an
     existing read, i.e. is there a version with [wts' < wts] already read
     by some transaction younger than [wts]? *)
+
+val would_invalidate_id : t -> int -> wts:int -> bool
 
 val version_count : t -> string -> int
 

@@ -40,6 +40,10 @@ val succ : t -> int -> int list
     bitmask representation). Materializes a fresh list; hot loops
     should prefer {!iter_succ} or {!fold_succ}. *)
 
+val iter_bits : (int -> unit) -> int -> unit
+(** [iter_bits f mask] applies [f] to the index of each set bit of
+    [mask], in ascending order, one iteration per set bit. *)
+
 val iter_succ : (int -> unit) -> t -> int -> unit
 (** [iter_succ f g u] applies [f] to each successor of [u], in
     unspecified order (ascending on the bitmask representation),

@@ -19,9 +19,9 @@ let rollback_arcs_metric = prefix ^ ".rollback-arcs"
 type t = {
   mode : mode;
   graph : Incr_digraph.t;
-  mutable readers : (int, unit) Hashtbl.t array; (* entity id -> txns *)
-  mutable writers : (int, unit) Hashtbl.t array; (* [Conflict] only *)
-  unseen : (int, unit) Hashtbl.t;
+  mutable readers : Bitset.t array; (* entity id -> txns *)
+  mutable writers : Bitset.t array; (* [Conflict] only *)
+  unseen : Bitset.t;
       (* the set in every slot no access has reached yet, never added
          to: sets are allocated only for the entities fed *)
   mutable last_write : int array; (* entity id -> position, or -1 *)
@@ -32,7 +32,7 @@ type t = {
 }
 
 let create ?(obs = Sink.noop) ?log mode =
-  let unseen = Hashtbl.create 1 in
+  let unseen = Bitset.create () in
   {
     mode;
     graph = Incr_digraph.create ();
@@ -59,8 +59,8 @@ let grow t e =
   end
 
 let add t sets e txn =
-  if sets.(e) == t.unseen then sets.(e) <- Hashtbl.create 4;
-  Hashtbl.replace sets.(e) txn ()
+  if sets.(e) == t.unseen then sets.(e) <- Bitset.create ();
+  Bitset.add sets.(e) txn
 
 (* Arcs the access introduces: every earlier conflicting accessor of the
    entity points at [txn]. In the conflict graph a write conflicts with
@@ -70,7 +70,7 @@ let add t sets e txn =
 let new_arcs t ~txn ~write e =
   let arcs = ref [] in
   let from_set s =
-    Hashtbl.iter (fun j () -> if j <> txn then arcs := (j, txn) :: !arcs) s
+    Bitset.iter (fun j -> if j <> txn then arcs := (j, txn) :: !arcs) s
   in
   (match t.mode with Conflict -> from_set t.writers.(e) | Mv_conflict -> ());
   if write then from_set t.readers.(e);
@@ -120,8 +120,8 @@ let feed_id ?(parent = -1) t ~txn ~write e =
 let forget_txn t txn ~footprint =
   footprint (fun e ->
       if e < Array.length t.readers then begin
-        Hashtbl.remove t.readers.(e) txn;
-        Hashtbl.remove t.writers.(e) txn
+        Bitset.remove t.readers.(e) txn;
+        Bitset.remove t.writers.(e) txn
       end);
   if txn < Incr_digraph.n_nodes t.graph then
     Incr_digraph.remove_incident t.graph txn

@@ -5,7 +5,8 @@
     conflict graph of Theorem 1 ([Mv_conflict] mode), as an always-acyclic
     {!Incr_digraph}. Feeding an access adds only the arcs it introduces —
     one per distinct earlier conflicting accessor of its entity, read off
-    per-entity reader/writer sets — instead of re-deriving all [O(n^2)]
+    per-entity reader/writer {!Bitset}s over transaction ids, in
+    ascending id order — instead of re-deriving all [O(n^2)]
     conflicting pairs of the prefix as {!Mvcc_core.Conflict.graph} resp.
     {!Mvcc_core.Conflict.mv_graph} does; an access whose arcs would close
     a cycle is rejected and rolled back arc by arc, leaving the certifier

@@ -21,13 +21,19 @@
    Edge deletion never invalidates a topological order, so [remove_edge]
    is O(1) and a caller can roll back a batch of insertions by removing
    exactly the edges that were new — the basis of the streaming
-   maintainers' step rollback. *)
+   maintainers' step rollback.
+
+   Adjacency rows are bitsets over node ids, so a row is iterated in
+   ascending node order. The two DFS mark their visits with a fresh
+   generation in [mark] instead of allocating a visited set. *)
 
 type t = {
   mutable n : int; (* nodes are 0 .. n-1 *)
-  mutable succ : (int, unit) Hashtbl.t array; (* length = capacity >= n *)
-  mutable pred : (int, unit) Hashtbl.t array;
+  mutable succ : Bitset.t array; (* length = capacity >= n *)
+  mutable pred : Bitset.t array;
   mutable ord : int array; (* node -> index in the topological order *)
+  mutable mark : int array; (* node -> generation of its last DFS visit *)
+  mutable gen : int;
   mutable m : int;
   (* cumulative cost/rollback accounting, read by the observability
      layer as deltas around each operation *)
@@ -43,9 +49,11 @@ let create ?(capacity = 8) () =
   let capacity = max capacity 1 in
   {
     n = 0;
-    succ = Array.init capacity (fun _ -> Hashtbl.create 4);
-    pred = Array.init capacity (fun _ -> Hashtbl.create 4);
+    succ = Array.init capacity (fun _ -> Bitset.create ());
+    pred = Array.init capacity (fun _ -> Bitset.create ());
     ord = Array.make capacity 0;
+    mark = Array.make capacity 0;
+    gen = 0;
     m = 0;
     moves = 0;
     rollbacks = 0;
@@ -67,11 +75,10 @@ let ensure_node g u =
     let extend a fresh =
       Array.init cap' (fun i -> if i < cap then a.(i) else fresh ())
     in
-    g.succ <- extend g.succ (fun () -> Hashtbl.create 4);
-    g.pred <- extend g.pred (fun () -> Hashtbl.create 4);
-    let ord' = Array.make cap' 0 in
-    Array.blit g.ord 0 ord' 0 cap;
-    g.ord <- ord'
+    g.succ <- extend g.succ Bitset.create;
+    g.pred <- extend g.pred Bitset.create;
+    g.ord <- extend g.ord (fun () -> 0);
+    g.mark <- extend g.mark (fun () -> 0)
   end;
   (* new nodes are edgeless, so appending them at the end of the order
      preserves the invariant *)
@@ -86,7 +93,7 @@ let check g u =
 let mem_edge g u v =
   check g u;
   check g v;
-  Hashtbl.mem g.succ.(u) v
+  Bitset.mem g.succ.(u) v
 
 let order g u =
   check g u;
@@ -94,43 +101,41 @@ let order g u =
 
 exception Cycle_found
 
+(* The nodes a DFS from [start] along [adj] visits, entering a neighbour
+   only when [enter] admits its order index; each call marks its visits
+   with a fresh generation. [enter] may raise to abandon the search. *)
+let dfs g adj start enter =
+  g.gen <- g.gen + 1;
+  let gen = g.gen in
+  let seen = ref [] in
+  let rec visit w =
+    g.mark.(w) <- gen;
+    seen := w :: !seen;
+    Bitset.iter
+      (fun x -> if enter g.ord.(x) && g.mark.(x) <> gen then visit x)
+      adj.(w)
+  in
+  visit start;
+  !seen
+
 (* Nodes reachable from [start] via successors with order index < [ub];
    touching the node at index [ub] itself (the new edge's source) proves
    the cycle. Raises before any mutation. *)
 let forward g start ub =
-  let seen = Hashtbl.create 8 in
-  let rec dfs w =
-    Hashtbl.replace seen w ();
-    Hashtbl.iter
-      (fun x () ->
-        if g.ord.(x) = ub then raise Cycle_found;
-        if g.ord.(x) < ub && not (Hashtbl.mem seen x) then dfs x)
-      g.succ.(w)
-  in
-  dfs start;
-  seen
+  dfs g g.succ start (fun o ->
+      if o = ub then raise Cycle_found;
+      o < ub)
 
 (* Nodes reaching [start] via predecessors with order index > [lb]. *)
-let backward g start lb =
-  let seen = Hashtbl.create 8 in
-  let rec dfs w =
-    Hashtbl.replace seen w ();
-    Hashtbl.iter
-      (fun x () ->
-        if g.ord.(x) > lb && not (Hashtbl.mem seen x) then dfs x)
-      g.pred.(w)
-  in
-  dfs start;
-  seen
+let backward g start lb = dfs g g.pred start (fun o -> o > lb)
 
 (* Reassign the affected nodes' order slots: delta_b (they keep preceding
    the new edge's source) first, then delta_f, each in current relative
    order, into the sorted pool of slots they jointly occupied. *)
 let reorder g delta_b delta_f =
-  let nodes tbl = Hashtbl.fold (fun w () acc -> w :: acc) tbl [] in
-  let by_ord = List.sort (fun a b -> compare g.ord.(a) g.ord.(b)) in
-  let l = by_ord (nodes delta_b) @ by_ord (nodes delta_f) in
-  let slots = List.sort compare (List.map (fun w -> g.ord.(w)) l) in
+  let by_ord = List.sort (fun a b -> Int.compare g.ord.(a) g.ord.(b)) in
+  let l = by_ord delta_b @ by_ord delta_f in
+  let slots = List.sort Int.compare (List.map (fun w -> g.ord.(w)) l) in
   g.moves <- g.moves + List.length l;
   List.iter2 (fun w slot -> g.ord.(w) <- slot) l slots
 
@@ -146,8 +151,8 @@ let path_arcs g src dst =
   (try
      while not (Queue.is_empty q) do
        let w = Queue.pop q in
-       Hashtbl.iter
-         (fun x () ->
+       Bitset.iter
+         (fun x ->
            if not (Hashtbl.mem parent x) then begin
              Hashtbl.replace parent x w;
              if x = dst then raise Exit;
@@ -173,7 +178,7 @@ let add_edge g u v =
     g.last_rejection <- Some [ (u, v) ];
     false
   end
-  else if Hashtbl.mem g.succ.(u) v then true
+  else if Bitset.mem g.succ.(u) v then true
   else begin
     let ok =
       g.ord.(u) < g.ord.(v)
@@ -189,8 +194,8 @@ let add_edge g u v =
           false
     in
     if ok then begin
-      Hashtbl.replace g.succ.(u) v ();
-      Hashtbl.replace g.pred.(v) u ();
+      Bitset.add g.succ.(u) v;
+      Bitset.add g.pred.(v) u;
       g.m <- g.m + 1
     end;
     ok
@@ -203,7 +208,7 @@ let add_edges g arcs =
       (fun (u, v) ->
         ensure_node g u;
         ensure_node g v;
-        if Hashtbl.mem g.succ.(u) v then true
+        if Bitset.mem g.succ.(u) v then true
         else if add_edge g u v then begin
           added := (u, v) :: !added;
           true
@@ -218,8 +223,8 @@ let add_edges g arcs =
     g.rolled_back <- g.rolled_back + List.length !added;
     List.iter
       (fun (u, v) ->
-        Hashtbl.remove g.succ.(u) v;
-        Hashtbl.remove g.pred.(v) u;
+        Bitset.remove g.succ.(u) v;
+        Bitset.remove g.pred.(v) u;
         g.m <- g.m - 1)
       !added
   end;
@@ -228,23 +233,31 @@ let add_edges g arcs =
 let remove_edge g u v =
   check g u;
   check g v;
-  if Hashtbl.mem g.succ.(u) v then begin
-    Hashtbl.remove g.succ.(u) v;
-    Hashtbl.remove g.pred.(v) u;
+  if Bitset.mem g.succ.(u) v then begin
+    Bitset.remove g.succ.(u) v;
+    Bitset.remove g.pred.(v) u;
     g.m <- g.m - 1
   end
 
+(* the graph has no self-loops, so no arc is counted twice *)
 let remove_incident g u =
   check g u;
-  g.m <- g.m - Hashtbl.length g.succ.(u) - Hashtbl.length g.pred.(u);
-  Hashtbl.iter (fun v () -> Hashtbl.remove g.pred.(v) u) g.succ.(u);
-  Hashtbl.iter (fun w () -> Hashtbl.remove g.succ.(w) u) g.pred.(u);
-  Hashtbl.reset g.succ.(u);
-  Hashtbl.reset g.pred.(u)
+  Bitset.iter
+    (fun v ->
+      Bitset.remove g.pred.(v) u;
+      g.m <- g.m - 1)
+    g.succ.(u);
+  Bitset.iter
+    (fun w ->
+      Bitset.remove g.succ.(w) u;
+      g.m <- g.m - 1)
+    g.pred.(u);
+  Bitset.clear g.succ.(u);
+  Bitset.clear g.pred.(u)
 
 let iter_edges f g =
   for u = 0 to g.n - 1 do
-    Hashtbl.iter (fun v () -> f u v) g.succ.(u)
+    Bitset.iter (fun v -> f u v) g.succ.(u)
   done
 
 let to_digraph g =
@@ -254,4 +267,4 @@ let to_digraph g =
 
 let topological_order g =
   let nodes = List.init g.n Fun.id in
-  List.sort (fun a b -> compare g.ord.(a) g.ord.(b)) nodes
+  List.sort (fun a b -> Int.compare g.ord.(a) g.ord.(b)) nodes

@@ -11,7 +11,14 @@
     Edge removal never invalidates a topological order, so {!remove_edge}
     is O(1); a caller that inserted a batch of edges and then changed its
     mind rolls back by removing exactly the edges that were newly added
-    (see {!Certifier}). *)
+    (see {!Certifier}).
+
+    Each node's successors and predecessors are a {!Bitset} row over
+    node ids: an arc test, insertion or removal is one word operation
+    (removal stays O(1)), and rows are walked in ascending node order,
+    so {!iter_edges} and the DFS visit neighbours in that order. The
+    DFS mark visited nodes with a per-search generation stamp in one
+    int array instead of allocating a visited set. *)
 
 type t
 (** A mutable, always-acyclic digraph. Nodes are [0 .. n_nodes - 1] and

@@ -57,26 +57,31 @@ let test_store_value_map () =
 (* The store against a naive model: the interned names in first-touch
    order, and each present entity's versions as (wts, value, max_rts)
    triples in an assoc list. *)
+(* the [by_id] accessors go through [intern] and the [_id] form *)
 type store_op =
   | Set_initial of string * int
   | Intern of string
-  | Install of string * int * int  (* entity, value, wts *)
-  | Read_at of string * int * bool  (* bump [max_rts] to the ts *)
-  | Latest of string
-  | Would_invalidate of string * int
+  | Install of bool * string * int * int  (* by_id, entity, value, wts *)
+  | Read_at of bool * string * int * bool  (* bump [max_rts] to the ts *)
+  | Latest of bool * string
+  | Would_invalidate of bool * string * int
   | Prune of string * int
   | Prune_all of int
   | Version_count of string
 
-let show_store_op = function
+let show_store_op =
+  let form name by_id = if by_id then name ^ "_id (intern)" else name in
+  function
   | Set_initial (e, v) -> Printf.sprintf "set_initial %s %d" e v
   | Intern e -> "intern " ^ e
-  | Install (e, v, w) -> Printf.sprintf "install %s ~value:%d ~wts:%d" e v w
-  | Read_at (e, ts, bump) ->
-      Printf.sprintf "read_at %s %d%s" e ts (if bump then " (bump)" else "")
-  | Latest e -> "latest " ^ e
-  | Would_invalidate (e, w) ->
-      Printf.sprintf "would_invalidate %s ~wts:%d" e w
+  | Install (by_id, e, v, w) ->
+      Printf.sprintf "%s %s ~value:%d ~wts:%d" (form "install" by_id) e v w
+  | Read_at (by_id, e, ts, bump) ->
+      Printf.sprintf "%s %s %d%s" (form "read_at" by_id) e ts
+        (if bump then " (bump)" else "")
+  | Latest (by_id, e) -> form "latest" by_id ^ " " ^ e
+  | Would_invalidate (by_id, e, w) ->
+      Printf.sprintf "%s %s ~wts:%d" (form "would_invalidate" by_id) e w
   | Prune (e, w) -> Printf.sprintf "prune %s ~watermark:%d" e w
   | Prune_all w -> Printf.sprintf "prune_all ~watermark:%d" w
   | Version_count e -> "version_count " ^ e
@@ -137,12 +142,18 @@ let gen_store_op =
         (1, map2 (fun e v -> Set_initial (e, v)) entity small);
         (2, map (fun e -> Intern e) entity);
         ( 4,
+          map4
+            (fun by_id e v w -> Install (by_id, e, v, w))
+            bool entity small (int_range (-1) 12) );
+        ( 3,
+          map4
+            (fun by_id e t b -> Read_at (by_id, e, t, b))
+            bool entity ts bool );
+        (1, map2 (fun by_id e -> Latest (by_id, e)) bool entity);
+        ( 2,
           map3
-            (fun e v w -> Install (e, v, w))
-            entity small (int_range (-1) 12) );
-        (3, map3 (fun e t b -> Read_at (e, t, b)) entity ts bool);
-        (1, map (fun e -> Latest e) entity);
-        (2, map2 (fun e w -> Would_invalidate (e, w)) entity ts);
+            (fun by_id e w -> Would_invalidate (by_id, e, w))
+            bool entity ts );
         (1, map2 (fun e w -> Prune (e, w)) entity ts);
         (1, map (fun w -> Prune_all w) ts);
         (1, map (fun e -> Version_count e) entity);
@@ -172,6 +183,14 @@ let prop_store_model =
       let raises f =
         match f () with () -> false | exception Invalid_argument _ -> true
       in
+      (* an id form's caller interns first, so the model does too *)
+      let id_of by_id e =
+        if by_id then begin
+          m_intern m e;
+          Some (S.intern t e)
+        end
+        else None
+      in
       let step op =
         match op with
         | Set_initial (e, v) ->
@@ -180,20 +199,31 @@ let prop_store_model =
         | Intern e ->
             ignore (S.intern t e);
             m_intern m e
-        | Install (e, value, wts) ->
-            (* a non-positive wts is refused before the chain is touched *)
+        | Install (by_id, e, value, wts) ->
+            let install =
+              match id_of by_id e with
+              | Some id -> fun () -> S.install_id t id ~value ~wts
+              | None -> fun () -> S.install t e ~value ~wts
+            in
+            (* a non-positive wts is refused before the name is interned
+               or the chain touched *)
             let refused =
               wts <= 0
               || List.exists (fun (w, _, _) -> w = wts) (m_chain m e)
             in
-            if raises (fun () -> S.install t e ~value ~wts) <> refused then
+            if raises install <> refused then
               fail "install %s ~wts:%d: Invalid_argument expected %b" e wts
                 refused;
             if not refused then m_set m e ((wts, value, wts) :: m_chain m e)
-        | Read_at (e, ts, bump) -> (
+        | Read_at (by_id, e, ts, bump) -> (
+            let read_at =
+              match id_of by_id e with
+              | Some id -> fun () -> S.read_at_id t id ts
+              | None -> fun () -> S.read_at t e ts
+            in
             (* after a prune no version may lie at or below [ts] *)
             let expect = m_newest (fun w -> w <= ts) (m_chain m e) in
-            match (S.read_at t e ts, expect) with
+            match (read_at (), expect) with
             | exception Invalid_argument _ ->
                 if expect <> None then fail "read_at %s %d raised" e ts
             | _, None -> fail "read_at %s %d: model has no version" e ts
@@ -209,15 +239,24 @@ let prop_store_model =
                          if w' = w then (w, value, max rts ts) else x)
                        (m_chain m e))
                 end)
-        | Latest e ->
-            let v = S.latest t e in
+        | Latest (by_id, e) ->
+            let v =
+              match id_of by_id e with
+              | Some id -> S.latest_id t id
+              | None -> S.latest t e
+            in
             let w, value, _ = m_latest (m_chain m e) in
             if (v.S.wts, v.S.value) <> (w, value) then fail "latest %s" e
-        | Would_invalidate (e, wts) ->
+        | Would_invalidate (by_id, e, wts) ->
+            let got =
+              match id_of by_id e with
+              | Some id -> S.would_invalidate_id t id ~wts
+              | None -> S.would_invalidate t e ~wts
+            in
             let expect =
               List.exists (fun (w, _, r) -> w < wts && r > wts) (m_chain m e)
             in
-            if S.would_invalidate t e ~wts <> expect then
+            if got <> expect then
               fail "would_invalidate %s ~wts:%d: expected %b" e wts expect
         | Prune (e, watermark) ->
             let n = S.prune t e ~watermark in
@@ -287,7 +326,6 @@ let test_program_mix () =
 let test_program_builders () =
   let t = P.transfer ~label:"t" ~from_:"a" ~to_:"b" 5 in
   check_int "transfer ops" 4 (List.length t.P.ops);
-  Alcotest.(check (list string)) "entities" [ "a"; "b" ] (P.entities t);
   let r = P.read_all ~label:"r" [ "a"; "b"; "c" ] in
   check_int "read all" 3 (List.length r.P.ops);
   let b = P.blind_write ~label:"b" "x" 1 in
@@ -1140,6 +1178,54 @@ let prop_sgt_matches_batch_conflict_graph =
           | _ -> true)
         (List.rev !events))
 
+(* Entity ids are bookkeeping: reversing [initial] re-assigns every
+   initial entity's store id (the lists have even length, so none keeps
+   its slot) and must change nothing a run reports — stats, final state,
+   off-loop read views, the certificate, and every logged event except
+   the [Wal_state] records, which follow [initial]'s order. *)
+let prop_ids_carry_no_meaning =
+  QCheck2.Test.make ~name:"reversing initial changes ids, not runs"
+    ~count:100
+    QCheck2.Gen.(
+      let* seed = int_range 0 100_000 in
+      let* policy = oneofl E.all_policies in
+      let* ro_snapshot = bool in
+      let* gc = bool in
+      let* crash = oneofl [ 0.; 0.05 ] in
+      let* half = int_range 1 4 in
+      let* n_txns = int_range 2 12 in
+      return (seed, policy, ro_snapshot, gc, crash, 2 * half, n_txns))
+    (fun (seed, policy, ro_snapshot, gc, crash, n_entities, n_txns) ->
+      let initial, programs =
+        Mvcc_workload.Program_gen.mixed ~n_entities ~theta:0.6
+          ~read_fraction:0.4 ~reads_per_txn:3 ~writes_per_txn:2 ~mix_rounds:0
+          ~n_txns ~seed ()
+      in
+      let initial = List.mapi (fun k (e, v) -> (e, v + k)) initial in
+      (* an entity outside [initial] is interned at admission only *)
+      let programs = programs @ [ P.blind_write ~label:"blind" "fresh" 7 ] in
+      let run initial =
+        let events = ref [] in
+        let r =
+          E.run ~policy ~initial ~programs ~gc ~crash_probability:crash
+            ~ro_snapshot ~prov:(Mvcc_provenance.Log.create ())
+            ~wal:(fun ev ->
+              match ev with
+              | E.Wal_state _ -> ()
+              | ev -> events := ev :: !events)
+            ~seed ()
+        in
+        let cert =
+          Option.map
+            (fun (h, w) ->
+              ( Mvcc_core.Schedule.to_string h,
+                Format.asprintf "%a" Mvcc_provenance.Witness.pp w ))
+            r.E.provenance
+        in
+        (r.E.stats, r.E.final_state, r.E.ro_reads, cert, List.rev !events)
+      in
+      run initial = run (List.rev initial))
+
 let test_policy_names () =
   List.iter
     (fun p ->
@@ -1216,5 +1302,6 @@ let () =
             prop_class_oracle;
             prop_sgt_matches_batch_conflict_graph;
             prop_store_model;
+            prop_ids_carry_no_meaning;
           ] );
     ]

@@ -75,18 +75,45 @@ let test_incr_digraph_remove_incident () =
   check "re-add previously cyclic direction" true (Ig.add_edge g 2 1);
   check "valid order" true (order_valid g)
 
+(* Adjacency rows are bitsets of 62 nodes to a word: removal around and
+   past the word boundaries (61 | 62, 123 | 124) must clear exactly the
+   incident arcs. *)
+let test_incr_digraph_remove_incident_multiword () =
+  let g = Ig.create () in
+  let arcs =
+    [ (5, 62); (62, 123); (123, 124); (61, 62); (62, 149); (130, 62);
+      (124, 149); (0, 61) ]
+  in
+  check "edges" true (Ig.add_edges g arcs);
+  Ig.remove_incident g 62;
+  check_int "five arcs of 62 gone" 3 (Ig.n_edges g);
+  List.iter
+    (fun (u, v) ->
+      check (Printf.sprintf "%d->%d" u v)
+        (u <> 62 && v <> 62) (Ig.mem_edge g u v))
+    arcs;
+  Ig.remove_incident g 124;
+  check_int "two arcs of 124 gone" 1 (Ig.n_edges g);
+  check "123->124 gone" false (Ig.mem_edge g 123 124);
+  check "62->123 gone" false (Ig.mem_edge g 62 123);
+  check "0->61 kept" true (Ig.mem_edge g 0 61);
+  check "reverse of a removed arc" true
+    (Ig.add_edge g 149 124 && Ig.add_edge g 62 5 && Ig.add_edge g 124 123);
+  check "cycle across words still refused" false (Ig.add_edge g 61 0);
+  check "valid order" true (order_valid g)
+
 (* Random insert / rollback / forget sequences, cross-validated against
-   the batch detector on a plain Digraph mirror. *)
-let test_incr_digraph_random_vs_batch () =
-  let n = 12 in
+   the batch detector on a plain Digraph mirror: at [n = 12] inside one
+   bitset word, at [n = 150] across three. *)
+let random_vs_batch ~n ~ops =
   List.iter
     (fun seed ->
       let rng = Random.State.make [| seed |] in
       let g = Ig.create () in
       let mirror = Digraph.create n in
-      for _ = 1 to 400 do
+      for _ = 1 to ops do
         let u = Random.State.int rng n and v = Random.State.int rng n in
-        match Random.State.int rng 10 with
+        (match Random.State.int rng 10 with
         | 0 ->
             (* removal: keep the mirror in sync *)
             if u < Ig.n_nodes g && v < Ig.n_nodes g then begin
@@ -107,7 +134,14 @@ let test_incr_digraph_random_vs_batch () =
             Alcotest.(check bool)
               (Printf.sprintf "seed %d edge %d->%d" seed u v)
               expect got;
-            if got then Digraph.add_edge mirror u v
+            if got then Digraph.add_edge mirror u v);
+        (* the touched arc and the arc count agree after every step *)
+        let here = Printf.sprintf "seed %d after %d->%d" seed u v in
+        if u < Ig.n_nodes g && v < Ig.n_nodes g then
+          Alcotest.(check bool) (here ^ ": arc")
+            (Digraph.mem_edge mirror u v) (Ig.mem_edge g u v);
+        check_int (here ^ ": arc count") (Digraph.n_edges mirror)
+          (Ig.n_edges g)
       done;
       check "final graphs agree" true
         (let snap = Ig.to_digraph g in
@@ -117,6 +151,11 @@ let test_incr_digraph_random_vs_batch () =
          && Digraph.n_edges mirror = Digraph.n_edges snap);
       check "final order valid" true (order_valid g))
     [ 7; 42; 1234 ]
+
+let test_incr_digraph_random_vs_batch () = random_vs_batch ~n:12 ~ops:400
+
+let test_incr_digraph_random_vs_batch_multiword () =
+  random_vs_batch ~n:150 ~ops:1500
 
 (* -- Certifier as a linear-time class tester -- *)
 
@@ -234,8 +273,12 @@ let () =
             test_incr_digraph_batch_rollback;
           Alcotest.test_case "remove incident" `Quick
             test_incr_digraph_remove_incident;
+          Alcotest.test_case "remove incident across words" `Quick
+            test_incr_digraph_remove_incident_multiword;
           Alcotest.test_case "random vs batch detector" `Quick
             test_incr_digraph_random_vs_batch;
+          Alcotest.test_case "random vs batch detector across words" `Quick
+            test_incr_digraph_random_vs_batch_multiword;
         ] );
       ( "certifier",
         [
