@@ -13,14 +13,22 @@ module J = Mvcc_obs.Json
    order) the incrementally-built store is byte-identical to one-shot
    recovery of the same prefix — qcheck-pinned in test_durable.
 
-   The stream is consumed with the same tolerance as the one-shot
-   reader: newline-terminated garbage is a skip, an unterminated
-   parse-failing tail stays pending (it may simply not have fully
-   shipped yet). An unterminated tail that parses is a complete record
-   whose newline has not arrived: a strict prefix of a framed line can
-   never parse (the crc field closes the object), so consuming it early
-   is safe and keeps the follower byte-equivalent to one-shot recovery
-   of the same prefix.
+   The stream is consumed by the one-shot reader's own scanner
+   ([Wal.scan]), so it has the same tolerance by construction:
+   newline-terminated garbage is a skip, an unterminated parse-failing
+   tail stays pending (it may simply not have fully shipped yet). An
+   unterminated tail that parses is a complete record whose newline has
+   not arrived (a strict prefix of a framed line never parses: the crc
+   field closes the object), and one-shot recovery of those bytes reads
+   it, so the follower applies it at once, provisionally: it keeps a
+   copy of the analysis from before the record, and if the next bytes
+   go on with anything but the newline, the line is not a record after
+   all and the copy comes back.
+
+   Apply is by id: pending installs sit in a txn-indexed array, the
+   writer of each version in a wts-indexed one, and an entity is
+   interned when its install commits, in the order recovery's redo
+   interns it.
 
    Incremental redo assumes the stream is a log prefix, where commits
    never cascade. Any deviation — a mid-stream skip (lost Commit records
@@ -31,11 +39,16 @@ module J = Mvcc_obs.Json
 
 type t = {
   policy : Engine.policy;
-  an : Recovery.analysis;
+  mutable an : Recovery.analysis;
+  mutable provisional : Recovery.analysis option;
+      (* the analysis before the record that [tail] holds, read before
+         its line's newline arrived; [None] when [tail] holds no such
+         record *)
   mutable store : Store.t;
-  pending : (int, (string * int * int) list) Hashtbl.t;
-      (* txn -> installs of its current attempt, newest first *)
-  writer_of_wts : (int, int) Hashtbl.t;
+  mutable pending : (string * int * int) list array;
+      (* by txn: the installs of its current attempt, newest first *)
+  mutable writer_of_wts : int array;
+      (* by wts: the committed writer of that version, -1 = none *)
   tail : Buffer.t; (* bytes past the last consumed line *)
   mutable ingested : int;
   mutable records : int;
@@ -53,9 +66,10 @@ let create ~policy ?(obs = Sink.noop) () =
   {
     policy;
     an = Recovery.analysis ();
+    provisional = None;
     store = Store.create ~initial:[];
-    pending = Hashtbl.create 16;
-    writer_of_wts = Hashtbl.create 16;
+    pending = Array.make 16 [];
+    writer_of_wts = Array.make 64 (-1);
     tail = Buffer.create 256;
     ingested = 0;
     records = 0;
@@ -67,6 +81,22 @@ let create ~policy ?(obs = Sink.noop) () =
     cur_span = -1;
   }
 
+(* [a], grown with [fill] to hold index [i]; transaction ids and write
+   timestamps are dense, as the engine assigns them *)
+let cover a i fill =
+  let len = Array.length a in
+  if i < len then a
+  else begin
+    let bigger = Array.make (max (i + 1) (2 * len)) fill in
+    Array.blit a 0 bigger 0 len;
+    bigger
+  end
+
+let set_writer t wts txn =
+  t.writer_of_wts <- cover t.writer_of_wts wts (-1);
+  t.writer_of_wts.(wts) <- txn;
+  if wts > t.ts then t.ts <- wts
+
 let snapshot_ts t = t.ts
 let ingested_bytes t = t.ingested
 let records_applied t = t.records
@@ -77,7 +107,9 @@ let store t = t.store
 let stats t =
   {
     Mvcc_obs.Jsonl.skipped = t.skipped;
-    torn_tail = String.trim (Buffer.contents t.tail) <> "";
+    torn_tail =
+      Option.is_none t.provisional
+      && String.trim (Buffer.contents t.tail) <> "";
   }
 
 let state t = Recovery.assemble ~policy:t.policy ~stats:(stats t) t.an
@@ -88,14 +120,21 @@ let state t = Recovery.assemble ~policy:t.policy ~stats:(stats t) t.an
 let refresh t =
   let r = state t in
   t.store <- r.Recovery.store;
-  Hashtbl.reset t.writer_of_wts;
+  Array.fill t.writer_of_wts 0 (Array.length t.writer_of_wts) (-1);
   t.ts <- 0;
-  List.iter
-    (fun (wts, txn) ->
-      Hashtbl.replace t.writer_of_wts wts txn;
-      if wts > t.ts then t.ts <- wts)
-    r.Recovery.writers;
+  List.iter (fun (wts, txn) -> set_writer t wts txn) r.Recovery.writers;
   t.commits <- List.length r.Recovery.commit_order
+
+(* Redo a committed attempt's installs, oldest first. The entity is
+   interned here, at commit, as one-shot recovery's redo interns it: an
+   aborted attempt's installs never reach the store's name table. *)
+let rec redo t txn = function
+  | [] -> ()
+  | (entity, value, wts) :: older ->
+      redo t txn older;
+      if not t.degraded then
+        Store.install_id t.store (Store.intern t.store entity) ~value ~wts;
+      set_writer t wts txn
 
 let apply t (r : Wal.record) =
   Recovery.observe t.an r;
@@ -106,69 +145,77 @@ let apply t (r : Wal.record) =
          [Store.create] over the analysis's initial list *)
       if t.ts > 0 || t.commits > 0 then t.degraded <- true
       else Store.set_initial t.store entity value
-  | Begin { txn; _ } | Abort { txn; _ } -> Hashtbl.replace t.pending txn []
+  | Begin { txn; _ } | Abort { txn; _ } ->
+      if txn < Array.length t.pending then t.pending.(txn) <- []
   | Op _ | Checkpoint _ -> ()
   | Install { txn; entity; value; wts } ->
-      let cur = try Hashtbl.find t.pending txn with Not_found -> [] in
-      Hashtbl.replace t.pending txn ((entity, value, wts) :: cur)
+      t.pending <- cover t.pending txn [];
+      t.pending.(txn) <- (entity, value, wts) :: t.pending.(txn)
   | Commit { txn } ->
-      let installs = try Hashtbl.find t.pending txn with Not_found -> [] in
-      List.iter
-        (fun (entity, value, wts) ->
-          if not t.degraded then Store.install t.store entity ~value ~wts;
-          Hashtbl.replace t.writer_of_wts wts txn;
-          if wts > t.ts then t.ts <- wts)
-        (List.rev installs);
-      Hashtbl.replace t.pending txn [];
+      if txn < Array.length t.pending then begin
+        redo t txn t.pending.(txn);
+        t.pending.(txn) <- []
+      end;
       t.commits <- t.commits + 1;
       Sink.incr t.obs "follower.commits";
       Sink.span_event t.obs ~parent:t.cur_span "replicated"
         ~attrs:(fun () ->
           [ ("txn", J.Int txn); ("snapshot_ts", J.Int t.ts) ])
 
-(* Decode and apply [s.[pos] .. s.[pos + len - 1]]; whether it was a
-   record. *)
-let line t s ~pos ~len ~terminated =
-  match Wal.decode_sub s ~pos ~len with
-  | Some (_lsn, r) ->
-      apply t r;
-      true
-  | None ->
-      if terminated && String.trim (String.sub s pos len) <> "" then begin
-        t.skipped <- t.skipped + 1;
-        (* a lost record mid-stream can hide a Commit: incremental
-           redo is no longer sound, cascades may be pending *)
-        t.degraded <- true
-      end;
-      false
+let skip t () =
+  t.skipped <- t.skipped + 1;
+  (* a lost record mid-stream can hide a Commit: incremental redo is no
+     longer sound, cascades may be pending *)
+  t.degraded <- true
 
 let feed t chunk =
-  let before = t.records in
   t.cur_span <- Sink.span_start t.obs "follower.ingest";
   t.ingested <- t.ingested + String.length chunk;
-  (* a chunk that starts a line is scanned in place, not copied *)
-  let s =
-    if Buffer.length t.tail = 0 then chunk
-    else begin
-      Buffer.add_string t.tail chunk;
-      let s = Buffer.contents t.tail in
-      Buffer.clear t.tail;
-      s
-    end
+  let retracted = ref false in
+  let take_tail () =
+    Buffer.add_string t.tail chunk;
+    let s = Buffer.contents t.tail in
+    Buffer.clear t.tail;
+    s
   in
+  let s, pos =
+    match t.provisional with
+    | Some _ when chunk = "" -> ("", 0)
+    | Some _ when chunk.[0] = '\n' ->
+        (* the newline arrived: the provisional record stands *)
+        t.provisional <- None;
+        Buffer.clear t.tail;
+        (chunk, 1)
+    | Some an ->
+        (* the line goes on past the record, so one-shot recovery of
+           these bytes does not read it: take it back, and rebuild the
+           store from the analysis from now on *)
+        t.an <- an;
+        t.provisional <- None;
+        t.records <- t.records - 1;
+        t.degraded <- true;
+        retracted := true;
+        (take_tail (), 0)
+    (* a chunk that starts a line is scanned in place, not copied *)
+    | None -> ((if Buffer.length t.tail = 0 then chunk else take_tail ()), 0)
+  in
+  let before = t.records in
   let n = String.length s in
-  let i = ref 0 in
-  let scanning = ref true in
-  while !scanning do
-    match String.index_from_opt s !i '\n' with
-    | Some j ->
-        ignore (line t s ~pos:!i ~len:(j - !i) ~terminated:true);
-        i := j + 1
-    | None -> scanning := false
-  done;
-  if !i < n && not (line t s ~pos:!i ~len:(n - !i) ~terminated:false) then
-    Buffer.add_substring t.tail s !i (n - !i);
-  if t.degraded && t.records > before then refresh t;
+  let rest =
+    Wal.scan s ~pos ~on_record:(fun _lsn r -> apply t r) ~on_skip:(skip t)
+  in
+  if rest < n then begin
+    (* the unterminated fragment waits for the rest of its line; if it
+       already decodes it is a record missing only its newline, read now
+       as one-shot recovery of these bytes reads it, but provisionally *)
+    Buffer.add_substring t.tail s rest (n - rest);
+    match Wal.decode_prefix s ~pos:rest with
+    | Some (_, r, stop) when stop = n ->
+        t.provisional <- Some (Recovery.copy t.an);
+        apply t r
+    | _ -> ()
+  end;
+  if t.degraded && (t.records > before || !retracted) then refresh t;
   let applied = t.records - before in
   Sink.incr t.obs "follower.chunks";
   Sink.incr ~by:applied t.obs "follower.records";
@@ -184,17 +231,22 @@ let feed t chunk =
   t.cur_span <- -1;
   applied
 
+let shrank len t =
+  if len < t.ingested then
+    invalid_arg "Follower.catch_up: the log shrank below what was ingested"
+
 let catch_up t log =
   let len = String.length log in
-  if len < t.ingested then
-    invalid_arg "Follower.catch_up: the log shrank below what was ingested";
+  shrank len t;
   feed t (String.sub log t.ingested (len - t.ingested))
 
+(* one poll reads only the bytes past what was ingested, so tailing a
+   growing log costs its growth, not its size *)
 let catch_up_file t path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> catch_up t (In_channel.input_all ic))
+  In_channel.with_open_bin path (fun ic ->
+      shrank (in_channel_length ic) t;
+      seek_in ic t.ingested;
+      feed t (In_channel.input_all ic))
 
 let read_view t =
   List.map
@@ -226,7 +278,7 @@ let certify t =
         let v = Store.read_at t.store e t.ts in
         let src =
           if v.Store.wts = 0 then Wal.From_init
-          else Wal.From_txn (Hashtbl.find t.writer_of_wts v.Store.wts)
+          else Wal.From_txn t.writer_of_wts.(v.Store.wts)
         in
         (base + i, src))
       entities

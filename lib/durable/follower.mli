@@ -9,6 +9,16 @@
     recovered view ({!state}) is {!Recovery.assemble} of the live
     analysis.
 
+    Ingest is one pass: the stream is read by {!Wal.scan}, the same
+    in-place scanner one-shot {!Wal.read_string} runs, so the follower
+    accepts and skips exactly the lines recovery does by construction.
+    Apply is by id: a transaction's pending installs sit in an array
+    indexed by transaction, the writer of each version in one indexed
+    by write timestamp, and each install goes through
+    {!Mvcc_engine.Store.install_id}. An entity is interned when its
+    install commits, never at the [Install] record, so an aborted
+    attempt cannot intern it earlier than recovery's redo does.
+
     Reads are served at a {e lagging snapshot timestamp}: the largest
     write timestamp applied so far. Ship the follower only forced bytes
     ({!Wal.durable_contents}, or a file the writer flushes at force
@@ -21,12 +31,17 @@
     pending until the rest ships (a strict prefix of a framed line never
     parses — the crc field closes the object — so a parseable
     unterminated tail is a complete record missing only its newline and
-    is consumed immediately, exactly as the one-shot reader would at
-    end of file). Newline-terminated garbage is counted as a skip; a
-    mid-stream skip can hide a lost [Commit], so from then on the
-    follower degrades to rebuilding its store from
-    {!Recovery.assemble} after every batch (cascade-correct, no longer
-    incremental). *)
+    is applied at once, as the one-shot reader reads it at end of
+    file). That record is provisional: if the next bytes go on with
+    anything but its newline, one-shot recovery of the longer prefix
+    no longer reads the line as a record, so the follower takes it back
+    (from a copy of the analysis it kept) and degrades. Newline-terminated
+    garbage is counted as a skip; a mid-stream skip can hide a lost
+    [Commit], so from then on the follower degrades to rebuilding its
+    store from {!Recovery.assemble} after every batch (cascade-correct,
+    no longer incremental). Equality with one-shot recovery after every
+    feed is qcheck-pinned on clean streams and on streams with garbage,
+    blank lines, CRs and flipped bytes injected. *)
 
 type t
 
@@ -55,7 +70,10 @@ val catch_up : t -> string -> int
 
 val catch_up_file : t -> string -> int
 (** {!catch_up} on a file's current contents — one poll of a tailed
-    log. *)
+    log. It seeks past the bytes already ingested and reads only the
+    rest, so a poll costs the log's growth, not its size.
+    @raise Invalid_argument if the file is shorter than what was
+    already ingested. *)
 
 (** {1 The replica's view} *)
 

@@ -28,6 +28,8 @@ type analysis = {
 let analysis () =
   { cert = Certificate.create (); installs_rev = []; initial_rev = [] }
 
+let copy a = { a with cert = Certificate.copy a.cert }
+
 let observe a (r : Wal.record) =
   let feed ev = Certificate.observe a.cert ev in
   match r with

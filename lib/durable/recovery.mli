@@ -76,6 +76,11 @@ type analysis
 
 val analysis : unit -> analysis
 
+val copy : analysis -> analysis
+(** An independent copy: observing into one leaves the other as it
+    was. The follower keeps one to take back a record it consumed
+    before the line's end arrived. *)
+
 val observe : analysis -> Wal.record -> unit
 (** Feed one CRC-valid record, in log order. *)
 

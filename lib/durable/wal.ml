@@ -143,32 +143,47 @@ let[@inline] put_byte s pos x =
   Bytes.unsafe_set s !pos x;
   incr pos
 
+(* a byte loop: the literals are 5-20 bytes, too short to pay for a
+   call to the C blit *)
 let put_raw s pos x =
-  Bytes.blit_string x 0 s !pos (String.length x);
-  pos := !pos + String.length x
+  let p = !pos in
+  for k = 0 to String.length x - 1 do
+    Bytes.unsafe_set s (p + k) (String.unsafe_get x k)
+  done;
+  pos := p + String.length x
 
-(* non-negative ints (the common case) render without allocating *)
-let rec put_digits s pos i =
-  if i >= 10 then put_digits s pos (i / 10);
-  put_byte s pos (Char.unsafe_chr (48 + (i mod 10)))
+(* non-negative ints (the common case) render without allocating: count
+   the digits, then fill them in from the right *)
+let put_digits s pos i =
+  let n = ref 1 and bound = ref 10 in
+  (* 10^18 is the largest power of ten an int holds *)
+  while !n < 19 && i >= !bound do
+    incr n;
+    bound := !bound * 10
+  done;
+  let k = ref i in
+  for j = !pos + !n - 1 downto !pos do
+    Bytes.unsafe_set s j (Char.unsafe_chr (48 + (!k mod 10)));
+    k := !k / 10
+  done;
+  pos := !pos + !n
 
 let put_int s pos i =
   if i < 0 then put_raw s pos (string_of_int i) else put_digits s pos i
 
 let put_str s pos x =
   put_byte s pos '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> put_raw s pos "\\\""
-      | '\\' -> put_raw s pos "\\\\"
-      | '\n' -> put_raw s pos "\\n"
-      | '\r' -> put_raw s pos "\\r"
-      | '\t' -> put_raw s pos "\\t"
-      | ch when Char.code ch < 0x20 ->
-          put_raw s pos (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> put_byte s pos ch)
-    x;
+  for k = 0 to String.length x - 1 do
+    match String.unsafe_get x k with
+    | '"' -> put_raw s pos "\\\""
+    | '\\' -> put_raw s pos "\\\\"
+    | '\n' -> put_raw s pos "\\n"
+    | '\r' -> put_raw s pos "\\r"
+    | '\t' -> put_raw s pos "\\t"
+    | ch when Char.code ch < 0x20 ->
+        put_raw s pos (Printf.sprintf "\\u%04x" (Char.code ch))
+    | ch -> put_byte s pos ch
+  done;
   put_byte s pos '"'
 
 let emit_line ~scratch buf ~lsn r =
@@ -260,34 +275,57 @@ let emit_line ~scratch buf ~lsn r =
    integers as [string_of_int] renders them, strings escaped as
    [put_str] escapes them — with the CRC taken over the line's own
    bytes. Anything else is rejected, so a line decodes iff it is
-   byte-for-byte [encode ~lsn r] of the record it decodes to. *)
+   byte-for-byte [encode ~lsn r] of the record it decodes to.
+
+   The record is read in place, from a position inside a larger buffer:
+   its end is where the grammar ends (the crc field closes the object),
+   so no newline is searched for and no line is copied. Each key is
+   checked together with the comma, quotes and colon around it as one
+   literal, and the record kind is told by the first byte of its
+   name. *)
 exception Reject
 
 let reject () = raise_notrace Reject
 
-(* the line is [s.[pos] .. s.[stop - 1]] *)
-type cursor = { s : string; stop : int; mutable pos : int }
+(* the input is [s.[pos] .. s.[stop - 1]]; [lsn] is the last framed
+   record's LSN *)
+type cursor = { s : string; stop : int; mutable pos : int; mutable lsn : int }
 
 (* past the end reads as NUL, which no grammar position accepts *)
-let at c k = if k < c.stop then String.unsafe_get c.s k else '\000'
+let[@inline] at c k = if k < c.stop then String.unsafe_get c.s k else '\000'
 
-let skip c x =
-  let l = String.length x in
-  let k = ref 0 in
-  while !k < l && at c (c.pos + !k) = String.unsafe_get x !k do
-    incr k
-  done;
-  !k = l && (c.pos <- c.pos + l; true)
+external get64u : string -> int -> int64 = "%caml_string_get64u"
 
-let lit c x = if not (skip c x) then reject ()
+(* whether [x] comes next, consuming it if so: one bounds check for the
+   whole literal, then eight bytes per compare (the last word may
+   overlap the one before it) *)
+let[@inline] skip c x =
+  let l = String.length x and p = c.pos and s = c.s in
+  p + l <= c.stop
+  && (if l < 8 then begin
+        let k = ref 0 in
+        while !k < l && String.unsafe_get s (p + !k) = String.unsafe_get x !k do
+          incr k
+        done;
+        !k = l
+      end
+      else begin
+        let k = ref 0 in
+        while !k < l - 8 && (get64u s (p + !k) : int64) = get64u x !k do
+          k := !k + 8
+        done;
+        !k >= l - 8 && (get64u s (p + l - 8) : int64) = get64u x (l - 8)
+      end)
+  && (c.pos <- p + l; true)
 
-let key c k =
-  lit c ",\"";
-  lit c k;
-  lit c "\":"
+let[@inline] lit c x = if not (skip c x) then reject ()
 
-let digit c =
-  match at c c.pos with '0' .. '9' as ch -> Char.code ch - 48 | _ -> -1
+let[@inline] digit_at s stop k =
+  if k < stop then
+    match String.unsafe_get s k with
+    | '0' .. '9' as ch -> Char.code ch - 48
+    | _ -> -1
+  else -1
 
 let min_int_10 = min_int / 10
 
@@ -295,27 +333,40 @@ let min_int_10 = min_int / 10
    so accumulate on the negative side and reject the digit that would
    step past the end of the range *)
 let int c =
-  let neg = skip c "-" in
+  let s = c.s and stop = c.stop in
+  let neg = c.pos < stop && String.unsafe_get s c.pos = '-' in
+  let p = ref (if neg then c.pos + 1 else c.pos) in
   let last = if neg then 4 (* of min_int *) else 3 (* of max_int *) in
-  let acc = ref (-digit c) in
-  if !acc > 0 || (neg && !acc = 0) then reject ();
-  c.pos <- c.pos + 1;
-  if !acc < 0 then
-    while digit c >= 0 do
-      let d = digit c in
-      if !acc < min_int_10 || (!acc = min_int_10 && d > last) then reject ();
-      acc := (!acc * 10) - d;
-      c.pos <- c.pos + 1
-    done;
+  let d = digit_at s stop !p in
+  if d < 0 || (neg && d = 0) then reject ();
+  incr p;
+  let acc = ref (-d) in
+  if d > 0 then begin
+    let d = ref (digit_at s stop !p) in
+    while !d >= 0 do
+      if !acc < min_int_10 || (!acc = min_int_10 && !d > last) then reject ();
+      acc := (!acc * 10) - !d;
+      incr p;
+      d := digit_at s stop !p
+    done
+  end;
+  c.pos <- !p;
   if neg then !acc else - !acc
 
-let rec plain c =
-  match at c c.pos with
-  | '"' | '\\' -> ()
-  | ch when ch < ' ' -> reject ()
-  | _ ->
-      c.pos <- c.pos + 1;
-      plain c
+(* past the bytes that stand for themselves inside a string: up to a
+   quote, a backslash, a control byte or the end *)
+let plain c =
+  let s = c.s and stop = c.stop in
+  let p = ref c.pos in
+  while
+    !p < stop
+    &&
+    let ch = String.unsafe_get s !p in
+    ch >= ' ' && ch <> '"' && ch <> '\\'
+  do
+    incr p
+  done;
+  c.pos <- !p
 
 let hex = function
   | '0' .. '9' as ch -> Char.code ch - 48
@@ -358,73 +409,136 @@ let str c =
     Buffer.contents b
   end
 
-let int_key c k =
-  key c k;
-  int c
-
-let str_key c k =
-  key c k;
-  str c
-
+(* the record after the rec key and the opening quote of its kind,
+   told by the kind's first byte ([commit] and [checkpoint] by the
+   second) *)
 let record c =
-  match str_key c "rec" with
-  | "state" ->
-      let entity = str_key c "entity" in
-      State { entity; value = int_key c "value" }
-  | "begin" ->
-      let txn = int_key c "txn" in
-      Begin { txn; ts = int_key c "ts" }
-  | "op" ->
-      let txn = int_key c "txn" in
-      let entity = str_key c "entity" in
-      key c "write";
-      if skip c "true" then Op { txn; entity; write = true; src = None }
+  let kind = at c c.pos in
+  c.pos <- c.pos + 1;
+  match kind with
+  | 's' ->
+      lit c "tate\",\"entity\":";
+      let entity = str c in
+      lit c ",\"value\":";
+      State { entity; value = int c }
+  | 'b' ->
+      lit c "egin\",\"txn\":";
+      let txn = int c in
+      lit c ",\"ts\":";
+      Begin { txn; ts = int c }
+  | 'o' ->
+      lit c "p\",\"txn\":";
+      let txn = int c in
+      lit c ",\"entity\":";
+      let entity = str c in
+      if skip c ",\"write\":true" then
+        Op { txn; entity; write = true; src = None }
       else begin
-        lit c "false";
-        key c "src";
+        lit c ",\"write\":false,\"src\":";
         let src =
-          if at c c.pos <> '"' then From_txn (int c)
-          else
-            match str c with
-            | "init" -> From_init
-            | "self" -> From_self
-            | _ -> reject ()
+          if skip c "\"init\"" then From_init
+          else if skip c "\"self\"" then From_self
+          else From_txn (int c)
         in
         Op { txn; entity; write = false; src = Some src }
       end
-  | "install" ->
-      let txn = int_key c "txn" in
-      let entity = str_key c "entity" in
-      let value = int_key c "value" in
-      Install { txn; entity; value; wts = int_key c "wts" }
-  | "commit" -> Commit { txn = int_key c "txn" }
-  | "abort" ->
-      let txn = int_key c "txn" in
-      Abort { txn; reason = str_key c "reason" }
-  | "checkpoint" ->
-      let snapshot = str_key c "snapshot" in
-      Checkpoint { snapshot; commits = int_key c "commits" }
+  | 'i' ->
+      lit c "nstall\",\"txn\":";
+      let txn = int c in
+      lit c ",\"entity\":";
+      let entity = str c in
+      lit c ",\"value\":";
+      let value = int c in
+      lit c ",\"wts\":";
+      Install { txn; entity; value; wts = int c }
+  | 'c' ->
+      if skip c "ommit\",\"txn\":" then Commit { txn = int c }
+      else begin
+        lit c "heckpoint\",\"snapshot\":";
+        let snapshot = str c in
+        lit c ",\"commits\":";
+        Checkpoint { snapshot; commits = int c }
+      end
+  | 'a' ->
+      lit c "bort\",\"txn\":";
+      let txn = int c in
+      lit c ",\"reason\":";
+      Abort { txn; reason = str c }
   | _ -> reject ()
+
+(* The framed record at [c.pos]: its LSN goes to [c.lsn], and [c.pos] is
+   left just past its closing brace. *)
+let framed c =
+  let start = c.pos in
+  lit c "{\"lsn\":";
+  c.lsn <- int c;
+  lit c ",\"rec\":\"";
+  let r = record c in
+  let body = c.pos in
+  lit c ",\"crc\":";
+  let crc = int c in
+  lit c "}";
+  if crc <> body_crc (Bytes.unsafe_of_string c.s) ~pos:start ~len:(body - start)
+  then reject ();
+  r
 
 let decode_sub s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Wal.decode_sub";
-  let c = { s; stop = pos + len; pos } in
-  try
-    lit c "{\"lsn\":";
-    let lsn = int c in
-    let r = record c in
-    let body = c.pos in
-    let crc = int_key c "crc" in
-    lit c "}";
-    if
-      c.pos = c.stop
-      && crc = body_crc (Bytes.unsafe_of_string s) ~pos ~len:(body - pos)
-    then Some (lsn, r)
-    else None
-  with Reject -> None
+  let c = { s; stop = pos + len; pos; lsn = 0 } in
+  match framed c with
+  | r -> if c.pos = c.stop then Some (c.lsn, r) else None
+  | exception Reject -> None
 
 let decode line = decode_sub line ~pos:0 ~len:(String.length line)
+
+let decode_prefix s ~pos =
+  if pos < 0 || pos > String.length s then invalid_arg "Wal.decode_prefix";
+  let c = { s; stop = String.length s; pos; lsn = 0 } in
+  match framed c with
+  | r -> Some (c.lsn, r, c.pos)
+  | exception Reject -> None
+
+(* whether [s.[i] .. s.[j - 1]] is whitespace only, as [String.trim]
+   sees it *)
+let rec blank s i j =
+  i >= j
+  ||
+  match String.unsafe_get s i with
+  | ' ' | '\t' | '\r' | '\012' | '\n' -> blank s (i + 1) j
+  | _ -> false
+
+(* A line is a record only if its newline follows the closing brace at
+   once. A failed parse is the only case that searches for the newline:
+   no strict prefix of a canonical line decodes and canonical lines hold
+   no raw control byte, so the lines this accepts are exactly those a
+   line splitter running [decode] would. The unterminated final line is
+   left to the caller. *)
+let scan s ~pos ~on_record ~on_skip =
+  let n = String.length s in
+  if pos < 0 || pos > n then invalid_arg "Wal.scan";
+  let c = { s; stop = n; pos; lsn = 0 } in
+  let rec line i =
+    if i >= n then n
+    else begin
+      c.pos <- i;
+      match
+        let r = framed c in
+        if c.pos >= n || String.unsafe_get s c.pos <> '\n' then reject ();
+        r
+      with
+      | r ->
+          on_record c.lsn r;
+          line (c.pos + 1)
+      | exception Reject -> (
+          match String.index_from_opt s i '\n' with
+          | None -> i
+          | Some j ->
+              if not (blank s i j) then on_skip ();
+              line (j + 1))
+    end
+  in
+  line pos
 
 type window = { max_records : int option; max_commits : int option }
 
@@ -524,8 +638,11 @@ let append w r =
   (match w.win with
   | None -> force w
   | Some { max_records; max_commits } ->
-      let met = function Some k, n -> n >= k | None, _ -> false in
-      if met (max_records, w.pend_records) || met (max_commits, w.pend_commits)
+      if
+        (match max_records with Some k -> w.pend_records >= k | None -> false)
+        || match max_commits with
+           | Some k -> w.pend_commits >= k
+           | None -> false
       then force w);
   lsn
 
@@ -548,14 +665,28 @@ let close w =
 
 type read = { records : (int * record) list; stats : Mvcc_obs.Jsonl.stats }
 
+(* the one log scanner, as the follower runs it; at the end of the
+   input an unterminated line that decodes is a record whose newline was
+   cut, and one that does not is a torn tail *)
 let read_string s =
-  let records, stats = Mvcc_obs.Jsonl.read_string decode s in
-  { records; stats }
+  let records = ref [] and skipped = ref 0 in
+  let tail =
+    scan s ~pos:0
+      ~on_record:(fun lsn r -> records := (lsn, r) :: !records)
+      ~on_skip:(fun () -> incr skipped)
+  in
+  let n = String.length s in
+  let torn_tail =
+    match decode_prefix s ~pos:tail with
+    | Some (lsn, r, stop) when stop = n ->
+        records := (lsn, r) :: !records;
+        false
+    | _ -> not (blank s tail n)
+  in
+  {
+    records = List.rev !records;
+    stats = { Mvcc_obs.Jsonl.skipped = !skipped; torn_tail };
+  }
 
 let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let records, stats = Mvcc_obs.Jsonl.read_channel decode ic in
-      { records; stats })
+  read_string (In_channel.with_open_bin path In_channel.input_all)

@@ -57,6 +57,37 @@ val decode_sub : string -> pos:int -> len:int -> (int * record) option
 (** [decode_sub s ~pos ~len] is [decode (String.sub s pos len)] without
     the copy. *)
 
+val decode_prefix : string -> pos:int -> (int * record * int) option
+(** [decode_prefix s ~pos] decodes the canonical record that starts at
+    [s.[pos]], in place: no newline is searched for and nothing is
+    copied. It returns the LSN, the record and the offset just past the
+    record's closing brace, and ignores whatever follows that brace —
+    the record is a whole line only if the byte there is ['\n'] or the
+    end of [s]. No strict prefix of a canonical line decodes, so the
+    end offset is where the line must end. *)
+
+val scan :
+  string ->
+  pos:int ->
+  on_record:(int -> record -> unit) ->
+  on_skip:(unit -> unit) ->
+  int
+(** [scan s ~pos ~on_record ~on_skip] reads the newline-terminated lines
+    of [s] from the line start [pos] on: [on_record lsn r] for each line
+    that decodes, [on_skip ()] for each that does not and is not
+    whitespace only. A line is decoded in place with {!decode_prefix}
+    and accepted when its newline follows at once; only a failed parse
+    searches for the newline. The lines it accepts are exactly those a
+    line splitter running {!decode} on each line would.
+
+    It returns the offset where the unterminated final line starts
+    ([String.length s] when [s] is empty or ends in a newline). Whether
+    that fragment is a record — {!decode_prefix} ending at the end of
+    [s] — is the caller's to decide: {!read_string} takes it as one,
+    and the follower takes it provisionally, since more bytes may yet
+    extend the line. This is the one log scanner: {!read_string},
+    {!read_file} and {!Follower.feed} all run it. *)
+
 (** {1 Appending}
 
     Durability is simulated explicitly: appends accumulate in an open
@@ -153,9 +184,14 @@ val close : writer -> unit
 type read = {
   records : (int * record) list;  (** CRC-valid records, in file order *)
   stats : Mvcc_obs.Jsonl.stats;
-      (** mid-file skips vs a torn final record, from the shared
-          tolerant reader *)
+      (** mid-file skips vs a torn final record, counted as
+          {!Mvcc_obs.Jsonl.read_string} counts them *)
 }
 
 val read_string : string -> read
+(** {!scan} over the whole string: the records, the non-blank lines
+    that failed as skips, and a torn tail when an unterminated final
+    fragment is neither a record nor whitespace only. *)
+
 val read_file : string -> read
+(** {!read_string} of the file's contents. *)

@@ -33,6 +33,14 @@ let create () =
     n_txns = 0;
   }
 
+let copy t =
+  {
+    t with
+    attempt = Array.copy t.attempt;
+    ts = Array.copy t.ts;
+    committed = Array.copy t.committed;
+  }
+
 (* the transaction's current attempt, marking it seen *)
 let saw t txn =
   if txn >= Array.length t.attempt then begin

@@ -13,6 +13,10 @@ type t
 
 val create : unit -> t
 
+val copy : t -> t
+(** An independent copy: observing into one leaves the other as it
+    was. *)
+
 val observe : t -> Event.t -> unit
 (** Feed one event, in stream order. [Wal_install] only marks its
     transaction seen; state, abort and checkpoint events are ignored. *)

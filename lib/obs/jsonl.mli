@@ -1,5 +1,7 @@
-(** Tolerant JSON-lines ingestion, shared by every consumer of on-disk
-    line-oriented logs (trace replay, write-ahead-log recovery).
+(** Tolerant JSON-lines ingestion for on-disk line-oriented logs (trace
+    replay). The write-ahead log reads its lines with its own in-place
+    scanner, which keeps exactly these rules and these {!stats}, and is
+    tested against this reader.
 
     A log file that lived through a crash can be damaged in two very
     different ways, and recovery must tell them apart:

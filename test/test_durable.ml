@@ -784,6 +784,299 @@ let test_follower_lagging_reads_all_policies () =
       check "certified at the tip" true ok2)
     E.all_policies
 
+(* -- The in-place scanner -- *)
+
+(* Random buffers of framed lines mixed with the damage a log can carry:
+   garbage, blank and whitespace-only lines, CRLF endings, lines with a
+   flipped byte or cut short, and a final line that is a whole record,
+   a torn one, whitespace or garbage, without its newline. *)
+let gen_log_buffer =
+  QCheck2.Gen.(
+    let framed = map (fun (lsn, r) -> Wal.encode ~lsn r) gen_line in
+    let flipped =
+      let* line = framed in
+      let* pos = int_range 0 (String.length line - 1)
+      and* mask = int_range 1 255 in
+      let b = Bytes.of_string line in
+      Bytes.set b pos (Char.chr (Char.code line.[pos] lxor mask));
+      return (Bytes.to_string b)
+    in
+    let cut =
+      let* line = framed in
+      let* k = int_range 0 (String.length line - 1) in
+      return (String.sub line 0 k)
+    in
+    let piece =
+      frequency
+        [
+          (6, map (fun l -> l ^ "\n") framed);
+          (1, map (fun l -> l ^ "\r\n") framed);
+          (1, map (fun l -> l ^ "\n") flipped);
+          (1, map (fun l -> l ^ "\n") cut);
+          (1, oneofl [ "garbage\n"; "{\"lsn\":1}\n"; "}\n"; "\000\n" ]);
+          (1, oneofl [ "\n"; " \n"; "\t \r\n"; "\012\n"; "\r\n" ]);
+        ]
+    in
+    let tail =
+      oneof
+        [ return ""; framed; cut; flipped; oneofl [ "  "; "\t"; "junk" ] ]
+    in
+    let* pieces = list_size (int_range 0 12) piece and* last = tail in
+    return (String.concat "" pieces ^ last))
+
+(* the line splitter the follower and one-shot reading used before they
+   shared the in-place scanner, kept as the oracle *)
+let prop_scanner_equals_line_splitter =
+  QCheck2.Test.make ~name:"in-place scanner = line splitter over decode"
+    ~count:500 gen_log_buffer (fun buf ->
+      let records, stats = Mvcc_obs.Jsonl.read_string Wal.decode buf in
+      let read = Wal.read_string buf in
+      read.Wal.records = records && read.Wal.stats = stats)
+
+(* decoding in place, at every line start of a multi-record buffer *)
+let prop_decode_prefix_in_place =
+  QCheck2.Test.make ~name:"decode_prefix reads each record where it starts"
+    ~count:200
+    QCheck2.Gen.(list_size (int_range 1 6) gen_line)
+    (fun lines ->
+      let encoded = List.map (fun (lsn, r) -> Wal.encode ~lsn r) lines in
+      let buf = String.concat "\n" encoded ^ "\n" in
+      let pos = ref 0 in
+      List.for_all2
+        (fun (lsn, r) line ->
+          let stop = !pos + String.length line in
+          let ok = Wal.decode_prefix buf ~pos:!pos = Some (lsn, r, stop) in
+          pos := stop + 1;
+          ok)
+        lines encoded)
+
+(* -- The follower on a damaged stream -- *)
+
+(* A real log with damage injected at random places: garbage and
+   whitespace-only lines at line starts, a CR before some newlines, and
+   single flipped bytes anywhere or inside a Commit line (a lost commit
+   is what makes recovery cascade). *)
+let damage rng bytes =
+  let n = String.length bytes in
+  let starts =
+    0 :: List.filter_map
+           (fun i -> if bytes.[i] = '\n' && i + 1 < n then Some (i + 1) else None)
+           (List.init n Fun.id)
+  in
+  let commits =
+    List.filter
+      (fun i ->
+        match Wal.decode_prefix bytes ~pos:i with
+        | Some (_, Wal.Commit _, _) -> true
+        | _ -> false)
+      starts
+  in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let edit () =
+    match Random.State.int rng 5 with
+    | 0 ->
+        ( pick starts,
+          `Insert
+            (pick [ "garbage\n"; "{\"lsn\":0}\n"; "\000\001\n"; "}\n" ]) )
+    | 1 -> (pick starts, `Insert (pick [ "\n"; "  \n"; "\t\r\n"; "\012\n" ]))
+    | 2 when List.length starts > 1 -> (pick (List.tl starts) - 1, `Insert "\r")
+    | 3 when commits <> [] ->
+        (pick commits + 2, `Flip (1 + Random.State.int rng 255))
+    | _ -> (Random.State.int rng n, `Flip (1 + Random.State.int rng 255))
+  in
+  let edits =
+    List.stable_sort
+      (fun (a, _) (b, _) -> compare a b)
+      (List.init (1 + Random.State.int rng 8) (fun _ -> edit ()))
+  in
+  let b = Buffer.create (n + 64) in
+  let rec go i edits =
+    match edits with
+    | (p, `Insert s) :: rest when p = i ->
+        Buffer.add_string b s;
+        go i rest
+    | (p, `Flip mask) :: rest when p = i ->
+        Buffer.add_char b (Char.chr (Char.code bytes.[i] lxor mask));
+        go (i + 1) (List.filter (fun (q, _) -> q <> p) rest)
+    | _ when i >= n -> ()
+    | _ ->
+        Buffer.add_char b bytes.[i];
+        go (i + 1) edits
+  in
+  go 0 edits;
+  Buffer.contents b
+
+(* After every feed of a damaged stream the follower equals one-shot
+   recovery of the bytes fed so far: this is the skip -> degraded ->
+   refresh path, and the path where a record read before its newline
+   arrived must be taken back. Chunks end at random, and often just
+   before a CR or a newline, right after a record's closing brace. *)
+let prop_follower_damaged_equiv_recovery =
+  QCheck2.Test.make
+    ~name:"follower on a damaged stream = one-shot recovery after each feed"
+    ~count:40
+    QCheck2.Gen.(
+      let* seed = int_range 0 1000
+      and* policy = oneofl E.all_policies
+      and* damage_seed = int_range 0 1000 in
+      return (seed, policy, damage_seed))
+    (fun (seed, policy, damage_seed) ->
+      let w = Wal.writer () in
+      let hook = Hook.create w in
+      let cfg = { Crash.default with policy; seed; txns = 6 } in
+      let initial =
+        List.init cfg.Crash.entities (fun i -> (Printf.sprintf "e%d" i, 100))
+      in
+      ignore
+        (E.run ~policy ~initial ~programs:(Crash.workload cfg)
+           ~wal:(Hook.listener hook) ~seed ());
+      let rng = Random.State.make [| damage_seed; 0xda4a9e |] in
+      let bytes = damage rng (Wal.contents w) in
+      let n = String.length bytes in
+      let f = Follower.create ~policy () in
+      let agrees p =
+        let prefix = String.sub bytes 0 p in
+        let read = Wal.read_string prefix in
+        let records, stats = Mvcc_obs.Jsonl.read_string Wal.decode prefix in
+        let one = Recovery.recover ~policy read in
+        let live = Follower.state f in
+        let wit r =
+          Option.map
+            (Format.asprintf "%a" Mvcc_provenance.Witness.pp)
+            r.Recovery.witness
+        in
+        Recovery.dump_string (Follower.store f)
+        = Recovery.dump_string one.Recovery.store
+        && Recovery.dump_string live.Recovery.store
+           = Recovery.dump_string one.store
+        && Mvcc_core.Schedule.steps live.history
+           = Mvcc_core.Schedule.steps one.history
+        && live.commit_order = one.commit_order
+        && live.state = one.state
+        && wit live = wit one
+        && live.stats = one.stats
+        && Follower.stats f = one.stats
+        && Follower.skips f = one.stats.skipped
+        && Follower.records_applied f = List.length read.Wal.records
+        (* and the shared scanner itself against the line splitter *)
+        && (Follower.records_applied f, Follower.stats f)
+           = (List.length records, stats)
+      in
+      let line_end from =
+        let rec go i =
+          if i >= n then None
+          else if bytes.[i] = '\n' || bytes.[i] = '\r' then Some i
+          else go (i + 1)
+        in
+        go from
+      in
+      let rec feed_from pos =
+        pos >= n
+        ||
+        let p =
+          match line_end (pos + 1) with
+          | Some e when Random.State.int rng 3 = 0 -> e
+          | _ -> min n (pos + 1 + Random.State.int rng 200)
+        in
+        ignore (Follower.feed f (String.sub bytes pos (p - pos)));
+        agrees p && feed_from p
+      in
+      feed_from 0)
+
+(* A record whose newline has not arrived is read at once, as one-shot
+   recovery of those bytes reads it; when the line then goes on, it is
+   taken back and the whole line counts as one-shot recovery counts
+   it. *)
+let test_follower_takes_back_an_unterminated_record () =
+  let line lsn r = Wal.encode ~lsn r in
+  let state = line 0 (Wal.State { entity = "x"; value = 1 }) ^ "\n" in
+  let begin_ = line 1 (Wal.Begin { txn = 0; ts = 1 }) ^ "\n" in
+  let install =
+    line 2 (Wal.Install { txn = 0; entity = "x"; value = 5; wts = 1 }) ^ "\n"
+  in
+  let commit = line 3 (Wal.Commit { txn = 0 }) in
+  let agrees f fed =
+    let one = Recovery.recover ~policy:E.Mvto (Wal.read_string fed) in
+    Recovery.dump_string (Follower.store f)
+    = Recovery.dump_string one.Recovery.store
+    && Follower.stats f = one.stats
+    && Follower.records_applied f
+       = List.length (Wal.read_string fed).Wal.records
+    && Follower.commits_applied f = List.length one.commit_order
+  in
+  List.iter
+    (fun rest ->
+      let f = Follower.create ~policy:E.Mvto () in
+      let fed = ref "" in
+      List.iter
+        (fun chunk ->
+          ignore (Follower.feed f chunk);
+          fed := !fed ^ chunk;
+          check
+            (Printf.sprintf "after %S of %S" chunk rest)
+            true (agrees f !fed))
+        [ state ^ begin_ ^ install ^ commit; ""; rest; "\n" ])
+    [ "\n"; "\r"; "\r\n"; " "; "x\n"; "}" ];
+  let f = Follower.create ~policy:E.Mvto () in
+  ignore (Follower.feed f (state ^ begin_ ^ install ^ commit));
+  check_int "the commit is read before its newline" 1
+    (Follower.commits_applied f);
+  ignore (Follower.feed f "\r");
+  check_int "and taken back when the line goes on" 0
+    (Follower.commits_applied f);
+  check "then the line is a torn tail" true (Follower.stats f).torn_tail
+
+(* [catch_up_file] reads only the bytes past what was ingested: a file
+   polled after each of its appends ends where [catch_up] on the final
+   bytes does, and a file cut below what was ingested raises. *)
+let test_follower_catch_up_file_tails () =
+  let w = Wal.writer () in
+  let hook = Hook.create w in
+  let cfg = { Crash.default with policy = E.Sgt; seed = 3 } in
+  let initial =
+    List.init cfg.Crash.entities (fun i -> (Printf.sprintf "e%d" i, 100))
+  in
+  ignore
+    (E.run ~policy:E.Sgt ~initial ~programs:(Crash.workload cfg)
+       ~wal:(Hook.listener hook) ~seed:3 ());
+  let bytes = Wal.contents w in
+  let path = Filename.temp_file "follow_tail" ".wal" in
+  Out_channel.with_open_bin path (fun _ -> ());
+  let polled = Follower.create ~policy:E.Sgt () in
+  let n = String.length bytes in
+  let rng = Random.State.make [| 11 |] in
+  let rec grow pos polls =
+    if pos >= n then polls
+    else begin
+      let p = min n (pos + 1 + Random.State.int rng 400) in
+      Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path
+        (fun oc -> output_substring oc bytes pos (p - pos));
+      ignore (Follower.catch_up_file polled path);
+      grow p (polls + 1)
+    end
+  in
+  let polls = grow 0 0 in
+  check "the log grew over many polls" true (polls > 10);
+  let whole = Follower.create ~policy:E.Sgt () in
+  ignore (Follower.catch_up whole bytes);
+  check_int "every byte ingested" n (Follower.ingested_bytes polled);
+  check "polled store = one catch_up" true
+    (Recovery.dump_string (Follower.store polled)
+    = Recovery.dump_string (Follower.store whole));
+  check "polled view = one catch_up" true
+    (Follower.read_view polled = Follower.read_view whole
+    && Follower.commits_applied polled = Follower.commits_applied whole
+    && Follower.stats polled = Follower.stats whole);
+  check_int "a poll with nothing new applies nothing" 0
+    (Follower.catch_up_file polled path);
+  Out_channel.with_open_bin path (fun oc ->
+      output_substring oc bytes 0 (n / 2));
+  check "a file cut below what was ingested raises" true
+    (match Follower.catch_up_file polled path with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  Sys.remove path
+
 let () =
   Alcotest.run "durable"
     [
@@ -828,6 +1121,10 @@ let () =
             test_follower_bootstrap_equiv_recovery;
           Alcotest.test_case "lagging certified reads, all policies" `Quick
             test_follower_lagging_reads_all_policies;
+          Alcotest.test_case "an unterminated record is taken back" `Quick
+            test_follower_takes_back_an_unterminated_record;
+          Alcotest.test_case "catch_up_file reads the unread suffix" `Quick
+            test_follower_catch_up_file_tails;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -840,5 +1137,8 @@ let () =
             prop_wal_off_invariance;
             prop_follower_equiv_recovery;
             prop_live_certificate_is_recovered;
+            prop_scanner_equals_line_splitter;
+            prop_decode_prefix_in_place;
+            prop_follower_damaged_equiv_recovery;
           ] );
     ]
