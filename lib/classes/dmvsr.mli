@@ -17,7 +17,8 @@ module Decider : Mvcc_analysis.Decider.S
 
 val transform : Mvcc_core.Schedule.t -> Mvcc_core.Schedule.t
 (** Insert [R_i(x)] immediately before every write [W_i(x)] whose
-    transaction has not read [x] earlier in its program. *)
+    transaction has not read [x] earlier in its program. A schedule with
+    no blind write is returned as it is (physically). *)
 
 val test : Mvcc_core.Schedule.t -> bool
 (** [s] is DMVSR iff [transform s] is MVSR. *)

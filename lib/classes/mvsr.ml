@@ -4,26 +4,31 @@ open Mvcc_core
    - pos: position of the read in s
    - ent: dense entity id
    - own_prev: position of the transaction's own write of the entity
-     immediately preceding the read in program order, if any (in a serial
+     immediately preceding the read in program order, or -1 (in a serial
      schedule the read is served that write)
    - pin: the source this read must be served, if constrained. *)
 type read_info = {
   pos : int;
   ent : int;
-  own_prev : int option;
+  own_prev : int;
   pin : Version_fn.source option;
 }
 
 type txn_info = {
-  reads : read_info list;
-  writes : int list; (* entity ids written, deduplicated *)
+  reads : read_info array; (* in program order *)
+  checks : read_info array;
+      (* the reads that constrain placement: all but the unpinned own
+         reads, which every order serves their own write *)
+  writes : int array; (* entity ids written, deduplicated *)
 }
 
 type ctx = {
+  s : Schedule.t;
   txns : txn_info array;
-  write_positions : int list array array; (* (txn, ent) -> ascending *)
   n_ents : int;
-  step_txn : int array; (* position -> transaction *)
+  first_write : int array;
+      (* txn * n_ents + ent -> position of the txn's first write of the
+         entity, max_int if none *)
 }
 
 let analyse s pinned =
@@ -31,88 +36,89 @@ let analyse s pinned =
      renaming ids only permutes the last-writer state vector, so the
      search explores the same tree either way *)
   let n = Schedule.n_txns s in
-  let n_ents = Schedule.n_entities s in
-  let write_positions = Array.make_matrix n (max 1 n_ents) [] in
-  let own_last = Array.make_matrix n (max 1 n_ents) (-1) in
+  let k = Schedule.n_entities s in
+  let first_write = Array.make (n * k) max_int in
+  let own_last = Array.make (n * k) (-1) in
   let reads = Array.make n [] in
   let writes = Array.make n [] in
-  Array.iteri
-    (fun pos (st : Step.t) ->
-      let e = Schedule.entity_at s pos in
-      match st.action with
-      | Step.Write ->
-          own_last.(st.txn).(e) <- pos;
-          write_positions.(st.txn).(e) <- pos :: write_positions.(st.txn).(e);
-          if not (List.mem e writes.(st.txn)) then
-            writes.(st.txn) <- e :: writes.(st.txn)
-      | Step.Read ->
-          let own_prev =
-            if own_last.(st.txn).(e) >= 0 then Some own_last.(st.txn).(e)
-            else None
-          in
-          let pin = Version_fn.get pinned pos in
-          reads.(st.txn) <- { pos; ent = e; own_prev; pin } :: reads.(st.txn))
-    (Schedule.steps s);
-  Array.iteri
-    (fun i row ->
-      Array.iteri (fun e ps -> write_positions.(i).(e) <- List.rev ps) row)
-    write_positions;
+  for pos = 0 to Schedule.length s - 1 do
+    let st = Schedule.step s pos in
+    let e = Schedule.entity_at s pos in
+    let slot = (st.txn * k) + e in
+    match st.action with
+    | Step.Write ->
+        if own_last.(slot) < 0 then begin
+          writes.(st.txn) <- e :: writes.(st.txn);
+          first_write.(slot) <- pos
+        end;
+        own_last.(slot) <- pos
+    | Step.Read ->
+        let pin = Version_fn.get pinned pos in
+        let r = { pos; ent = e; own_prev = own_last.(slot); pin } in
+        reads.(st.txn) <- r :: reads.(st.txn)
+  done;
+  let constrains r = r.pin <> None || r.own_prev < 0 in
   let txns =
-    Array.init n (fun i -> { reads = List.rev reads.(i); writes = writes.(i) })
+    Array.init n (fun i ->
+        let reads = List.rev reads.(i) in
+        {
+          reads = Array.of_list reads;
+          checks = Array.of_list (List.filter constrains reads);
+          writes = Array.of_list writes.(i);
+        })
   in
-  let step_txn =
-    Array.map (fun (st : Step.t) -> st.txn) (Schedule.steps s)
-  in
-  { txns; write_positions; n_ents; step_txn }
+  { s; txns; n_ents = k; first_write }
 
-let first_write ctx j e =
-  match ctx.write_positions.(j).(e) with [] -> None | p :: _ -> Some p
-
+(* The last write of [j] on [e] before position [pos], from [e]'s
+   bucket. *)
 let latest_write_before ctx j e pos =
-  List.fold_left
-    (fun acc p -> if p < pos then Some p else acc)
-    None
-    ctx.write_positions.(j).(e)
+  Array.fold_left
+    (fun acc p ->
+      let st = Schedule.step ctx.s p in
+      if p < pos && st.txn = j && Step.is_write st then p else acc)
+    (-1)
+    (Schedule.entity_bucket ctx.s e)
 
-(* Can transaction [i] be appended, given the last writer of each entity
-   among the transactions placed so far (txn index, or -1 for T0)?
+(* Can transaction [i] be appended, given the search state: slot
+   [1 + e] is the last writer of entity [e] among the transactions placed
+   so far (txn index, or -1 for T0)?
 
    Triple-set semantics (the paper's view equivalence): an external read of
    [x] must produce the triple (T_i, x, w) where w is the current last
    writer — possible iff some write of w on x precedes the read in s. *)
-let can_place ctx last_writer i =
-  List.for_all
-    (fun r ->
-      match r.pin with
-      | None -> begin
-          match r.own_prev with
-          | Some _ -> true (* own read: always consistent and legal *)
-          | None -> begin
-              match last_writer.(r.ent) with
-              | -1 -> true (* reads the initial version *)
-              | j -> (
-                  match first_write ctx j r.ent with
-                  | Some p -> p < r.pos
-                  | None -> false (* unreachable: j writes r.ent *))
-            end
-        end
-      | Some Version_fn.Initial ->
-          r.own_prev = None && last_writer.(r.ent) = -1
-      | Some (Version_fn.From q) ->
-          let j = ctx.step_txn.(q) in
-          if j = i then r.own_prev <> None
-          else r.own_prev = None && last_writer.(r.ent) = j)
-    ctx.txns.(i).reads
+let can_place ctx state i =
+  let checks = ctx.txns.(i).checks in
+  let rec go c =
+    c < 0
+    ||
+    let r = checks.(c) in
+    let last = state.(1 + r.ent) in
+    (match r.pin with
+    | None ->
+        (* an external read: the initial version, or a write of the last
+           writer that precedes it *)
+        last = -1 || ctx.first_write.((last * ctx.n_ents) + r.ent) < r.pos
+    | Some Version_fn.Initial -> r.own_prev < 0 && last = -1
+    | Some (Version_fn.From q) ->
+        let j = (Schedule.step ctx.s q).txn in
+        if j = i then r.own_prev >= 0 else r.own_prev < 0 && last = j)
+    && go (c - 1)
+  in
+  go (Array.length checks - 1)
 
-let state_key mask last_writer =
-  let buf = Buffer.create 16 in
-  Buffer.add_string buf (string_of_int mask);
-  Array.iter
-    (fun w ->
-      Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int w))
-    last_writer;
-  Buffer.contents buf
+(* Failed search states, keyed by the state array itself: a full-fold
+   hash and element-wise equality (all keys of one search have the
+   same length). *)
+module Memo = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b =
+    let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
+    go (Array.length a - 1)
+
+  let hash (a : t) =
+    Array.fold_left (fun h x -> (h * 31) + x) 0 a land max_int
+end)
 
 (* The version function induced by a serialization order: pinned reads keep
    their pin; own reads are served the preceding own write; external reads
@@ -123,77 +129,92 @@ let induced_version_fn ctx order =
   let v = ref Version_fn.empty in
   List.iter
     (fun i ->
-      List.iter
+      Array.iter
         (fun r ->
           let src =
             match r.pin with
             | Some p -> p
+            | None when r.own_prev >= 0 -> Version_fn.From r.own_prev
             | None -> begin
-                match r.own_prev with
-                | Some q -> Version_fn.From q
-                | None -> begin
-                    match last_writer.(r.ent) with
-                    | -1 -> Version_fn.Initial
-                    | j -> (
-                        match latest_write_before ctx j r.ent r.pos with
-                        | Some q -> Version_fn.From q
-                        | None -> assert false (* can_place guaranteed one *))
-                  end
+                match last_writer.(r.ent) with
+                | -1 -> Version_fn.Initial
+                | j ->
+                    (* can_place guaranteed one *)
+                    Version_fn.From (latest_write_before ctx j r.ent r.pos)
               end
           in
           v := Version_fn.add r.pos src !v)
         ctx.txns.(i).reads;
-      List.iter (fun e -> last_writer.(e) <- i) ctx.txns.(i).writes)
+      Array.iter (fun e -> last_writer.(e) <- i) ctx.txns.(i).writes)
     order;
   !v
 
 (* The search, instrumented: [branches] counts transaction placements
    tried, [memo_hits] counts subtrees pruned by the memo table — the
-   effort figures a rejection certificate carries. *)
+   effort figures a rejection certificate carries.
+
+   The state is one live int array: slot 0 is the placed-set mask, slot
+   [1 + e] the last writer of entity [e] (-1 for T0). Placing a
+   transaction updates it in place and backtracking restores it from
+   [saved] (row [depth], one slot per entity the transaction writes), so
+   a failed subtree leaves it as it found it; that state is then copied
+   into the memo, which is probed with the live array itself. *)
 let search_stats s pinned =
   if not (Version_fn.legal s pinned) then
     invalid_arg "Mvsr: pinned version function not legal";
   let ctx = analyse s pinned in
   let n = Array.length ctx.txns in
-  let memo = Hashtbl.create 256 in
-  let last_writer = Array.make ctx.n_ents (-1) in
+  let k = ctx.n_ents in
+  let memo = Memo.create 64 in
+  let state = Array.make (1 + k) (-1) in
+  state.(0) <- 0;
+  let saved = Array.make (n * k) 0 in
+  let order = Array.make n 0 in
   let branches = ref 0 in
   let memo_hits = ref 0 in
-  let rec go mask depth acc =
-    if depth = n then Some (List.rev acc)
-    else
-      let key = state_key mask last_writer in
-      if Hashtbl.mem memo key then begin
-        incr memo_hits;
-        None
-      end
-      else begin
-        let rec try_txn i =
-          if i >= n then None
-          else if mask land (1 lsl i) = 0 && can_place ctx last_writer i
-          then begin
-            incr branches;
-            let saved =
-              List.map (fun e -> (e, last_writer.(e))) ctx.txns.(i).writes
-            in
-            List.iter (fun e -> last_writer.(e) <- i) ctx.txns.(i).writes;
-            match go (mask lor (1 lsl i)) (depth + 1) (i :: acc) with
-            | Some order -> Some order
-            | None ->
-                List.iter (fun (e, w) -> last_writer.(e) <- w) saved;
-                try_txn (i + 1)
-          end
-          else try_txn (i + 1)
-        in
-        let result = try_txn 0 in
-        if result = None then Hashtbl.replace memo key ();
-        result
-      end
+  let rec go depth =
+    depth = n
+    ||
+    if Memo.mem memo state then begin
+      incr memo_hits;
+      false
+    end
+    else begin
+      let mask = state.(0) in
+      let rec try_txn i =
+        i < n
+        &&
+        if mask land (1 lsl i) = 0 && can_place ctx state i then begin
+          incr branches;
+          let writes = ctx.txns.(i).writes in
+          Array.iteri
+            (fun j e ->
+              saved.((depth * k) + j) <- state.(1 + e);
+              state.(1 + e) <- i)
+            writes;
+          state.(0) <- mask lor (1 lsl i);
+          order.(depth) <- i;
+          go (depth + 1)
+          || begin
+               state.(0) <- mask;
+               Array.iteri
+                 (fun j e -> state.(1 + e) <- saved.((depth * k) + j))
+                 writes;
+               try_txn (i + 1)
+             end
+        end
+        else try_txn (i + 1)
+      in
+      let found = try_txn 0 in
+      if not found then Memo.replace memo (Array.copy state) ();
+      found
+    end
   in
   let result =
-    match go 0 0 [] with
-    | None -> None
-    | Some order -> Some (order, induced_version_fn ctx order)
+    if go 0 then
+      let order = Array.to_list order in
+      Some (order, induced_version_fn ctx order)
+    else None
   in
   (result, !branches, !memo_hits)
 

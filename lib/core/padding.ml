@@ -7,16 +7,30 @@ let original_txn i =
 
 let padded_txn i = i + 1
 
+(* Derived from [s]'s index: the head and tail walk the entity ids in
+   name order, the body keeps each step's id. *)
 let pad s =
-  let entities = Schedule.entities s in
   let n = Schedule.n_txns s in
-  let head = List.map (fun e -> Step.write 0 e) entities in
-  let tail = List.map (fun e -> Step.read (n + 1) e) entities in
-  let body =
-    Array.to_list (Schedule.steps s)
-    |> List.map (fun (st : Step.t) -> { st with txn = st.txn + 1 })
-  in
-  Schedule.of_steps ~n_txns:(n + 2) (head @ body @ tail)
+  let len = Schedule.length s in
+  let ids = Schedule.sorted_entity_ids s in
+  let k = Array.length ids in
+  let total = k + len + k in
+  let steps = Array.make total (Step.write 0 "") in
+  let old_ids = Array.make total 0 in
+  Array.iteri
+    (fun j e ->
+      let name = Schedule.entity_name s e in
+      steps.(j) <- Step.write 0 name;
+      old_ids.(j) <- e;
+      steps.(k + len + j) <- Step.read (n + 1) name;
+      old_ids.(k + len + j) <- e)
+    ids;
+  for p = 0 to len - 1 do
+    let st = Schedule.step s p in
+    steps.(k + p) <- { st with txn = st.txn + 1 };
+    old_ids.(k + p) <- Schedule.entity_at s p
+  done;
+  Schedule.derive s ~n_txns:(n + 2) steps old_ids
 
 let unpad s =
   let n = Schedule.n_txns s in

@@ -24,31 +24,11 @@ type index = {
 
 type t = { n_txns : int; steps : Step.t array; index : index }
 
-let index_of n_txns (steps : Step.t array) =
+(* The bucket, rank and transaction-position arrays, from the
+   position -> entity id map both builders below produce. *)
+let finish_index n_txns (steps : Step.t array) ent entity_names entity_tbl =
   let n = Array.length steps in
-  let entity_tbl = Hashtbl.create (max 8 (n / 2)) in
-  let rev_names = ref [] in
-  let n_entities = ref 0 in
-  let ent = Array.make n 0 in
-  for p = 0 to n - 1 do
-    let e = steps.(p).entity in
-    let id =
-      match Hashtbl.find_opt entity_tbl e with
-      | Some id -> id
-      | None ->
-          let id = !n_entities in
-          incr n_entities;
-          Hashtbl.replace entity_tbl e id;
-          rev_names := e :: !rev_names;
-          id
-    in
-    ent.(p) <- id
-  done;
-  let k = !n_entities in
-  let entity_names = Array.make k "" in
-  List.iteri
-    (fun i e -> entity_names.(k - 1 - i) <- e)
-    !rev_names;
+  let k = Array.length entity_names in
   let bucket_len = Array.make k 0 in
   for p = 0 to n - 1 do
     bucket_len.(ent.(p)) <- bucket_len.(ent.(p)) + 1
@@ -75,6 +55,33 @@ let index_of n_txns (steps : Step.t array) =
   done;
   { n_entities = k; entity_tbl; entity_names; ent; bucket; rank; txn_pos }
 
+let index_of n_txns (steps : Step.t array) =
+  let n = Array.length steps in
+  let entity_tbl = Hashtbl.create (max 8 (n / 2)) in
+  let rev_names = ref [] in
+  let n_entities = ref 0 in
+  let ent = Array.make n 0 in
+  for p = 0 to n - 1 do
+    let e = steps.(p).entity in
+    let id =
+      match Hashtbl.find_opt entity_tbl e with
+      | Some id -> id
+      | None ->
+          let id = !n_entities in
+          incr n_entities;
+          Hashtbl.replace entity_tbl e id;
+          rev_names := e :: !rev_names;
+          id
+    in
+    ent.(p) <- id
+  done;
+  let k = !n_entities in
+  let entity_names = Array.make k "" in
+  List.iteri
+    (fun i e -> entity_names.(k - 1 - i) <- e)
+    !rev_names;
+  finish_index n_txns steps ent entity_names entity_tbl
+
 (* Every construction site funnels here so the index always exists. The
    array is owned by the new schedule (not copied). *)
 let make n_txns steps = { n_txns; steps; index = index_of n_txns steps }
@@ -90,6 +97,42 @@ let of_steps ?n_txns steps =
         invalid_arg "Schedule.of_steps: transaction index out of range")
     steps;
   make n (Array.of_list steps)
+
+(* A derived schedule's steps all carry entities of its parent, so its
+   index renumbers the parent's ids (first appearance in the new order)
+   with an int array and hashes only the names of the new table. *)
+let derive parent ~n_txns steps old_ids =
+  let n = Array.length steps in
+  if Array.length old_ids <> n then
+    invalid_arg "Schedule.derive: one parent id per step";
+  Array.iter
+    (fun (st : Step.t) ->
+      if st.txn < 0 || st.txn >= n_txns then
+        invalid_arg "Schedule.derive: transaction index out of range")
+    steps;
+  let remap = Array.make parent.index.n_entities (-1) in
+  let k = ref 0 in
+  let ent =
+    Array.map
+      (fun old_e ->
+        if remap.(old_e) < 0 then begin
+          remap.(old_e) <- !k;
+          incr k
+        end;
+        remap.(old_e))
+      old_ids
+  in
+  let entity_names = Array.make !k "" in
+  let entity_tbl = Hashtbl.create (max 8 !k) in
+  Array.iteri
+    (fun old_e e ->
+      if e >= 0 then begin
+        entity_names.(e) <- parent.index.entity_names.(old_e);
+        Hashtbl.replace entity_tbl entity_names.(e) e
+      end)
+    remap;
+  let index = finish_index n_txns steps ent entity_names entity_tbl in
+  { n_txns; steps; index }
 
 let steps s = Array.copy s.steps
 let step s p = s.steps.(p)
@@ -163,13 +206,10 @@ let serial_order s =
 let is_permutation n order =
   List.sort Int.compare order = List.init n Fun.id
 
-(* A serialization's index is a pure permutation of the parent's: same
-   entities, buckets filled in the new order, transactions contiguous.
-   Building it from the parent's index is all int-array work — no string
-   hashing, no per-transaction lists — which matters because factorial
+(* A serialization is derived from its parent: no string hashing per
+   step and no per-transaction lists, which matters because factorial
    searches (FSR, the naive oracles) construct one serialization per
-   permutation. It is structurally identical to [make] over the
-   concatenated programs (qcheck-pinned). *)
+   permutation. *)
 let serialization s order =
   if not (is_permutation s.n_txns order) then
     invalid_arg "Schedule.serialization: not a permutation";
@@ -177,60 +217,18 @@ let serialization s order =
   if n = 0 then make s.n_txns [||]
   else begin
     let steps = Array.make n s.steps.(0) in
-    let old_pos = Array.make n 0 in
-    let txn_pos = Array.make s.n_txns [||] in
+    let old_ids = Array.make n 0 in
     let p = ref 0 in
     List.iter
       (fun i ->
-        let ps = s.index.txn_pos.(i) in
-        let len = Array.length ps in
-        txn_pos.(i) <- Array.init len (fun j -> !p + j);
         Array.iter
           (fun q ->
             steps.(!p) <- s.steps.(q);
-            old_pos.(!p) <- q;
+            old_ids.(!p) <- s.index.ent.(q);
             incr p)
-          ps)
+          s.index.txn_pos.(i))
       order;
-    let k = s.index.n_entities in
-    let remap = Array.make k (-1) in
-    let entity_names = Array.make k "" in
-    let entity_tbl = Hashtbl.create (max 8 k) in
-    let n_entities = ref 0 in
-    let ent = Array.make n 0 in
-    for q = 0 to n - 1 do
-      let old_e = s.index.ent.(old_pos.(q)) in
-      let id =
-        if remap.(old_e) >= 0 then remap.(old_e)
-        else begin
-          let id = !n_entities in
-          incr n_entities;
-          remap.(old_e) <- id;
-          entity_names.(id) <- s.index.entity_names.(old_e);
-          Hashtbl.replace entity_tbl entity_names.(id) id;
-          id
-        end
-      in
-      ent.(q) <- id
-    done;
-    let bucket_len = Array.make k 0 in
-    for q = 0 to n - 1 do
-      bucket_len.(ent.(q)) <- bucket_len.(ent.(q)) + 1
-    done;
-    let bucket = Array.init k (fun e -> Array.make bucket_len.(e) 0) in
-    let rank = Array.make n 0 in
-    let fill = Array.make k 0 in
-    for q = 0 to n - 1 do
-      let e = ent.(q) in
-      bucket.(e).(fill.(e)) <- q;
-      rank.(q) <- fill.(e);
-      fill.(e) <- fill.(e) + 1
-    done;
-    let index =
-      { n_entities = k; entity_tbl; entity_names; ent; bucket; rank;
-        txn_pos }
-    in
-    { n_txns = s.n_txns; steps; index }
+    derive s ~n_txns:s.n_txns steps old_ids
   end
 
 let append s (st : Step.t) =

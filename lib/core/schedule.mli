@@ -15,6 +15,19 @@ val of_steps : ?n_txns:int -> Step.t list -> t
     @raise Invalid_argument if a step's transaction is negative or
     [>= n_txns]. *)
 
+val derive : t -> n_txns:int -> Step.t array -> int array -> t
+(** [derive parent ~n_txns steps old_ids] is the schedule of [steps]
+    over [n_txns] transactions, for a schedule built from [parent]'s
+    entities (a padding, a serialization, a transform). [old_ids.(p)] is
+    the {e parent's} entity id of [steps.(p)]'s entity, and the step's
+    entity name must be [entity_name parent old_ids.(p)]. The result's
+    ids are its own, in first-appearance order, so its index is the one
+    {!of_steps} would build over the same steps; only the names of the
+    new entity table are hashed. [steps] is owned by the result (not
+    copied).
+    @raise Invalid_argument if [old_ids] and [steps] differ in length or
+    a step's transaction is negative or [>= n_txns]. *)
+
 val of_string : string -> t
 (** Parse the paper's linear notation, e.g. ["R1(x) W1(x) R2(y) W2(y)"].
     Transaction subscripts are 1-based in the notation ([R1] is transaction

@@ -253,7 +253,8 @@ let read_view t =
     (fun e -> (e, (Store.read_at t.store e t.ts).Store.value))
     (Store.entities t.store)
 
-let read t e = List.assoc_opt e (read_view t)
+let read t e =
+  Option.map (fun v -> v.Store.value) (Store.find_at t.store e t.ts)
 
 (* Certified reads: extend the recovered committed history with an
    observer transaction reading every entity at the snapshot timestamp,

@@ -81,7 +81,10 @@ val snapshot_ts : t -> int
 (** The lagging snapshot timestamp: largest applied write timestamp. *)
 
 val read : t -> string -> int option
-(** The entity's value at {!snapshot_ts}; [None] if never heard of. *)
+(** The entity's value at {!snapshot_ts}; [None] if never heard of.
+    Equal to [List.assoc_opt e (read_view t)], but one name lookup
+    ({!Mvcc_engine.Store.find_at}): the view is not built, and an absent
+    name is not interned. *)
 
 val read_view : t -> (string * int) list
 (** Every known entity's value at {!snapshot_ts}, sorted. *)

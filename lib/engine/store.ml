@@ -83,7 +83,8 @@ let newest c =
 let latest_id t id = newest (chain t id)
 let latest t e = latest_id t (intern t e)
 
-let read_at_id t id ts =
+(* the version of chain [c] with the largest wts <= ts *)
+let version_at c ts =
   let best = ref None in
   List.iter
     (fun v ->
@@ -91,11 +92,17 @@ let read_at_id t id ts =
         match !best with
         | Some b when b.wts >= v.wts -> ()
         | _ -> best := Some v)
-    (chain t id);
-  (* the initial version (wts 0) always qualifies for ts >= 0 *)
-  Option.get !best
+    c;
+  !best
 
+(* the initial version (wts 0) always qualifies for ts >= 0 *)
+let read_at_id t id ts = Option.get (version_at (chain t id) ts)
 let read_at t e ts = read_at_id t (intern t e) ts
+
+let find_at t e ts =
+  match Names.find_opt t.ids e with
+  | None -> None
+  | Some id -> ( match t.chains.(id) with [] -> None | c -> version_at c ts)
 
 let positive wts =
   if wts <= 0 then invalid_arg "Store.install: timestamp must be positive"

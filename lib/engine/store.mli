@@ -67,6 +67,11 @@ val read_at : t -> string -> int -> version
 
 val read_at_id : t -> int -> int -> version
 
+val find_at : t -> string -> int -> version option
+(** {!read_at} as a pure query: it neither interns [e] nor makes it
+    present. [None] when [e] was never interned, has no chain, or has
+    no version at or below [ts]. *)
+
 val install : t -> string -> value:int -> wts:int -> unit
 (** Commit a new version. Versions must be installed with strictly
     positive timestamps; a refused [wts <= 0] interns nothing.

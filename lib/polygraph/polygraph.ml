@@ -18,12 +18,14 @@ let make ~n ~arcs ~choices =
       check u;
       check v)
     arcs;
+  (* every node is in range by now, so a negative [n] has no arcs *)
+  let g = Digraph.of_edges (max n 0) arcs in
   List.iter
     (fun { j; k; i } ->
       check i;
       check j;
       check k;
-      if not (List.mem (i, j) arcs) then
+      if not (Digraph.mem_edge g i j) then
         invalid_arg "Polygraph.make: choice (j,k,i) without arc (i,j)")
     choices;
   { n; arcs; choices }

@@ -463,6 +463,250 @@ let prop_dmvsr_is_mvsr_without_blind_writes =
       QCheck2.assume (not (D.has_blind_writes s));
       D.test s = MS.test s)
 
+(* -- the MVSR search against the string-keyed one -- *)
+
+(* Oracle: the search as it was written with a decimal-string memo key
+   ("mask,w0,w1,..."), kept here to pin the int-array memo's search
+   order and counts. Same read analysis, same placement test, same
+   induced version function. *)
+module Mvsr_oracle = struct
+  type read = {
+    pos : int;
+    ent : int;
+    own_prev : int option;
+    pin : Version_fn.source option;
+  }
+
+  let search s pinned =
+    let n = Schedule.n_txns s in
+    let k = Schedule.n_entities s in
+    let wpos = Array.make_matrix n (max 1 k) [] in
+    let own_last = Array.make_matrix n (max 1 k) (-1) in
+    let reads = Array.make n [] and writes = Array.make n [] in
+    Array.iteri
+      (fun pos (st : Step.t) ->
+        let e = Schedule.entity_at s pos in
+        match st.action with
+        | Step.Write ->
+            own_last.(st.txn).(e) <- pos;
+            wpos.(st.txn).(e) <- wpos.(st.txn).(e) @ [ pos ];
+            if not (List.mem e writes.(st.txn)) then
+              writes.(st.txn) <- e :: writes.(st.txn)
+        | Step.Read ->
+            let own_prev =
+              if own_last.(st.txn).(e) >= 0 then Some own_last.(st.txn).(e)
+              else None
+            in
+            reads.(st.txn) <-
+              reads.(st.txn)
+              @ [ { pos; ent = e; own_prev; pin = Version_fn.get pinned pos } ])
+      (Schedule.steps s);
+    let txn_of q = (Schedule.step s q).txn in
+    let can_place lw i =
+      List.for_all
+        (fun r ->
+          match (r.pin, r.own_prev) with
+          | None, Some _ -> true
+          | None, None -> (
+              match lw.(r.ent) with
+              | -1 -> true
+              | j -> (
+                  match wpos.(j).(r.ent) with
+                  | p :: _ -> p < r.pos
+                  | [] -> false))
+          | Some Version_fn.Initial, _ -> r.own_prev = None && lw.(r.ent) = -1
+          | Some (Version_fn.From q), _ ->
+              if txn_of q = i then r.own_prev <> None
+              else r.own_prev = None && lw.(r.ent) = txn_of q)
+        reads.(i)
+    in
+    let state_key mask lw =
+      let buf = Buffer.create 16 in
+      Buffer.add_string buf (string_of_int mask);
+      Array.iter
+        (fun w ->
+          Buffer.add_char buf ',';
+          Buffer.add_string buf (string_of_int w))
+        lw;
+      Buffer.contents buf
+    in
+    let induced order =
+      let lw = Array.make k (-1) in
+      List.fold_left
+        (fun v i ->
+          let v =
+            List.fold_left
+              (fun v r ->
+                let src =
+                  match (r.pin, r.own_prev) with
+                  | Some p, _ -> p
+                  | None, Some q -> Version_fn.From q
+                  | None, None -> (
+                      match lw.(r.ent) with
+                      | -1 -> Version_fn.Initial
+                      | j ->
+                          Version_fn.From
+                            (List.fold_left
+                               (fun acc p -> if p < r.pos then p else acc)
+                               (-1) wpos.(j).(r.ent)))
+                in
+                Version_fn.add r.pos src v)
+              v reads.(i)
+          in
+          List.iter (fun e -> lw.(e) <- i) writes.(i);
+          v)
+        Version_fn.empty order
+    in
+    let memo = Hashtbl.create 256 in
+    let lw = Array.make k (-1) in
+    let branches = ref 0 and hits = ref 0 in
+    let rec go mask depth acc =
+      if depth = n then Some (List.rev acc)
+      else
+        let key = state_key mask lw in
+        if Hashtbl.mem memo key then begin
+          incr hits;
+          None
+        end
+        else begin
+          let rec try_txn i =
+            if i >= n then None
+            else if mask land (1 lsl i) = 0 && can_place lw i then begin
+              incr branches;
+              let saved = List.map (fun e -> (e, lw.(e))) writes.(i) in
+              List.iter (fun e -> lw.(e) <- i) writes.(i);
+              match go (mask lor (1 lsl i)) (depth + 1) (i :: acc) with
+              | Some order -> Some order
+              | None ->
+                  List.iter (fun (e, w) -> lw.(e) <- w) saved;
+                  try_txn (i + 1)
+            end
+            else try_txn (i + 1)
+          in
+          let r = try_txn 0 in
+          if r = None then Hashtbl.replace memo key ();
+          r
+        end
+    in
+    let result = Option.map (fun o -> (o, induced o)) (go 0 0 []) in
+    (result, !branches, !hits)
+end
+
+(* Up to 6 transactions over up to 3 entities, and a random legal
+   partial version function to pin. *)
+let gen_pinned_schedule =
+  QCheck2.Gen.(
+    let* seed = int_range 0 1_000_000
+    and* n_txns = int_range 1 6
+    and* n_entities = int_range 1 3 in
+    let rng = Random.State.make [| seed |] in
+    let s =
+      Mvcc_workload.Schedule_gen.schedule
+        { Mvcc_workload.Schedule_gen.default with
+          n_txns; n_entities; min_steps = 1; max_steps = 4 }
+        rng
+    in
+    let pinned =
+      List.fold_left
+        (fun v pos ->
+          if Step.is_read (Schedule.step s pos) && Random.State.bool rng
+          then
+            let cs = Version_fn.choices s pos in
+            Version_fn.add pos
+              (List.nth cs (Random.State.int rng (List.length cs)))
+              v
+          else v)
+        Version_fn.empty
+        (List.init (Schedule.length s) Fun.id)
+    in
+    return (s, pinned))
+
+let same_certificate a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (o1, v1), Some (o2, v2) -> o1 = o2 && Version_fn.equal v1 v2
+  | _ -> false
+
+let prop_mvsr_search_matches_string_keyed =
+  QCheck2.Test.make
+    ~name:"MVSR search = string-keyed oracle (witness, counts, pinned)"
+    ~count:300 gen_pinned_schedule (fun (s, pinned) ->
+      let cert, branches, hits = Mvsr_oracle.search s Version_fn.empty in
+      let same_decide =
+        match (MS.decide s, cert) with
+        | (true, { Mvcc_provenance.Witness.evidence =
+                     Accept_version_fn (order, v); _ }), Some _ ->
+            same_certificate (Some (order, v)) cert
+        | (false, { evidence = Reject_exhausted r; _ }), None ->
+            r.branches = branches && r.propagated = hits
+        | _ -> false
+      in
+      let pinned_cert, _, _ = Mvsr_oracle.search s pinned in
+      same_decide
+      && same_certificate (MS.certificate_pinned s ~pinned) pinned_cert)
+
+(* -- derived indexes against built ones -- *)
+
+(* Every field of the interned view, compared with the index
+   [Schedule.of_steps] builds over the same step list. *)
+let same_index derived =
+  let built =
+    Schedule.of_steps ~n_txns:(Schedule.n_txns derived)
+      (Array.to_list (Schedule.steps derived))
+  in
+  let k = Schedule.n_entities built in
+  let len = Schedule.length built in
+  let all f n = List.for_all f (List.init n Fun.id) in
+  Schedule.n_entities derived = k
+  && all
+       (fun e ->
+         let name = Schedule.entity_name built e in
+         Schedule.entity_name derived e = name
+         && Schedule.entity_index derived name = Some e
+         && Schedule.entity_bucket derived e = Schedule.entity_bucket built e)
+       k
+  && Schedule.entity_index derived "absent" = None
+  && all
+       (fun p ->
+         Schedule.entity_at derived p = Schedule.entity_at built p
+         && Schedule.entity_rank derived p = Schedule.entity_rank built p)
+       len
+  && all
+       (fun i ->
+         Schedule.txn_positions_arr derived i
+         = Schedule.txn_positions_arr built i)
+       (Schedule.n_txns built)
+
+(* The blind-write transform as it was written over step lists. *)
+let transform_oracle s =
+  let seen = Hashtbl.create 8 in
+  Schedule.of_steps ~n_txns:(Schedule.n_txns s)
+    (List.concat_map
+       (fun (st : Step.t) ->
+         let key = (st.txn, st.entity) in
+         let blind = Step.is_write st && not (Hashtbl.mem seen key) in
+         Hashtbl.replace seen key ();
+         if blind then [ Step.read st.txn st.entity; st ] else [ st ])
+       (Array.to_list (Schedule.steps s)))
+
+let prop_derived_indexes =
+  QCheck2.Test.make
+    ~name:"pad, transform, serialization: derived index = built index"
+    ~count:300
+    QCheck2.Gen.(pair gen_pinned_schedule (int_range 0 1_000_000))
+    (fun ((s, _), seed) ->
+      let rng = Random.State.make [| seed |] in
+      let order =
+        List.map snd
+          (List.sort compare
+             (List.init (Schedule.n_txns s) (fun i ->
+                  (Random.State.bits rng, i))))
+      in
+      same_index (Padding.pad s)
+      && same_index (D.transform s)
+      && same_index (Schedule.serialization s order)
+      && Schedule.equal (D.transform s) (transform_oracle s))
+
 let prop_vsr_subset_fsr =
   QCheck2.Test.make ~name:"VSR implies FSR (distinct accesses)" ~count:150
     gen_distinct (fun s -> (not (V.test s)) || Fsr.test s)
@@ -541,7 +785,11 @@ let () =
           Alcotest.test_case "examples" `Quick test_vsr_examples;
           Alcotest.test_case "polygraph shape" `Quick test_vsr_polygraph_structure;
         ] );
-      ("dmvsr", [ Alcotest.test_case "transform" `Quick test_dmvsr_transform ]);
+      ( "dmvsr",
+        [
+          Alcotest.test_case "transform" `Quick test_dmvsr_transform;
+          QCheck_alcotest.to_alcotest prop_derived_indexes;
+        ] );
       ( "fsr",
         [
           Alcotest.test_case "examples" `Quick test_fsr_examples;
@@ -585,6 +833,7 @@ let () =
           Alcotest.test_case "certificate" `Quick test_mvsr_certificate;
           Alcotest.test_case "pinned reads" `Quick test_mvsr_pinned;
           Alcotest.test_case "serializable with" `Quick test_serializable_with;
+          QCheck_alcotest.to_alcotest prop_mvsr_search_matches_string_keyed;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -1077,6 +1077,58 @@ let test_follower_catch_up_file_tails () =
     | exception Invalid_argument _ -> true);
   Sys.remove path
 
+(* [read] answers one lookup without building the view: on an intact
+   replica and on one degraded by a garbage line, it agrees with
+   [List.assoc_opt] over [read_view] for every entity and for a name
+   the log never mentions, and reading that name neither makes it
+   present nor interns it (a probe name interned afterwards gets the id
+   it gets on a twin replica that read nothing). *)
+let test_follower_read_by_id () =
+  let module S = Mvcc_engine.Store in
+  List.iter
+    (fun policy ->
+      let w = Wal.writer () in
+      let hook = Hook.create w in
+      let cfg = { Crash.default with policy; seed = 5 } in
+      let initial =
+        List.init cfg.Crash.entities (fun i -> (Printf.sprintf "e%d" i, 100))
+      in
+      ignore
+        (E.run ~policy ~initial ~programs:(Crash.workload cfg)
+           ~wal:(Hook.listener hook) ~seed:5 ());
+      let bytes = Wal.contents w in
+      let n = String.length bytes in
+      let cut = String.index_from bytes (n / 2) '\n' + 1 in
+      let agrees name make =
+        let f = make () in
+        let view = Follower.read_view f in
+        check (name ^ ": replica has entities") true (view <> []);
+        check (name ^ ": read = assoc of read_view") true
+          (List.for_all
+             (fun (e, _) -> Follower.read f e = List.assoc_opt e view)
+             view);
+        check (name ^ ": an absent name reads None") true
+          (Follower.read f "absent" = None
+          && List.assoc_opt "absent" view = None);
+        check (name ^ ": an absent read makes nothing present") true
+          (S.entities (Follower.store f) = List.map fst view);
+        check (name ^ ": an absent read interns nothing") true
+          (S.intern (Follower.store f) "probe"
+          = S.intern (Follower.store (make ())) "probe")
+      in
+      agrees "intact" (fun () ->
+          let f = Follower.create ~policy () in
+          ignore (Follower.catch_up f bytes);
+          f);
+      agrees "degraded" (fun () ->
+          let f = Follower.create ~policy () in
+          ignore (Follower.feed f (String.sub bytes 0 cut));
+          ignore (Follower.feed f "garbage\n");
+          ignore (Follower.feed f (String.sub bytes cut (n - cut)));
+          check "garbage line skipped" true (Follower.skips f > 0);
+          f))
+    E.all_policies
+
 let () =
   Alcotest.run "durable"
     [
@@ -1125,6 +1177,8 @@ let () =
             test_follower_takes_back_an_unterminated_record;
           Alcotest.test_case "catch_up_file reads the unread suffix" `Quick
             test_follower_catch_up_file_tails;
+          Alcotest.test_case "read by id = assoc of read_view" `Quick
+            test_follower_read_by_id;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
