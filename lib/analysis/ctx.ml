@@ -140,24 +140,6 @@ let mv_shortest_cycle_key : (int * int) list option key =
 let mv_shortest_cycle t =
   memo t mv_shortest_cycle_key (fun t -> Cycle.shortest_cycle (mv_graph t))
 
-let padded_key : Schedule.t key = key "padded"
-let padded t = memo t padded_key (fun t -> Padding.pad t.schedule)
-
-let padded_std_vf_key : Version_fn.t key = key "padded_std_vf"
-
-let padded_std_vf t =
-  memo t padded_std_vf_key (fun t -> Version_fn.standard (padded t))
-
-let standard_vf_key : Version_fn.t key = key "standard_vf"
-
-let standard_vf t =
-  memo t standard_vf_key (fun t -> Version_fn.standard t.schedule)
-
-let std_read_from_key : Read_from.triple list key = key "std_read_from"
-
-let std_read_from t =
-  memo t std_read_from_key (fun t -> Read_from.std_relation t.schedule)
-
 let final_writers_key : (string * Read_from.writer) list key =
   key "final_writers"
 
@@ -172,8 +154,7 @@ let live_read_froms t =
 let polygraph_key : Mvcc_polygraph.Polygraph.t key = key "polygraph"
 
 let polygraph t =
-  memo t polygraph_key (fun t ->
-      Vsr_polygraph.of_padded ~padded:(padded t) ~std:(padded_std_vf t))
+  memo t polygraph_key (fun t -> Vsr_polygraph.of_schedule t.schedule)
 
 let polygraph_solution_key : (Digraph.t option * Acyclicity.stats) key =
   key "polygraph_solution"

@@ -48,13 +48,6 @@ val mv_cycle : t -> int list option
 val conflict_shortest_cycle : t -> (int * int) list option
 val mv_shortest_cycle : t -> (int * int) list option
 
-val padded : t -> Mvcc_core.Schedule.t
-(** [Padding.pad] of the schedule. *)
-
-val standard_vf : t -> Mvcc_core.Version_fn.t
-val padded_std_vf : t -> Mvcc_core.Version_fn.t
-
-val std_read_from : t -> Mvcc_core.Read_from.triple list
 val final_writers : t -> (string * Mvcc_core.Read_from.writer) list
 
 val live_read_froms : t -> Mvcc_core.Read_from.triple list
@@ -62,8 +55,8 @@ val live_read_froms : t -> Mvcc_core.Read_from.triple list
     is the FSR signature. *)
 
 val polygraph : t -> Mvcc_polygraph.Polygraph.t
-(** The VSR polygraph of [6] over the padded schedule
-    ({!Vsr_polygraph}). *)
+(** The VSR polygraph of [6] ({!Vsr_polygraph.of_schedule}): built from
+    the schedule with virtual T0 and Tf, no padded schedule cached. *)
 
 val polygraph_solution :
   t -> Mvcc_graph.Digraph.t option * Mvcc_polygraph.Acyclicity.stats

@@ -14,4 +14,3 @@ let witness (module D : S) ctx = D.witness ctx
 let violation (module D : S) ctx = D.violation ctx
 let decide (module D : S) ctx = D.decide ctx
 let test_schedule d s = test d (Ctx.make s)
-let decide_schedule d s = decide d (Ctx.make s)

@@ -12,7 +12,11 @@ module type S = sig
   (** The class name as printed by the CLI ("CSR", "MVSR", ...). *)
 
   val test : Ctx.t -> bool
-  (** Class membership. *)
+  (** Class membership. [test] may answer from a containment the paper
+      proves (CSR ⊆ VSR, MVCSR ⊆ MVSR, ...) through classes already
+      cached in the context, skipping the class's own procedure;
+      [decide] and [witness] never do, so every certificate comes from
+      the full procedure. *)
 
   val witness : Ctx.t -> Mvcc_core.Schedule.t option
   (** An equivalent serial schedule, when membership holds and the
@@ -38,5 +42,3 @@ val decide : t -> Ctx.t -> bool * Mvcc_provenance.Witness.t
 
 val test_schedule : t -> Mvcc_core.Schedule.t -> bool
 (** [test] over a fresh single-use context. *)
-
-val decide_schedule : t -> Mvcc_core.Schedule.t -> bool * Mvcc_provenance.Witness.t

@@ -12,28 +12,21 @@ let compare_choice (c1 : Polygraph.choice) (c2 : Polygraph.choice) =
     let c = Int.compare c1.k c2.k in
     if c <> 0 then c else Int.compare c1.i c2.i
 
-(* Writers of each entity as padded transaction indices, indexed by the
-   padded schedule's own entity ids, in reverse first-write order; the
-   choices built from them are sorted before use. *)
-let writers_arr p =
-  let writers = Array.make (Schedule.n_entities p) [] in
-  for pos = 0 to Schedule.length p - 1 do
-    let st = Schedule.step p pos in
-    if Step.is_write st then begin
-      let e = Schedule.entity_at p pos in
-      if not (List.mem st.txn writers.(e)) then
-        writers.(e) <- st.txn :: writers.(e)
-    end
+(* The padding's T0 and Tf stay virtual: T0 is node 0, transaction [t]
+   node [t + 1], Tf node [n + 1]. [writers.(e)] holds every writer of
+   entity id [e], T0 included. One sweep then serves each read from
+   [last.(e)], the latest writer so far, as the padded schedule's
+   standard version function does; Tf finally reads every [last.(e)]. *)
+let of_schedule s =
+  let n = Schedule.n_txns s + 2 in
+  let k = Schedule.n_entities s in
+  let tf = n - 1 in
+  let writers = Array.make k [ 0 ] in
+  for pos = 0 to Schedule.length s - 1 do
+    let st = Schedule.step s pos and e = Schedule.entity_at s pos in
+    if Step.is_write st && not (List.mem (st.txn + 1) writers.(e)) then
+      writers.(e) <- (st.txn + 1) :: writers.(e)
   done;
-  writers
-
-(* One pass over the padded schedule by entity id: each read's writer
-   comes straight from [std], and its choices from the writers of the
-   read's entity id. *)
-let of_padded ~padded:p ~std =
-  let n = Schedule.n_txns p in
-  let k = Schedule.n_entities p in
-  let writers = writers_arr p in
   let arcs = ref [] in
   let choices = ref [] in
   (* Anchor the padding: T0 precedes everything, Tf follows everything —
@@ -43,7 +36,7 @@ let of_padded ~padded:p ~std =
     arcs := (0, t) :: !arcs
   done;
   for t = 0 to n - 2 do
-    arcs := (t, n - 1) :: !arcs
+    arcs := (t, tf) :: !arcs
   done;
   let add_read_from reader e writer =
     if reader <> writer then begin
@@ -59,27 +52,29 @@ let of_padded ~padded:p ~std =
      wrote the entity earlier in program order, can never be realized
      serially: in a serial schedule the own write interposes. Such a
      schedule is not VSR at all (in the one-access-per-entity model). *)
+  let last = Array.make k 0 in
   let own_write_before = Array.make (n * k) false in
   let unrealizable = ref false in
-  for pos = 0 to Schedule.length p - 1 do
-    let st = Schedule.step p pos in
-    let e = Schedule.entity_at p pos in
+  for pos = 0 to Schedule.length s - 1 do
+    let st = Schedule.step s pos in
+    let e = Schedule.entity_at s pos in
+    let t = st.txn + 1 in
     match st.action with
-    | Step.Write -> own_write_before.((st.txn * k) + e) <- true
-    | Step.Read -> (
-        match Version_fn.get std pos with
-        | Some (Version_fn.From q) ->
-            let writer = (Schedule.step p q).txn in
-            if writer <> st.txn && own_write_before.((st.txn * k) + e) then
-              unrealizable := true;
-            add_read_from st.txn e writer
-        | Some Version_fn.Initial -> add_read_from st.txn e 0
-        | None ->
-            invalid_arg "Vsr_polygraph.of_padded: version function not total")
+    | Step.Write ->
+        own_write_before.((t * k) + e) <- true;
+        last.(e) <- t
+    | Step.Read ->
+        let writer = last.(e) in
+        if writer <> t && own_write_before.((t * k) + e) then
+          unrealizable := true;
+        add_read_from t e writer
+  done;
+  for e = 0 to k - 1 do
+    add_read_from tf e last.(e)
   done;
   if !unrealizable then
-    (* trivially cyclic polygraph: the padded schedule always has >= 2
-       transactions (T0 and Tf) *)
+    (* trivially cyclic polygraph: there are always >= 2 nodes (T0 and
+       Tf) *)
     Polygraph.make ~n ~arcs:[ (0, 1); (1, 0) ] ~choices:[]
   else
     Polygraph.make ~n ~arcs:!arcs

@@ -61,7 +61,16 @@ let sub_ctx c =
 
 module Decider = struct
   let name = "DMVSR"
-  let test c = Mvsr.Decider.test (sub_ctx c)
+
+  (* The Rw arcs of [transform s] are exactly the Ww and Rw arcs of [s],
+     so MVCSR of the transform is the {Ww,Rw} test, and by Theorem 3 it
+     implies DMVSR; DMVSR ⊆ MVSR rejects the rest of the easy cases. The
+     search over the transform runs directly: its MVCG is the {Ww,Rw}
+     graph that was just found cyclic. *)
+  let test c =
+    Family.topo_ctx ~kinds:[ Family.Ww; Family.Rw ] c <> None
+    || (Mvsr.Decider.test c && Mvsr.certificate_ctx (sub_ctx c) <> None)
+
   let witness _ = None
   let violation _ = None
 
@@ -74,5 +83,5 @@ module Decider = struct
     (ok, { w with claim })
 end
 
-let test s = Decider.test (Ctx.make s)
+let test s = Mvsr.certificate (transform s) <> None
 let decide s = Decider.decide (Ctx.make s)

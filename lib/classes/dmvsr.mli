@@ -12,8 +12,12 @@ module Decider : Mvcc_analysis.Decider.S
     blind-write transform and the MVSR search over it run once per
     context; when the schedule has no blind writes the transform is the
     identity and the search is shared with the MVSR decider's cache.
-    [witness] and [violation] are [None] (the certificate's order and
-    version function live over the transformed schedule, not [s]). *)
+    [test] accepts when the {Ww,Rw} conflict graph is acyclic (that is
+    MVCSR of the transform, which implies DMVSR by Theorem 3) and rejects
+    a non-MVSR schedule (DMVSR ⊆ MVSR); only the rest are searched.
+    [decide] always searches. [witness] and [violation] are [None] (the
+    certificate's order and version function live over the transformed
+    schedule, not [s]). *)
 
 val transform : Mvcc_core.Schedule.t -> Mvcc_core.Schedule.t
 (** Insert [R_i(x)] immediately before every write [W_i(x)] whose
@@ -21,7 +25,8 @@ val transform : Mvcc_core.Schedule.t -> Mvcc_core.Schedule.t
     no blind write is returned as it is (physically). *)
 
 val test : Mvcc_core.Schedule.t -> bool
-(** [s] is DMVSR iff [transform s] is MVSR. *)
+(** [s] is DMVSR iff [transform s] is MVSR: the MVSR search over the
+    transform, with no containment shortcut. *)
 
 val has_blind_writes : Mvcc_core.Schedule.t -> bool
 (** Does any transaction write an entity it has not previously read? In

@@ -39,6 +39,12 @@ val witness :
 (** A serial schedule ordering the transactions by a topological sort of
     the [kinds]-conflict graph, if acyclic. *)
 
+val topo_ctx :
+  kinds:conflict_kind list -> Mvcc_analysis.Ctx.t -> int list option
+(** A topological order of the [kinds]-conflict graph ([None] iff
+    cyclic), cached per context and subset; {!decider} reads the same
+    cache. *)
+
 val decider : kinds:conflict_kind list -> Mvcc_analysis.Decider.t
 (** The [kinds]-conflict-serializability decider as a first-class
     {!Mvcc_analysis.Decider}: named ["K{WW,RW}"]-style, certified by a

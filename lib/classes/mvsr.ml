@@ -244,9 +244,9 @@ let certificate_ctx c =
 module Decider = struct
   let name = "MVSR"
 
-  let test c =
-    let r, _, _ = search_ctx c in
-    r <> None
+  (* Theorem 3 (MVCSR ⊆ MVSR): the search runs only when the MVCG is
+     cyclic. *)
+  let test c = Actx.mv_topo c <> None || certificate_ctx c <> None
 
   let witness c =
     Option.map

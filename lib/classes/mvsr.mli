@@ -22,15 +22,18 @@
 module Decider : Mvcc_analysis.Decider.S
 (** The MVSR decision procedures over a shared analysis context: the
     unpinned backtracking search runs once per context (memoized under a
-    context key) however many operations are called. [witness] is the
-    serialization of the certificate order; [violation] is [None]. *)
+    context key) however many operations are called. [test] accepts an
+    MVCSR schedule without searching (Theorem 3); [witness] and [decide]
+    always search. [witness] is the serialization of the certificate
+    order; [violation] is [None]. *)
 
 val certificate_ctx :
   Mvcc_analysis.Ctx.t -> (int list * Mvcc_core.Version_fn.t) option
 (** {!certificate} through the context's cached search. *)
 
 val test : Mvcc_core.Schedule.t -> bool
-(** Exact MVSR decision. Exponential in the number of transactions. *)
+(** Exact MVSR decision by the search alone. Exponential in the number
+    of transactions. *)
 
 val certificate :
   Mvcc_core.Schedule.t -> (int list * Mvcc_core.Version_fn.t) option

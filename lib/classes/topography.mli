@@ -16,17 +16,20 @@ type membership = {
 }
 
 val classify : Mvcc_core.Schedule.t -> membership
-(** Run every decision procedure. Exponential in the worst case (VSR and
+(** Every class's [Decider.test]. Exponential in the worst case (VSR and
     MVSR are NP-complete). *)
 
 val classify_ctx : Mvcc_analysis.Ctx.t -> membership
 (** {!classify} over a shared analysis context: all six memberships are
-    read off the context's caches (the DMVSR search reuses the MVSR one
-    when the schedule has no blind writes). *)
+    read off the context's caches. VSR, MVSR and DMVSR answer from the
+    paper's containments where they settle the verdict, so the search and
+    the polygraph run only for the schedules those leave open. *)
 
 val consistent : membership -> bool
 (** Do the memberships respect the provable containments: serial ⊆ CSR;
-    CSR ⊆ VSR ∩ MVCSR; VSR ∪ MVCSR ∪ DMVSR ⊆ MVSR; DMVSR ⊆ MVCSR? *)
+    CSR ⊆ VSR ∩ MVCSR; VSR ∪ MVCSR ∪ DMVSR ⊆ MVSR? {!classify} answers
+    from these containments, so to test them, build the membership from
+    the schedule-level [test] functions, which run the full procedures. *)
 
 type region =
   | Outside_mvsr  (** not even MVSR — example (1) *)

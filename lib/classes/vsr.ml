@@ -14,9 +14,15 @@ let unpad_order s order =
     (fun i -> if i = 0 || i = n + 1 then None else Some (i - 1))
     order
 
+let solved c = fst (Ctx.polygraph_solution c) <> None
+
 module Decider = struct
   let name = "VSR"
-  let test c = fst (Ctx.polygraph_solution c) <> None
+
+  (* CSR ⊆ VSR ⊆ MVSR: the polygraph is solved only for a schedule
+     that is MVSR but not CSR. *)
+  let test c =
+    Ctx.conflict_topo c <> None || (Mvsr.Decider.test c && solved c)
 
   let witness c =
     match fst (Ctx.polygraph_solution c) with
@@ -44,7 +50,7 @@ module Decider = struct
           } )
 end
 
-let test s = Decider.test (Ctx.make s)
+let test s = solved (Ctx.make s)
 let witness s = Decider.witness (Ctx.make s)
 let decide s = Decider.decide (Ctx.make s)
 

@@ -11,12 +11,15 @@ module Decider : Mvcc_analysis.Decider.S
 (** The VSR decision procedures over a shared analysis context: the
     polygraph is built and solved once per context ([Ctx.polygraph] /
     [Ctx.polygraph_solution]) however many operations are called.
-    [violation] is [None] — VSR rejections are certified by search
-    exhaustion, not a cycle. *)
+    [test] answers from CSR ⊆ VSR ⊆ MVSR when it can (a CSR schedule is
+    VSR, a non-MVSR one is not) and solves the polygraph only for the
+    rest; [witness] and [decide] always solve it. [violation] is [None]
+    — VSR rejections are certified by search exhaustion, not a cycle. *)
 
 val test : Mvcc_core.Schedule.t -> bool
 (** Decide VSR via the polygraph of the padded schedule
-    ({!polygraph_of}) — the construction of [6]. *)
+    ({!polygraph_of}) — the construction of [6] — with no containment
+    shortcut. *)
 
 val test_exact : Mvcc_core.Schedule.t -> bool
 (** Oracle: search all serializations for a view-equivalent one
@@ -27,11 +30,8 @@ val witness : Mvcc_core.Schedule.t -> Mvcc_core.Schedule.t option
     acyclic digraph of the polygraph). *)
 
 val polygraph_of : Mvcc_core.Schedule.t -> Mvcc_polygraph.Polygraph.t
-(** The polygraph of [6]: nodes are T0, the transactions, and Tf (padded
-    indices); an arc [writer -> reader] per READ-FROM pair of the padded
-    schedule, and per such pair a choice sending every other writer of the
-    entity before the writer or after the reader. The schedule is VSR iff
-    this polygraph is acyclic. *)
+(** The polygraph of [6] ([Mvcc_analysis.Vsr_polygraph.of_schedule]):
+    the schedule is VSR iff it is acyclic. *)
 
 val decide : Mvcc_core.Schedule.t -> bool * Mvcc_provenance.Witness.t
 (** The verdict of {!test} with a checkable certificate: a serialization

@@ -67,11 +67,15 @@ let test_report_single_construction () =
   checki "report reused the one polygraph solve" 1
     (Ctx.builds c "polygraph_solution")
 
-(* a blind-write-free schedule shares the MVSR search with DMVSR *)
+(* a blind-write-free schedule shares the MVSR search with DMVSR; the
+   fixture is MVSR but not MVCSR, so neither decider's containment
+   shortcut settles it and the search does run *)
 let test_dmvsr_shares_mvsr_search () =
-  let s = sched "R1(x) W1(x) R2(x) W2(x)" in
+  let s = sched "R2(x) W2(x) R3(x) W3(x) W2(x) R1(x)" in
   check "fixture has no blind writes" false
     (Mvcc_classes.Dmvsr.has_blind_writes s);
+  check "fixture is not MVCSR" false (Mvcc_classes.Mvcsr.test s);
+  check "fixture is MVSR" true (Mvcc_classes.Mvsr.test s);
   let c = Ctx.make s in
   ignore (Mvcc_classes.Mvsr.Decider.test c);
   ignore (Mvcc_classes.Dmvsr.Decider.test c);
@@ -144,6 +148,116 @@ let prop_report_of_ctx_matches_make =
           Option.map Schedule.to_string r.vsr.witness )
       in
       d a = d b)
+
+(* -- containment shortcuts: VSR, MVSR and DMVSR's [Decider.test] may
+   answer from a cheaper class; the schedule-level tests never do -- *)
+
+(* The census workload's shape: 5 transactions of 1-4 steps over 3
+   entities, with repeated accesses. *)
+let gen_census_schedule =
+  QCheck2.Gen.(
+    let* seed = int_range 0 1_000_000 in
+    let rng = Random.State.make [| seed |] in
+    return
+      (Mvcc_workload.Schedule_gen.schedule
+         { Mvcc_workload.Schedule_gen.default with
+           n_txns = 5; n_entities = 3; min_steps = 1; max_steps = 4 }
+         rng))
+
+(* Through [classify_ctx] on one shared context (the census's order), and
+   each decider alone on a fresh context (no other class cached). *)
+let shortcuts_agree s =
+  let full =
+    [ Mvcc_classes.Vsr.test s; Mvcc_classes.Mvsr.test s;
+      Mvcc_classes.Dmvsr.test s ]
+  in
+  let m = T.classify_ctx (Ctx.make s) in
+  let alone (module X : D.S) = X.test (Ctx.make s) in
+  [ m.T.vsr; m.T.mvsr; m.T.dmvsr ] = full
+  && [ alone (module Mvcc_classes.Vsr.Decider);
+       alone (module Mvcc_classes.Mvsr.Decider);
+       alone (module Mvcc_classes.Dmvsr.Decider) ]
+     = full
+
+let prop_shortcuts_match_full =
+  QCheck2.Test.make
+    ~name:"VSR, MVSR, DMVSR Decider.test = full procedure (census shape)"
+    ~count:1000 gen_census_schedule shortcuts_agree
+
+let test_shortcuts_universe () =
+  let checked = ref 0 in
+  Seq.iter
+    (fun s ->
+      incr checked;
+      check (Schedule.to_string s) true (shortcuts_agree s))
+    (Mvcc_workload.Enumerate.schedules ~n_txns:3 ~n_entities:1 ~max_steps:2
+       ());
+  check "universe was nontrivial" true (!checked > 1000)
+
+(* -- the VSR polygraph against the padded-schedule construction -- *)
+
+(* Oracle: the polygraph as it was built over a materialised padded
+   schedule and its standard version function. *)
+let polygraph_of_padded s =
+  let module Polygraph = Mvcc_polygraph.Polygraph in
+  let p = Padding.pad s in
+  let std = Version_fn.standard p in
+  let n = Schedule.n_txns p in
+  let k = Schedule.n_entities p in
+  let writers = Array.make k [] in
+  for pos = 0 to Schedule.length p - 1 do
+    let st = Schedule.step p pos in
+    if Step.is_write st then begin
+      let e = Schedule.entity_at p pos in
+      if not (List.mem st.txn writers.(e)) then
+        writers.(e) <- st.txn :: writers.(e)
+    end
+  done;
+  let arcs = ref [] in
+  let choices = ref [] in
+  for t = 1 to n - 1 do
+    arcs := (0, t) :: !arcs
+  done;
+  for t = 0 to n - 2 do
+    arcs := (t, n - 1) :: !arcs
+  done;
+  let add_read_from reader e writer =
+    if reader <> writer then begin
+      arcs := (writer, reader) :: !arcs;
+      List.iter
+        (fun k ->
+          if k <> writer && k <> reader then
+            choices := { Polygraph.j = reader; k; i = writer } :: !choices)
+        writers.(e)
+    end
+  in
+  let own_write_before = Array.make (n * k) false in
+  let unrealizable = ref false in
+  for pos = 0 to Schedule.length p - 1 do
+    let st = Schedule.step p pos in
+    let e = Schedule.entity_at p pos in
+    match st.action with
+    | Step.Write -> own_write_before.((st.txn * k) + e) <- true
+    | Step.Read -> (
+        match Version_fn.get std pos with
+        | Some (Version_fn.From q) ->
+            let writer = (Schedule.step p q).txn in
+            if writer <> st.txn && own_write_before.((st.txn * k) + e) then
+              unrealizable := true;
+            add_read_from st.txn e writer
+        | Some Version_fn.Initial -> add_read_from st.txn e 0
+        | None -> assert false)
+  done;
+  if !unrealizable then Polygraph.make ~n ~arcs:[ (0, 1); (1, 0) ] ~choices:[]
+  else Polygraph.make ~n ~arcs:!arcs ~choices:(List.sort_uniq compare !choices)
+
+let prop_polygraph_matches_padded =
+  QCheck2.Test.make
+    ~name:"VSR polygraph from the schedule = padded-schedule construction"
+    ~count:1000
+    QCheck2.Gen.(oneof [ gen_census_schedule; gen_schedule ])
+    (fun s ->
+      Mvcc_analysis.Vsr_polygraph.of_schedule s = polygraph_of_padded s)
 
 (* -- Pool determinism -- *)
 
@@ -238,6 +352,8 @@ let () =
           Alcotest.test_case "dmvsr shares mvsr search" `Quick
             test_dmvsr_shares_mvsr_search;
           Alcotest.test_case "context cache" `Quick test_ctx_cache;
+          Alcotest.test_case "shortcuts = full procedures, 3x1x2 universe"
+            `Quick test_shortcuts_universe;
         ] );
       ( "pool",
         [
@@ -256,6 +372,8 @@ let () =
             prop_decider_matches_seed_path;
             prop_family_deciders_certified;
             prop_report_of_ctx_matches_make;
+            prop_shortcuts_match_full;
+            prop_polygraph_matches_padded;
             prop_pool_map_equals_list_map;
             prop_hash_consistent_with_equal;
           ] );
