@@ -67,11 +67,11 @@ type wal_event = Event.t =
   | Wal_abort of { txn : int; reason : Event.reason }
   | Wal_checkpoint of { store : Store.t; commits : int }
 
-(* newest binding per entity wins; the buffer is newest-first *)
-let final_bindings buffer =
+(* newest write per entity wins; the buffer is newest-first *)
+let final_writes buffer =
   List.fold_left
-    (fun acc b ->
-      if List.exists (fun b' -> b'.eid = b.eid) acc then acc else b :: acc)
+    (fun acc w ->
+      if List.exists (fun w' -> w'.w_eid = w.w_eid) acc then acc else w :: acc)
     [] buffer
 
 (* The driver: intake, the serial tick loop asking the policy for every
@@ -245,11 +245,23 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
     Sink.span_event obs ~parent:c.sp_attempt "op" ~attrs:(fun () ->
         [ ("txn", J.Int c.id); ("entity", J.Str e); ("write", J.Bool write) ])
   in
+  (* an attempt's buffered writes whose value nothing asked for: read
+     back by none, and overwritten before its commit or dropped by its
+     abort *)
+  let count_unevaluated c =
+    if Sink.enabled obs then begin
+      let n =
+        List.fold_left (fun n w -> if w.forced then n else n + 1) 0 c.buffer
+      in
+      if n > 0 then Sink.incr obs ~by:n "engine.writes.unevaluated"
+    end
+  in
   (* Abort the attempt and restart it: the policy drops its footprint
      first, and afterwards aborts whoever depended on it (SGT's
      cascade). *)
   let abort ~reason c =
     P.finish st c ~committed:false;
+    count_unevaluated c;
     incr aborts;
     attempts.(c.id) <- attempts.(c.id) + 1;
     Sink.incr obs "engine.aborts";
@@ -279,20 +291,20 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
   (* Serve a read: the own write buffer, else the version (or dirty
      write) the policy finds to answer it. *)
   let read_value c id =
-    match List.find_opt (fun b -> b.eid = id) c.buffer with
-    | Some b ->
+    match List.find_opt (fun w -> w.w_eid = id) c.buffer with
+    | Some w ->
         last_src_kind := 0;
-        b.value
+        force w
     | None -> (
         match P.serve st c id with
         | Version v ->
             last_src_kind := 1;
             last_src_arg := v.Store.wts;
             v.Store.value
-        | Dirty { writer; value } ->
+        | Dirty { writer; write } ->
             last_src_kind := 2;
             last_src_arg := writer;
-            value)
+            force write)
   in
   let rw_commits = ref 0 in
   let record_commit c =
@@ -312,10 +324,11 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
     if Option.is_some wal_durable then
       Queue.push (c.id, !ticks) commit_ticks
   in
-  let install_for c { entity; eid; value } ~wts =
+  let install_for c w ~wts =
+    let entity = w.w_entity and value = force w in
     (* write-ahead: the install record precedes the store mutation *)
     wal_emit (fun () -> Wal_install { txn = c.id; entity; value; wts });
-    Store.install_id store eid ~value ~wts;
+    Store.install_id store w.w_eid ~value ~wts;
     set_writer wts c.id;
     Sink.span_event obs ~parent:c.sp_attempt "install" ~attrs:(fun () ->
         [ ("txn", J.Int c.id); ("entity", J.Str entity); ("wts", J.Int wts) ])
@@ -397,12 +410,13 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
     | Policy.Go ->
         let stamp = P.stamp st c in
         List.iter
-          (fun b ->
+          (fun w ->
             let wts =
               match stamp with Fresh_each -> fresh_ts () | At ts -> ts
             in
-            install_for c b ~wts)
-          (final_bindings c.buffer);
+            install_for c w ~wts)
+          (final_writes c.buffer);
+        count_unevaluated c;
         P.finish st c ~committed:true;
         c.status <- Committed;
         record_commit c
@@ -421,10 +435,6 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
   let advance c =
     c.pc <- c.pc + 1;
     c.status <- Ready
-  in
-  (* a [Reg] names an entity; its value is the newest read of it *)
-  let register c r =
-    (List.find (fun b -> String.equal b.entity r) c.regs).value
   in
   let refuse c e = function
     | Policy.Wait -> delay c e
@@ -450,9 +460,19 @@ let run ~policy ~initial ~programs ?(max_ticks = 1_000_000) ?(gc = false)
           match P.write st c id with
           | Go ->
               record_op c e ~write:true;
-              let value = Program.eval (register c) expr in
-              c.buffer <- { entity = e; eid = id; value } :: c.buffer;
-              P.wrote st c id value;
+              (* the value waits for its first use ({!Intake.force}) *)
+              let w =
+                {
+                  w_entity = e;
+                  w_eid = id;
+                  expr;
+                  regs_at = c.regs;
+                  forced = false;
+                  w_value = 0;
+                }
+              in
+              c.buffer <- w :: c.buffer;
+              P.wrote st c id w;
               advance c
           | v -> refuse c e v)
   in

@@ -153,12 +153,17 @@ val run :
     writes are discarded, so committed state and invariants must survive
     arbitrary mid-flight failures. [deadlock] (default {!Detect}) selects
     how S2PL resolves lock conflicts; the other policies ignore it.
+    A write's value is computed on its first use (a read-back, an SGT
+    dirty read, or the install), over the registers as they stood at
+    the write, so an attempt that aborts first never evaluates it.
 
     [obs] (default {!Mvcc_obs.Sink.noop}) streams accounting into the
     observability layer without ever changing a decision (a tested
     invariant): counters [engine.commits], [engine.aborts] plus
     [engine.abort.<reason>] per {!Event.reason},
-    [engine.delays] (transitions into a wait), [engine.commit-waits]
+    [engine.delays] (transitions into a wait),
+    [engine.writes.unevaluated] (buffered writes whose value nothing
+    asked for before their attempt ended), [engine.commit-waits]
     (SGT commits parked on a dirty predecessor), and under SGT the
     certifier's cost ([engine.cert.arcs], [engine.cert.reorder-moves],
     [engine.cert.rollbacks], [engine.cert.rollback-arcs], feed latency
@@ -212,4 +217,7 @@ val run :
     commits on the spot, never blocking, aborting, or entering the
     certification graph. Served reads are reported in
     [result.ro_reads]. The fast path changes scheduling, so a run with
-    it is compared only to another run with it. *)
+    it is compared only to another run with it.
+
+    @raise Invalid_argument
+      if a write names a register its program does not read before it. *)

@@ -16,9 +16,31 @@
 type status = Ready | Waiting of string | Backoff of int | Committed
 
 type binding = { entity : string; eid : int; value : int }
-(** A value read ([regs]) or buffered for writing ([buffer]) for one
-    entity, with the entity's store id — the attempt's footprint, so a
-    policy dropping it indexes [eid] and never re-interns [entity]. *)
+(** A value read ([regs]) for one entity, with the entity's store id —
+    part of the attempt's footprint, so a policy dropping it indexes
+    [eid] and never re-interns [entity]. *)
+
+type write = {
+  w_entity : string;
+  w_eid : int;  (** the store id of [w_entity] *)
+  expr : Program.expr;
+  regs_at : binding list;
+      (** the attempt's registers as they stood at the write (the
+          immutable [regs] list, shared) *)
+  mutable forced : bool;
+  mutable w_value : int;  (** the value, once [forced] *)
+}
+(** A buffered write. The reads before it fix its value, but the value
+    is computed only when something asks for it ({!force}): the
+    attempt's own read-back, an SGT dirty read, or the install at
+    commit. An attempt that aborts first never runs the write's
+    transaction logic, and a write overwritten before commit only when
+    read back. *)
+
+val force : write -> int
+(** The write's value: [expr] evaluated over [regs_at] on the first
+    call, the kept result after. The engine's one caller of
+    {!Program.eval}. *)
 
 type client = {
   id : int;
@@ -27,7 +49,7 @@ type client = {
   ids : int array;  (** [ids.(i)] is the store id of [ops.(i)]'s entity *)
   mutable pc : int;
   mutable regs : binding list;  (** newest first *)
-  mutable buffer : binding list;  (** newest first *)
+  mutable buffer : write list;  (** newest first *)
   mutable ts : int;
   mutable snapshot : int;
   mutable status : status;
@@ -48,4 +70,8 @@ val admit :
     operation's entity resolved through [intern] (in program order, then
     operation order), one begin timestamp each (drawn from [fresh_ts],
     in id order), [txn]/[attempt] spans opened, and [wal_begin] called
-    per client. *)
+    per client.
+    @raise Invalid_argument
+      if a write's expression names a [Reg r] its program does not read
+      before that write (checked for every program before any other
+      work). *)

@@ -134,7 +134,7 @@ struct
         t.readers.(eid) <- List.filter (( <> ) c.id) t.readers.(eid))
       c.regs;
     List.iter
-      (fun b -> if t.writer.(b.eid) = c.id then t.writer.(b.eid) <- -1)
+      (fun w -> if t.writer.(w.w_eid) = c.id then t.writer.(w.w_eid) <- -1)
       c.buffer
 
   (* a snapshot read may not pass an executed (write-locked) write *)
@@ -185,8 +185,8 @@ module To = struct
 
   let finish t c ~committed:_ =
     List.iter
-      (fun { eid; _ } ->
-        t.pending.(eid) <- List.filter (( <> ) c.ts) t.pending.(eid))
+      (fun { w_eid; _ } ->
+        t.pending.(w_eid) <- List.filter (( <> ) c.ts) t.pending.(w_eid))
       c.buffer
 
   (* the snapshot timestamp is fresher than every reservation, so this
@@ -220,7 +220,7 @@ module Mvto = struct
     Version v
 
   let validate ctx c =
-    if List.exists (fun b -> invalidates ctx c b.eid) c.buffer then
+    if List.exists (fun w -> invalidates ctx c w.w_eid) c.buffer then
       Abort Event.Write_invalidated
     else Go
 
@@ -247,7 +247,7 @@ module Si = struct
   (* a version of a written entity committed after our snapshot means a
      concurrent writer beat us *)
   let validate ctx c =
-    let beaten b = (Store.latest_id ctx.store b.eid).Store.wts > c.snapshot in
+    let beaten w = (Store.latest_id ctx.store w.w_eid).Store.wts > c.snapshot in
     if List.exists beaten c.buffer then Abort Event.First_committer
     else Go
 
@@ -271,8 +271,8 @@ module Sgt = struct
   type t = {
     ctx : ctx;
     cert : Certifier.t;
-    dirty : (int * int) list array;
-        (** per entity: uncommitted (writer, value) pairs, newest first *)
+    dirty : (int * write) list array;
+        (** per entity: uncommitted (writer, write) pairs, newest first *)
     deps : int list array;
         (** per client: uncommitted transactions whose dirty data it
             consumed or overwrote — their commit must precede its own,
@@ -306,16 +306,16 @@ module Sgt = struct
   (* reading another transaction's dirty write makes us depend on it *)
   let serve t c id =
     match t.dirty.(id) with
-    | (w, v) :: _ ->
+    | (w, write) :: _ ->
         depend t c w;
-        Dirty { writer = w; value = v }
+        Dirty { writer = w; write }
     | [] -> latest t.ctx id
 
   (* overwriting an uncommitted write orders our commit after the
      earlier writer's (ww arc), via the same dependency set *)
-  let wrote t c id v =
+  let wrote t c id write =
     List.iter (fun (w, _) -> depend t c w) t.dirty.(id);
-    t.dirty.(id) <- (c.id, v) :: others c t.dirty.(id)
+    t.dirty.(id) <- (c.id, write) :: others c t.dirty.(id)
 
   (* commit-wait: every dirty predecessor must commit first, so installs
      land in serialization order and no committed transaction ever read
@@ -327,11 +327,13 @@ module Sgt = struct
     if List.exists active t.deps.(c.id) then Wait else Go
 
   let finish t c ~committed =
-    List.iter (fun b -> t.dirty.(b.eid) <- others c t.dirty.(b.eid)) c.buffer;
+    List.iter
+      (fun w -> t.dirty.(w.w_eid) <- others c t.dirty.(w.w_eid))
+      c.buffer;
     if not committed then
       Certifier.forget_txn t.cert c.id ~footprint:(fun f ->
           List.iter (fun b -> f b.eid) c.regs;
-          List.iter (fun b -> f b.eid) c.buffer);
+          List.iter (fun w -> f w.w_eid) c.buffer);
     t.deps.(c.id) <- []
 
   (* terminates: each round clears a victim's dependencies *)

@@ -22,8 +22,9 @@ type verdict =
 
 type source =
   | Version of Store.version
-  | Dirty of { writer : int; value : int }
-      (** an uncommitted write (SGT): its writer and buffered value *)
+  | Dirty of { writer : int; write : Intake.write }
+      (** an uncommitted write (SGT): its writer and the buffered write,
+          whose value the reader forces *)
 
 type stamp = Fresh_each | At of int  (** timestamps of a commit's installs *)
 
@@ -43,8 +44,9 @@ module type S = sig
   val serve : t -> Intake.client -> int -> source
   (** The version for an admitted read the own write buffer misses. *)
 
-  val wrote : t -> Intake.client -> int -> int -> unit
-  (** An admitted write was buffered with this value. *)
+  val wrote : t -> Intake.client -> int -> Intake.write -> unit
+  (** An admitted write of the entity with this store id was buffered.
+      Its value is not yet computed; no decision may depend on it. *)
 
   val validate : t -> Intake.client -> verdict
   (** Commit validation; [Wait] is a commit-wait. *)

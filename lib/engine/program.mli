@@ -23,8 +23,10 @@ type op = Read of string | Write of string * expr
 type t = { label : string; ops : op list }
 
 val eval : (string -> int) -> expr -> int
-(** Evaluate an expression given the transaction's register file.
-    @raise Invalid_argument on a [Reg] the transaction has not read. *)
+(** Evaluate an expression given the transaction's register file; a
+    [Reg] the file lacks raises whatever the file raises. The engine
+    admits no program whose write names a register not read before it
+    (see {!Intake.admit}). *)
 
 val transfer : label:string -> from_:string -> to_:string -> int -> t
 (** Read both accounts, move [amount] between them. *)

@@ -19,9 +19,10 @@ val mixed :
     0.5). A read-only program reads [reads_per_txn] (default 4) distinct
     entities; a read-write program read-modify-writes [writes_per_txn]
     (default 2) distinct entities, each write a [Mix]-hardened increment
-    ([mix_rounds], default 64 — the deliberate CPU weight the execution
-    stage takes off the decision loop). Entity choice is Zipfian with
-    skew [theta] (default 0.8; 0 = uniform), so contention concentrates
-    on hot entities. Deterministic for a given seed.
+    ([mix_rounds], default 64 — the transaction logic's deliberate CPU
+    weight, paid when the engine first uses the write's value). Entity
+    choice is Zipfian with skew [theta] (default 0.8; 0 = uniform), so
+    contention concentrates on hot entities. Deterministic for a given
+    seed.
     @raise Invalid_argument
       if [n_entities <= 0] or [read_fraction] is outside [0, 1]. *)

@@ -1226,6 +1226,263 @@ let prop_ids_carry_no_meaning =
       in
       run initial = run (List.rev initial))
 
+(* -- write values computed on first use -- *)
+
+(* A register a write names must be read before the write: the write's
+   value is computed later, over the registers it saw. *)
+let test_admission_rejects_unread_registers () =
+  let run ops =
+    E.run ~policy:E.Mvto ~initial ~programs:[ { P.label = "p"; ops } ]
+      ~seed:1 ()
+  in
+  let rejects label ops =
+    check (label ^ " rejected") true
+      (try
+         ignore (run ops);
+         false
+       with Invalid_argument _ -> true)
+  in
+  rejects "never read"
+    [ P.Read "a0"; P.Write ("a1", P.Add (P.Reg "a2", P.Const 1)) ];
+  rejects "read after the write"
+    [ P.Write ("a1", P.Mix (2, P.Reg "a0")); P.Read "a0" ];
+  rejects "only written"
+    [ P.Write ("a0", P.Const 1); P.Write ("a1", P.Reg "a0") ];
+  let r = run [ P.Read "a0"; P.Write ("a1", P.Sub (P.Reg "a0", P.Const 1)) ] in
+  check_int "a program reading first commits" 1 r.E.stats.E.commits;
+  check_int "with its value" 99 (List.assoc "a1" r.E.final_state)
+
+let unevaluated metrics = Metrics.counter metrics "engine.writes.unevaluated"
+
+let test_overwritten_write_unevaluated () =
+  let programs =
+    [
+      {
+        P.label = "twice";
+        ops = [ P.Write ("x", P.Const 1); P.Write ("x", P.Const 2) ];
+      };
+    ]
+  in
+  List.iter
+    (fun policy ->
+      let r, metrics, _ = instrumented ~policy ~programs 1 in
+      let name = E.policy_name policy in
+      check_int (name ^ ": commits") 1 r.E.stats.E.commits;
+      check_int (name ^ ": the newer write installs") 2
+        (List.assoc "x" r.E.final_state);
+      check_int (name ^ ": the overwritten write is never evaluated") 1
+        (unevaluated metrics))
+    E.all_policies
+
+(* Random programs over four entities: each write's expression names
+   only registers read before it (the admission rule), entities may be
+   written twice and read back. Every run also carries a program that
+   reads [e0], writes [e1] from that register, overwrites [e0] and reads
+   it back: evaluating [e1] over the registers at commit, not at the
+   write, would install the overwrite's value. *)
+let value_entities = [ "e0"; "e1"; "e2"; "e3" ]
+let value_initial = List.mapi (fun k e -> (e, 10 * (k + 1))) value_entities
+
+let gen_value_program label =
+  QCheck2.Gen.(
+    let rec ops read n =
+      if n = 0 then return []
+      else
+        let* e = oneofl value_entities in
+        let* kind = int_range 0 2 in
+        let* c = int_range 0 9 in
+        let* r = if read = [] then return "" else oneofl read in
+        let* shape = int_range 0 3 in
+        let op =
+          if kind = 0 then P.Read e
+          else if read = [] || shape = 0 then P.Write (e, P.Const c)
+          else
+            P.Write
+              ( e,
+                match shape with
+                | 1 -> P.Reg r
+                | 2 -> P.Add (P.Reg r, P.Const c)
+                | _ -> P.Mix (2, P.Sub (P.Reg r, P.Const c)) )
+        in
+        let read = if kind = 0 then e :: read else read in
+        let+ rest = ops read (n - 1) in
+        op :: rest
+    in
+    let* n = int_range 1 6 in
+    let+ ops = ops [] n in
+    { P.label; ops })
+
+let overwrite_after_dependent =
+  {
+    P.label = "overwrite";
+    ops =
+      [
+        P.Read "e0";
+        P.Write ("e1", P.Reg "e0");
+        P.Write ("e0", P.Const 7919);
+        P.Read "e0";
+      ];
+  }
+
+let gen_value_run =
+  QCheck2.Gen.(
+    let* seed = int_range 0 100_000 in
+    let* policy = oneofl E.all_policies in
+    let* ro_snapshot = bool in
+    let* gc = bool in
+    let* crash = oneofl [ 0.; 0.05 ] in
+    let* n = int_range 1 8 in
+    let+ programs =
+      flatten_l
+        (List.init n (fun i -> gen_value_program (Printf.sprintf "g%d" i)))
+    in
+    ( seed,
+      policy,
+      ro_snapshot,
+      gc,
+      crash,
+      programs @ [ overwrite_after_dependent ] ))
+
+let print_value_run (seed, policy, ro_snapshot, gc, crash, programs) =
+  let rec expr = function
+    | P.Const n -> string_of_int n
+    | P.Reg r -> r
+    | P.Add (a, b) -> Printf.sprintf "(%s+%s)" (expr a) (expr b)
+    | P.Sub (a, b) -> Printf.sprintf "(%s-%s)" (expr a) (expr b)
+    | P.Mix (k, e) -> Printf.sprintf "mix%d%s" k (expr e)
+  in
+  let op = function
+    | P.Read e -> "R " ^ e
+    | P.Write (e, x) -> Printf.sprintf "W(%s,%s)" e (expr x)
+  in
+  Printf.sprintf "seed=%d policy=%s ro_snapshot=%b gc=%b crash=%g\n%s" seed
+    (E.policy_name policy) ro_snapshot gc crash
+    (String.concat "\n"
+       (List.map (fun p -> String.concat "; " (List.map op p.P.ops)) programs))
+
+let value_run (seed, policy, ro_snapshot, gc, crash, programs) =
+  let events = ref [] in
+  let metrics = Metrics.create () in
+  let r =
+    E.run ~policy ~initial:value_initial ~programs ~gc
+      ~crash_probability:crash ~ro_snapshot ~obs:(Sink.create ~metrics ())
+      ~wal:(fun ev -> events := ev :: !events)
+      ~seed ()
+  in
+  (r, metrics, List.rev !events)
+
+(* Every committed attempt's installs, recomputed from the event stream:
+   each read takes its value from its logged source — the initial
+   state, the source transaction's install of that entity, or the
+   attempt's own newest write of it — and each write evaluates its
+   expression over the registers as they stood at the write. *)
+let prop_installs_follow_programs =
+  QCheck2.Test.make ~name:"installed values follow the programs" ~count:300
+    ~print:print_value_run gen_value_run
+    (fun ((_, _, _, _, _, programs) as run) ->
+      let r, _, events = value_run run in
+      let n = List.length programs in
+      (* per transaction, the current attempt's read sources (newest
+         first) and installs; the committed attempt's once it commits *)
+      let srcs = Array.make n [] and installs = Array.make n [] in
+      let committed = Array.make n None in
+      List.iter
+        (function
+          | E.Wal_begin { txn; _ } ->
+              srcs.(txn) <- [];
+              installs.(txn) <- []
+          | E.Wal_op { txn; src = Some src; _ } ->
+              srcs.(txn) <- src :: srcs.(txn)
+          | E.Wal_install { txn; entity; value; _ } ->
+              installs.(txn) <- (entity, value) :: installs.(txn)
+          | E.Wal_commit { txn } ->
+              committed.(txn) <- Some (List.rev srcs.(txn), installs.(txn))
+          | _ -> ())
+        events;
+      let install_of t e =
+        match committed.(t) with
+        | Some (_, ins) -> List.assoc e ins
+        | None -> Alcotest.failf "a read from uncommitted T%d" t
+      in
+      let follows txn (p : P.t) =
+        match committed.(txn) with
+        | None -> Alcotest.failf "T%d did not commit" txn
+        | Some (srcs, ins) ->
+            let read (regs, own, srcs) e =
+              let v =
+                match srcs with
+                | E.From_init :: _ -> List.assoc e value_initial
+                | E.From_self :: _ -> List.assoc e own
+                | E.From_txn t :: _ -> install_of t e
+                | [] -> Alcotest.failf "T%d: a read without a source" txn
+              in
+              ((e, v) :: regs, own, List.tl srcs)
+            in
+            let write (regs, own, srcs) e x =
+              let v = P.eval (fun r -> List.assoc r regs) x in
+              (regs, (e, v) :: List.remove_assoc e own, srcs)
+            in
+            let _, own, rest =
+              List.fold_left
+                (fun acc -> function
+                  | P.Read e -> read acc e | P.Write (e, x) -> write acc e x)
+                ([], [], srcs) p.P.ops
+            in
+            rest = [] && List.sort compare own = List.sort compare ins
+      in
+      r.E.stats.E.commits = n
+      && List.for_all Fun.id (List.mapi follows programs))
+
+(* On a drained run every attempt ended, and each buffered write was
+   either evaluated or counted in [engine.writes.unevaluated]. A write
+   is evaluated when its attempt reads it back, when another
+   transaction reads it dirty (the writer has not committed), or when
+   its install is logged; the evaluations are counted from the event
+   stream alone. *)
+let prop_unevaluated_counts_the_rest =
+  QCheck2.Test.make ~name:"writes - unevaluated = evaluations" ~count:300
+    ~print:print_value_run gen_value_run
+    (fun ((_, _, _, _, _, programs) as run) ->
+      let r, metrics, events = value_run run in
+      let n = List.length programs in
+      (* per transaction: the attempt's newest write (its index) per
+         entity, its evaluated write indices and its write count *)
+      let newest = Array.make n [] and forced = Array.make n [] in
+      let count = Array.make n 0 and committed = Array.make n false in
+      let evaluations = ref 0 in
+      let force t e =
+        match List.assoc_opt e newest.(t) with
+        | Some k when not (List.mem k forced.(t)) ->
+            forced.(t) <- k :: forced.(t)
+        | _ -> ()
+      in
+      let close t =
+        evaluations := !evaluations + List.length forced.(t);
+        newest.(t) <- [];
+        forced.(t) <- [];
+        count.(t) <- 0
+      in
+      List.iter
+        (function
+          | E.Wal_op { txn; entity; write = true; _ } ->
+              newest.(txn) <-
+                (entity, count.(txn)) :: List.remove_assoc entity newest.(txn);
+              count.(txn) <- count.(txn) + 1
+          | E.Wal_op { txn; entity; src = Some E.From_self; _ } ->
+              force txn entity
+          | E.Wal_op { entity; src = Some (E.From_txn t); _ }
+            when not committed.(t) ->
+              force t entity
+          | E.Wal_install { txn; entity; _ } -> force txn entity
+          | E.Wal_commit { txn } ->
+              committed.(txn) <- true;
+              close txn
+          | E.Wal_abort { txn; _ } -> close txn
+          | _ -> ())
+        events;
+      r.E.stats.E.commits = n
+      && r.E.stats.E.writes - unevaluated metrics = !evaluations)
+
 let test_policy_names () =
   List.iter
     (fun p ->
@@ -1280,6 +1537,8 @@ let () =
           Alcotest.test_case "policy names" `Quick test_policy_names;
           Alcotest.test_case "empty runnable set" `Quick
             test_empty_runnable_set;
+          Alcotest.test_case "admission rejects unread registers" `Quick
+            test_admission_rejects_unread_registers;
         ] );
       ( "observability",
         [
@@ -1291,6 +1550,8 @@ let () =
             test_abort_reason_counters;
           Alcotest.test_case "spans reconcile under every policy" `Quick
             test_spans_reconcile_all_policies;
+          Alcotest.test_case "an overwritten write is never evaluated" `Quick
+            test_overwritten_write_unevaluated;
         ] );
       ( "golden",
         [ Alcotest.test_case "engine grid" `Quick test_engine_grid ] );
@@ -1303,5 +1564,7 @@ let () =
             prop_sgt_matches_batch_conflict_graph;
             prop_store_model;
             prop_ids_carry_no_meaning;
+            prop_installs_follow_programs;
+            prop_unevaluated_counts_the_rest;
           ] );
     ]
