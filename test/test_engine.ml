@@ -1059,15 +1059,14 @@ let engine_grid () =
     E.all_policies;
   String.concat "\n" (List.rev !lines) ^ "\n"
 
-let test_engine_grid () =
-  let got = engine_grid () in
-  (match Sys.getenv_opt "ENGINE_GRID_OUT" with
+(* Compare [got] with the golden file [file] (relative to [test/]),
+   reporting the first differing line; with the variable [env] set to a
+   path, write [got] there first. *)
+let check_golden ~env ~file got =
+  (match Sys.getenv_opt env with
   | Some path -> Out_channel.with_open_bin path (fun oc -> output_string oc got)
   | None -> ());
-  let want =
-    In_channel.with_open_bin "golden/engine_grid.golden" In_channel.input_all
-  in
-  (* report the first differing line, then require the whole file *)
+  let want = In_channel.with_open_bin file In_channel.input_all in
   (match
      List.find_opt
        (fun (g, w) -> g <> w)
@@ -1075,9 +1074,81 @@ let test_engine_grid () =
           (String.split_on_char '\n' got)
           (String.split_on_char '\n' want))
    with
-  | Some (g, w) -> Alcotest.(check string) "first differing grid line" w g
+  | Some (g, w) -> Alcotest.(check string) "first differing line" w g
   | None | (exception Invalid_argument _) -> ());
-  check "grid is byte-identical to the golden" true (got = want)
+  check (file ^ " is byte-identical") true (got = want)
+
+let test_engine_grid () =
+  check_golden ~env:"ENGINE_GRID_OUT" ~file:"golden/engine_grid.golden"
+    (engine_grid ())
+
+(* The obs golden: one line per run with a span ring on a counter clock,
+   a metrics registry, a group-committed [Hook] log and a certificate —
+   the MD5 of the span JSON lines, then every counter and gauge and each
+   histogram's sample count (histogram values are left out: the
+   certifier's feed latency is wall-clock time). Span ids, span order,
+   attributes and counters are pinned across builds, which the grid
+   (decisions and WAL bytes) does not see. Set ENGINE_OBS_OUT to a path
+   to write the regenerated lines there. *)
+let obs_line ~policy ?deadlock ?max_ticks ~gc ~crash ~ro () =
+  let initial, programs = grid_programs 1 in
+  let metrics = Metrics.create () in
+  let spans = Span.create ~capacity:65536 ~clock:(Span.counter_clock ()) () in
+  let obs = Sink.create ~metrics ~spans () in
+  let w = Wal.writer ~window:(Wal.window ~commits:3 ()) () in
+  let hook = Hook.create w in
+  let prov = Mvcc_provenance.Log.create () in
+  ignore
+    (E.run ~policy ~initial ~programs ?max_ticks ~gc ~crash_probability:crash
+       ?deadlock ~obs ~prov ~wal:(Hook.listener hook)
+       ~wal_durable:(fun () -> Wal.acked_commits w)
+       ~snapshot_every:4 ~ro_snapshot:ro ~seed:1 ());
+  let span_lines =
+    String.concat ""
+      (List.map (fun s -> Span.to_json s ^ "\n") (Span.to_list spans))
+  in
+  let instrument (name, v) =
+    match v with
+    | Metrics.VCounter n | VGauge n -> Printf.sprintf "%s=%d" name n
+    | VHistogram h -> Printf.sprintf "%s#%d" name h.Metrics.count
+  in
+  Printf.sprintf "%s%s gc%d crash%g ro%d%s: dropped=%d spans=%s %s"
+    (E.policy_name policy)
+    (match deadlock with
+    | None -> ""
+    | Some d -> "/" ^ E.deadlock_policy_name d)
+    (Bool.to_int gc) crash (Bool.to_int ro)
+    (match max_ticks with None -> "" | Some t -> Printf.sprintf " max%d" t)
+    (Span.dropped spans)
+    (Digest.to_hex (Digest.string span_lines))
+    (String.concat " " (List.map instrument (Metrics.snapshot metrics)))
+
+let engine_obs () =
+  let dims f =
+    List.concat_map
+      (fun ro -> List.map (fun crash -> f ~ro ~crash) [ 0.; 0.05 ])
+      [ false; true ]
+  in
+  let lines =
+    List.concat_map
+      (fun policy ->
+        dims (fun ~ro ~crash -> obs_line ~policy ~gc:false ~crash ~ro ()))
+      E.all_policies
+    @ List.concat_map
+        (fun deadlock ->
+          dims (fun ~ro ~crash ->
+              obs_line ~policy:E.S2pl ~deadlock ~gc:false ~crash ~ro ()))
+        [ E.Wait_die; E.Wound_wait ]
+    @ List.map
+        (fun policy ->
+          obs_line ~policy ~max_ticks:25 ~gc:true ~crash:0.05 ~ro:true ())
+        E.all_policies
+  in
+  String.concat "\n" lines ^ "\n"
+
+let test_engine_obs () =
+  check_golden ~env:"ENGINE_OBS_OUT" ~file:"golden/engine_obs.golden"
+    (engine_obs ())
 
 (* -- the paper's class oracle -- *)
 
@@ -1554,7 +1625,10 @@ let () =
             test_overwritten_write_unevaluated;
         ] );
       ( "golden",
-        [ Alcotest.test_case "engine grid" `Quick test_engine_grid ] );
+        [
+          Alcotest.test_case "engine grid" `Quick test_engine_grid;
+          Alcotest.test_case "engine obs" `Quick test_engine_obs;
+        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
