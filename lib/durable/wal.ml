@@ -562,7 +562,6 @@ type writer = {
   mutable lsn : int;
   mutable closed : bool;
   mutable forced_bytes : int;
-  mutable forced_lsn : int;
   mutable acked : int;
   mutable pend_records : int;
   mutable pend_commits : int;
@@ -580,7 +579,6 @@ let writer ?path ?window ?(obs = Sink.noop) () =
     lsn = 0;
     closed = false;
     forced_bytes = 0;
-    forced_lsn = 0;
     acked = 0;
     pend_records = 0;
     pend_commits = 0;
@@ -604,7 +602,6 @@ let force w =
         flush oc)
       w.chan;
     w.forced_bytes <- len;
-    w.forced_lsn <- w.lsn;
     w.acked <- w.acked + w.pend_commits;
     w.pend_records <- 0;
     w.pend_commits <- 0;
@@ -648,8 +645,6 @@ let append w r =
 
 let next_lsn w = w.lsn
 let contents w = Buffer.contents w.buf
-let forced_bytes w = w.forced_bytes
-let forced_lsn w = w.forced_lsn
 let acked_commits w = w.acked
 let forces w = w.n_forces
 let force_boundaries w = List.rev w.boundaries_rev

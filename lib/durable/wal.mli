@@ -158,13 +158,6 @@ val durable_contents : writer -> string
 (** The forced prefix of {!contents} — exactly the bytes a crash right
     now would leave on disk, and exactly what a backing file holds. *)
 
-val forced_bytes : writer -> int
-(** [String.length (durable_contents w)]. *)
-
-val forced_lsn : writer -> int
-(** Records in the durable prefix; LSNs [>= forced_lsn w] are not yet
-    durable. *)
-
 val acked_commits : writer -> int
 (** Commit records in the durable prefix — the deferred acknowledgement
     count the engine polls via [?wal_durable]. *)

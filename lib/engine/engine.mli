@@ -3,15 +3,15 @@
     paper's opening claim that keeping multiple versions enhances
     performance (E10).
 
-    [run] is a policy-blind driver: intake ({!Intake}), a serial tick
-    loop running one operation or commit attempt of a pseudo-randomly
-    chosen client per tick (the pick is O(1) in the client count: the
-    set it draws from changes only at commits), and the span and WAL
-    streams. Every decision
-    is the policy's module ({!Policy.S}). Values are computed inline, on
-    the tick that executes the operation. Writes are buffered and
-    installed at commit; reads see committed versions (or, under SGT,
-    dirty writes) plus the transaction's own buffer. *)
+    [run] is a policy-blind driver over one run's state: admission of
+    the programs as clients ({!Intake}), a serial tick loop running one
+    operation or commit attempt of a pseudo-randomly chosen client per
+    tick (the pick is O(1) in the client count: the set it draws from
+    changes only at commits), and the span and WAL streams. Every
+    decision is the policy's module ({!Policy.S}). Writes are buffered,
+    their values computed on first use, and installed at commit; reads
+    see committed versions (or, under SGT, dirty writes) plus the
+    transaction's own buffer. *)
 
 type policy = Policy.policy =
   | S2pl  (** strict two-phase locking: blocking + deadlock victims *)
@@ -196,8 +196,8 @@ val run :
     [snapshot_every = Some n] a [Wal_checkpoint] carrying the live
     store is also offered every [n] commits. Both are pure accounting:
     the run is bit-for-bit identical with or without them, and with
-    neither [wal] nor [prov] no event is built. [wal_durable] (default off) polls
-    how many commit records the log has forced (e.g.
+    neither [wal] nor [prov] no event is built. [wal_durable] (default
+    off) polls how many commit records the log has forced (e.g.
     [Wal.acked_commits]) each tick, matches acknowledgements to commits
     in commit order (counter ["engine.acks"], histogram
     ["engine.ack-lag-ticks"]) and reports the final count as

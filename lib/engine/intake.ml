@@ -1,6 +1,3 @@
-module Sink = Mvcc_obs.Sink
-module J = Mvcc_obs.Json
-
 type status = Ready | Waiting of string | Backoff of int | Committed
 
 type binding = { entity : string; eid : int; value : int }
@@ -52,7 +49,7 @@ let check_registers (p : Program.t) =
         if not (List.mem r read) then
           invalid_arg
             (Printf.sprintf
-               "Intake.admit: program %S writes %s from register %s before \
+               "Engine.run: program %S writes %s from register %s before \
                 reading it"
                p.label e r)
     | Add (a, b) | Sub (a, b) ->
@@ -68,43 +65,3 @@ let check_registers (p : Program.t) =
              check read e x;
              read)
        [] p.ops)
-
-let admit ~policy_name ~programs ~intern ~obs ~fresh_ts ~wal_begin () =
-  List.iter check_registers programs;
-  let clients =
-    Array.of_list
-      (List.mapi
-         (fun id program ->
-           let ops = Array.of_list program.Program.ops in
-           {
-             id;
-             program;
-             ops;
-             ids =
-               Array.map
-                 (function Program.Read e | Write (e, _) -> intern e)
-                 ops;
-             pc = 0;
-             regs = [];
-             buffer = [];
-             ts = 0;
-             snapshot = 0;
-             status = Ready;
-             sp_txn = -1;
-             sp_attempt = -1;
-           })
-         programs)
-  in
-  Sink.set_gauge obs "engine.clients" (Array.length clients);
-  Array.iter
-    (fun c ->
-      c.ts <- fresh_ts ();
-      wal_begin ~txn:c.id ~ts:c.ts;
-      c.sp_txn <-
-        Sink.span_start obs "txn" ~attrs:(fun () ->
-            [ ("txn", J.Int c.id); ("policy", J.Str policy_name) ]);
-      c.sp_attempt <-
-        Sink.span_start obs ~parent:c.sp_txn "attempt" ~attrs:(fun () ->
-            [ ("txn", J.Int c.id); ("ts", J.Int c.ts) ]))
-    clients;
-  clients

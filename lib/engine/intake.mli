@@ -1,17 +1,16 @@
-(** The intake stage: batch admission of a run's transaction programs.
+(** The client state the engine's tick loop drives: program counters,
+    register and write-buffer bindings, timestamps and open spans (each
+    policy keeps its own footprints, see {!Policy}), with the buffered
+    write's deferred value ({!force}) and the program check admission
+    runs ({!check_registers}).
 
-    Intake owns the machine-level client state the engine's tick loop
-    drives — program counters, register and write-buffer bindings,
-    timestamps and open spans (each policy keeps its own footprints, see
-    {!Policy}) — and performs the batch work that happens once per run.
-    Every operation's entity is resolved to its store id here, once
-    (BOHM-style: the footprint is known before execution), so the tick
-    loop and the policies index by id and never hash a name. Begin
-    timestamps are assigned to the whole batch up front
-    (Faleiro–Abadi's batched timestamp allocation; the clock is the
-    caller's, so restarts draw from the same sequence), and the per-txn
-    begin events land in the span ring and the WAL before the first
-    tick. *)
+    Admission itself is the engine run's first step ([Engine.Run]'s
+    [create]): it resolves every operation's entity to its store id
+    once (BOHM-style: the footprint is known before execution), so the
+    tick loop and the policies index by id and never hash a name, and
+    assigns begin timestamps to the whole batch up front
+    (Faleiro–Abadi's batched timestamp allocation, from the run's one
+    clock, so restarts draw from the same sequence). *)
 
 type status = Ready | Waiting of string | Backoff of int | Committed
 
@@ -57,21 +56,7 @@ type client = {
   mutable sp_attempt : int;
 }
 
-val admit :
-  policy_name:string ->
-  programs:Program.t list ->
-  intern:(string -> int) ->
-  obs:Mvcc_obs.Sink.t ->
-  fresh_ts:(unit -> int) ->
-  wal_begin:(txn:int -> ts:int -> unit) ->
-  unit ->
-  client array
-(** Build the client array for one run: ids in program order, each
-    operation's entity resolved through [intern] (in program order, then
-    operation order), one begin timestamp each (drawn from [fresh_ts],
-    in id order), [txn]/[attempt] spans opened, and [wal_begin] called
-    per client.
-    @raise Invalid_argument
+val check_registers : Program.t -> unit
+(** @raise Invalid_argument
       if a write's expression names a [Reg r] its program does not read
-      before that write (checked for every program before any other
-      work). *)
+      before that write. *)

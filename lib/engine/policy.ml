@@ -138,7 +138,7 @@ struct
       c.buffer
 
   (* a snapshot read may not pass an executed (write-locked) write *)
-  let ro_safe t = List.for_all (fun id -> t.writer.(id) < 0)
+  let ro_safe t = Array.for_all (fun id -> t.writer.(id) < 0)
   let ro_stamp t _ = t.ctx.clock ()
 end
 
@@ -191,7 +191,7 @@ module To = struct
 
   (* the snapshot timestamp is fresher than every reservation, so this
      is TO's own older-pending-writer read rule *)
-  let ro_safe t = List.for_all (fun id -> t.pending.(id) = [])
+  let ro_safe t = Array.for_all (fun id -> t.pending.(id) = [])
 
   let ro_stamp t c =
     c.ts <- t.ctx.fresh_ts ();
@@ -346,7 +346,7 @@ module Sgt = struct
 
   (* a snapshot read would serve the committed version where SGT's own
      read rule serves the dirty one *)
-  let ro_safe t = List.for_all (fun id -> t.dirty.(id) = [])
+  let ro_safe t = Array.for_all (fun id -> t.dirty.(id) = [])
   let ro_stamp t _ = t.ctx.clock ()
 end
 

@@ -60,13 +60,14 @@ module type S = sig
   val cascade : t -> Intake.client -> unit
   (** After an abort, abort whoever depended on it. *)
 
-  val ro_safe : t -> int list -> bool
-  (** May an off-loop reader of the entities with these store ids launch
-      now? Policies witnessed by a multiversion order (MVTO, SI) always
-      say yes. The single-version ones (S2PL, TO, SGT) say no while an
-      active transaction has executed a write of one of them (write
-      lock, reservation, dirty write): that write precedes the snapshot
-      read in the history, yet the read serves the older version. *)
+  val ro_safe : t -> int array -> bool
+  (** May an off-loop reader of the entities with these store ids (one
+      per read, repeats allowed) launch now? Policies witnessed by a
+      multiversion order (MVTO, SI) always say yes. The single-version
+      ones (S2PL, TO, SGT) say no while an active transaction has
+      executed a write of one of them (write lock, reservation, dirty
+      write): that write precedes the snapshot read in the history, yet
+      the read serves the older version. *)
 
   val ro_stamp : t -> Intake.client -> int
   (** An off-loop reader's snapshot timestamp; TO and MVTO re-begin the

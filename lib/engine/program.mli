@@ -26,7 +26,7 @@ val eval : (string -> int) -> expr -> int
 (** Evaluate an expression given the transaction's register file; a
     [Reg] the file lacks raises whatever the file raises. The engine
     admits no program whose write names a register not read before it
-    (see {!Intake.admit}). *)
+    (see {!Intake.check_registers}). *)
 
 val transfer : label:string -> from_:string -> to_:string -> int -> t
 (** Read both accounts, move [amount] between them. *)
