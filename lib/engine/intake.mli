@@ -4,13 +4,13 @@
     write's deferred value ({!force}) and the program check admission
     runs ({!check_registers}).
 
-    Admission itself is the engine run's first step ([Engine.Run]'s
-    [create]): it resolves every operation's entity to its store id
-    once (BOHM-style: the footprint is known before execution), so the
-    tick loop and the policies index by id and never hash a name, and
-    assigns begin timestamps to the whole batch up front
-    (Faleiro–Abadi's batched timestamp allocation, from the run's one
-    clock, so restarts draw from the same sequence). *)
+    Admission itself is the first step of [Engine.run]: it resolves
+    every operation's entity to its store id once (BOHM-style: the
+    footprint is known before execution), so the tick loop and the
+    policies index by id and never hash a name, and assigns begin
+    timestamps to the whole batch up front (Faleiro–Abadi's batched
+    timestamp allocation, from the run's one clock, so restarts draw
+    from the same sequence). *)
 
 type status = Ready | Waiting of string | Backoff of int | Committed
 
